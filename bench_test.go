@@ -258,7 +258,7 @@ func burstSweepWorkload() retina.Source {
 // benchBurstSize measures the full online path (NIC staging → SPSC ring
 // → bulk mbuf alloc → Core.ProcessBurst) at one batch size. The sweep
 // quantifies the per-packet overhead the burst refactor amortizes;
-// burst=1 is the legacy packet-at-a-time datapath.
+// burst=1 runs one-packet bursts through the same code.
 func benchBurstSize(b *testing.B, burst int) {
 	frames, ticks, bytes := materialize(burstSweepWorkload())
 	b.ReportAllocs()
@@ -281,20 +281,11 @@ func benchBurstSize(b *testing.B, burst int) {
 			close(done)
 		}()
 		b.StartTimer()
-		if burst > 1 {
-			// Mirror Runtime.Run's BurstSource path: frames arrive at the
-			// NIC a burst at a time.
-			for j := 0; j < len(frames); j += burst {
-				k := j + burst
-				if k > len(frames) {
-					k = len(frames)
-				}
-				rt.NIC().DeliverBurst(frames[j:k], ticks[j:k])
-			}
-		} else {
-			for j, f := range frames {
-				rt.NIC().Deliver(f, ticks[j])
-			}
+		// Mirror Runtime.Run's BurstSource path: frames arrive at the
+		// NIC a burst at a time.
+		for j := 0; j < len(frames); j += burst {
+			k := min(j+burst, len(frames))
+			rt.NIC().DeliverBurst(frames[j:k], ticks[j:k])
 		}
 		rt.NIC().Close()
 		<-done
@@ -335,9 +326,7 @@ func benchHWAblation(b *testing.B, hw bool) {
 			close(done)
 		}()
 		b.StartTimer()
-		for j, f := range frames {
-			rt.NIC().Deliver(f, ticks[j])
-		}
+		rt.NIC().DeliverBurst(frames, ticks)
 		rt.NIC().Close()
 		<-done
 	}

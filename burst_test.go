@@ -33,8 +33,8 @@ func runDifferential(t *testing.T, burst int) retina.Stats {
 }
 
 // TestBurstDifferentialCounts is the end-to-end differential for the
-// burst datapath: the identical seeded workload at burst=1 (legacy
-// packet-at-a-time) and burst=32 must produce identical NIC stats and
+// burst datapath: the identical seeded workload at burst=1 (one-packet
+// bursts) and burst=32 must produce identical NIC stats and
 // identical per-core delivery, drop, and expiry accounting.
 func TestBurstDifferentialCounts(t *testing.T) {
 	legacy := runDifferential(t, 1)

@@ -32,14 +32,13 @@ func main() {
 	exp := flag.String("experiment", "all", "experiment to run: fig5, fig6, fig7, fig8, fig9, fig12, table2, ablations, all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full documented configuration)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	burst := flag.Int("burst", 0, "datapath burst size for all experiments (0 = default 32, 1 = legacy packet-at-a-time)")
+	burst := flag.Int("burst", 0, "datapath burst size for all experiments (0 = default 32, 1 = one-packet bursts through the same code)")
 	subsFile := flag.String("subs", "", "JSON file of {name, filter, callback} subscription specs; benches them as one multi-subscription set instead of -experiment")
 	cores := flag.Int("cores", 4, "cores for the -subs multi-subscription bench")
 	offload := flag.Bool("offload", false, "enable the dynamic flow-offload fastpath for the -subs bench (per-flow drop rules for terminally-decided connections)")
 	offloadRules := flag.Int("offload-rules", 0, "flow-offload rule-table budget (0 = device capacity)")
 	offloadIdle := flag.Duration("offload-idle", 0, "flow-offload idle eviction horizon in virtual time (0 = 5s default, negative = never)")
 	latency := flag.Bool("latency", false, "enable latency tracking for the -subs bench and print the observability report (rx→delivery percentiles, per-stage cycles, duty cycle, RSS skew)")
-	conntrackTable := flag.String("conntrack", "", "connection-table backend: flat (open-addressing, default) or map (oracle)")
 	rebalanceOn := flag.Bool("rebalance", false, "enable the adaptive RSS rebalancer for the -subs bench (periodic RETA bucket migration with conntrack handoff)")
 	rebalanceInterval := flag.Duration("rebalance-interval", 0, "rebalancer observation interval (0 = 100ms default)")
 	rebalanceMoves := flag.Int("rebalance-moves", 0, "max bucket moves per rebalance round (0 = 2 default)")
@@ -47,7 +46,6 @@ func main() {
 	aggSrc := flag.String("agg", "", `for the -subs bench: attach an aggregation clause ("op[:key[:window[:k]]]" shorthand or JSON) to every packet-level subscription and print the merged reports`)
 	flag.Parse()
 	experiments.BurstSize = *burst
-	experiments.ConntrackTable = *conntrackTable
 
 	if *subsFile != "" {
 		fo := retina.FlowOffloadConfig{Enable: *offload, MaxFlowRules: *offloadRules, IdleTimeout: *offloadIdle}
@@ -146,7 +144,6 @@ func benchSubs(subsFile, aggSrc string, scale float64, seed int64, burst, cores 
 	cfg := retina.DefaultConfig()
 	cfg.Cores = cores
 	cfg.BurstSize = burst
-	cfg.ConntrackTable = experiments.ConntrackTable
 	cfg.FlowOffload = fo
 	cfg.Rebalance = rb
 	cfg.LatencyTracking = latency

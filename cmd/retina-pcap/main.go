@@ -43,11 +43,10 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N connection lifecycles (0 = off); dump via the metrics endpoint's /traces")
 	maxConns := flag.Int("max-conns", 0, "bound the connection table (0 = unlimited); at the bound the longest-idle unestablished connection is evicted")
 	noPressureEvict := flag.Bool("no-pressure-evict", false, "with -max-conns, refuse new connections at the bound instead of evicting")
-	conntrackTable := flag.String("conntrack", "", "connection-table backend: flat (open-addressing, default) or map (oracle)")
 	reasmBudget := flag.Int64("reasm-budget", 0, "per-core byte budget for out-of-order reassembly buffers (0 = 8MiB default, negative = unlimited)")
 	pktbufBudget := flag.Int64("pktbuf-budget", 0, "per-core byte budget for pre-verdict packet buffers (0 = 8MiB default, negative = unlimited)")
 	streamBudget := flag.Int64("stream-budget", 0, "per-core byte budget for pre-verdict stream buffers (0 = 16MiB default, negative = unlimited)")
-	burst := flag.Int("burst", 0, "datapath burst size (0 = default 32, 1 = legacy packet-at-a-time)")
+	burst := flag.Int("burst", 0, "datapath burst size (0 = default 32, 1 = one-packet bursts through the same code)")
 	subsFile := flag.String("subs", "", "JSON file of {name, filter, callback} subscription specs; runs them all as one multi-subscription set (overrides -filter/-subscribe)")
 	offload := flag.Bool("offload", false, "enable the dynamic flow-offload fastpath; the trace is replayed through the simulated NIC datapath (online mode) so decided flows are dropped at the device")
 	offloadRules := flag.Int("offload-rules", 0, "flow-offload rule-table budget (0 = device capacity)")
@@ -82,7 +81,6 @@ func main() {
 	cfg.TraceSample = *traceSample
 	cfg.MaxConns = *maxConns
 	cfg.NoPressureEvict = *noPressureEvict
-	cfg.ConntrackTable = *conntrackTable
 	cfg.ReassemblyBudget = *reasmBudget
 	cfg.PacketBufBudget = *pktbufBudget
 	cfg.StreamBufBudget = *streamBudget

@@ -34,7 +34,7 @@ func runConntrackDifferential(t *testing.T, frames [][]byte, ticks []uint64, bac
 	cfg.Cores = 2
 	cfg.RingSize = 1 << 16
 	cfg.PoolSize = 1 << 17
-	cfg.ConntrackTable = backend
+	cfg.conntrackBackend = backend
 	cfg.MaxConns = maxConns
 
 	var mu sync.Mutex

@@ -336,8 +336,8 @@ type Table struct {
 }
 
 // NewTable builds a table for one core. An unrecognized Config.Backend
-// panics: the value is validated where operators can set it (root
-// config), so a bad value here is a programming error.
+// panics: only the program and its tests set it, so a bad value is a
+// programming error.
 func NewTable(cfg Config) *Table {
 	gran := cfg.WheelGranularity
 	if gran == 0 {

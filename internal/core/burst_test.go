@@ -61,8 +61,8 @@ func timerWorkload(t *testing.T) []timedFrame {
 	return w
 }
 
-// TestBurstBoundaryTimerSemantics runs the same seeded workload through
-// the legacy packet-at-a-time path and through ProcessBurst at burst=32
+// TestBurstBoundaryTimerSemantics runs the same seeded workload as
+// one-packet bursts and through ProcessBurst at burst=32
 // and asserts identical delivered/created/expired accounting. Timer
 // expiry moves to burst boundaries under batching; for any workload
 // whose idle gaps exceed a burst's virtual span (microseconds here,
@@ -77,7 +77,7 @@ func TestBurstBoundaryTimerSemantics(t *testing.T) {
 			for _, tf := range w {
 				m := mbuf.FromBytes(tf.frame)
 				m.RxTick = tf.tick
-				c.ProcessMbuf(m)
+				c.ProcessBurst([]*mbuf.Mbuf{m})
 			}
 		} else {
 			for i := 0; i < len(w); i += burst {
@@ -125,9 +125,9 @@ func TestBurstBoundaryTimerSemantics(t *testing.T) {
 }
 
 // TestProcessBurstMatchesPerPacket feeds an arbitrary mixed workload
-// (no timer pressure) through both paths and requires byte-identical
-// counter snapshots: burst=1 through ProcessBurst must equal the
-// legacy ProcessMbuf loop, and burst=32 must equal both.
+// (no timer pressure) through both burst sizes and requires
+// byte-identical counter snapshots: burst=1 through the batching loop
+// must equal one-packet ProcessBurst calls, and burst=32 must equal both.
 func TestProcessBurstMatchesPerPacket(t *testing.T) {
 	mkWorkload := func() []timedFrame {
 		f := newFlow(t, 41001, 443)
@@ -162,7 +162,7 @@ func TestProcessBurstMatchesPerPacket(t *testing.T) {
 			for _, tf := range w {
 				m := mbuf.FromBytes(tf.frame)
 				m.RxTick = tf.tick
-				c.ProcessMbuf(m)
+				c.ProcessBurst([]*mbuf.Mbuf{m})
 			}
 		} else {
 			for i := 0; i < len(w); i += burst {
@@ -189,9 +189,9 @@ func TestProcessBurstMatchesPerPacket(t *testing.T) {
 	single := run(1, true)
 	batched := run(32, true)
 	if legacy != single {
-		t.Fatalf("ProcessBurst(burst=1) diverges from ProcessMbuf:\nlegacy: %+v\nsingle: %+v", legacy, single)
+		t.Fatalf("ProcessBurst(burst=1) diverges from one-packet calls:\nlegacy: %+v\nsingle: %+v", legacy, single)
 	}
 	if legacy != batched {
-		t.Fatalf("ProcessBurst(burst=32) diverges from ProcessMbuf:\nlegacy: %+v\nburst:  %+v", legacy, batched)
+		t.Fatalf("ProcessBurst(burst=32) diverges from one-packet calls:\nlegacy: %+v\nburst:  %+v", legacy, batched)
 	}
 }

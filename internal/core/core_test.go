@@ -91,7 +91,7 @@ func feed(c *Core, frames [][]byte) {
 	for i, fr := range frames {
 		m := mbuf.FromBytes(fr)
 		m.RxTick = c.Now() + uint64(i+1)*1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 }
 
@@ -452,7 +452,7 @@ func TestMbufRefcountHygiene(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.RxTick = uint64(i+1) * 1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 	c.Flush()
 	if pool.Available() != pool.Size() {

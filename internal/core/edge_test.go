@@ -155,7 +155,7 @@ func TestZeroLengthAndWeirdFrames(t *testing.T) {
 	for _, fr := range [][]byte{{}, {1}, bytes.Repeat([]byte{0xFF}, 13), bytes.Repeat([]byte{0xFF}, 64)} {
 		m := mbuf.FromBytes(fr)
 		m.RxTick = 1
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 	// Only the 64-byte frame can possibly decode as Ethernet.
 	if c.Stats().Processed != 4 {

@@ -186,6 +186,8 @@ type scriptedRing struct {
 	frames []*mbuf.Mbuf
 	pos    int
 	waited int
+	// onWait, when set, runs at every Wait before it answers.
+	onWait func()
 }
 
 func (r *scriptedRing) DequeueBurst(buf []*mbuf.Mbuf) int {
@@ -205,5 +207,8 @@ func (r *scriptedRing) DequeueBurst(buf []*mbuf.Mbuf) int {
 
 func (r *scriptedRing) Wait() bool {
 	r.waited++
+	if r.onWait != nil {
+		r.onWait()
+	}
 	return r.pos < len(r.frames)
 }

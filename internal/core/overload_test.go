@@ -54,7 +54,7 @@ func TestPacketDataNoRetain(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.RxTick = uint64(i+1) * 1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 	c.Flush()
 
@@ -206,7 +206,7 @@ func TestEvictedPressureCountsBufferedPackets(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.RxTick = uint64(i+1) * 1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 
 	st := c.Stats()

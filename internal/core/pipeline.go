@@ -68,8 +68,8 @@ type Config struct {
 	// nil disables the ring high-watermark shedding signal.
 	RingSignal func() (used, capacity int)
 	// BurstSize is the receive burst the core dequeues and processes at
-	// a time (Run / ProcessBurst). <= 0 selects DefaultBurstSize; 1
-	// reproduces the per-packet datapath exactly.
+	// a time (Run / ProcessBurst). <= 0 selects DefaultBurstSize; 1 runs
+	// one-packet bursts through the same code.
 	BurstSize int
 	// Offload, when non-nil, receives per-connection terminal-verdict
 	// notifications at burst boundaries — the dynamic flow-offload
@@ -159,18 +159,14 @@ type Core struct {
 	exportMig *Migration
 	migErrs   atomic.Uint64
 
-	parsed layers.Parsed
-	now    uint64
+	now uint64
 
-	// Burst-mode scratch state: one decode slot, one match mask, and one
+	// Burst scratch state: one decode slot, one match mask, and one
 	// slot-indexed filter result row per packet of the largest burst
 	// seen, reused across bursts so the steady state allocates nothing.
-	burstSize   int
 	burstParsed []layers.Parsed
 	burstMask   []uint64
 	burstRes    []filter.Result
-	// singleRes is the one-packet result row for ProcessMbuf.
-	singleRes []filter.Result
 
 	// pktScratch is this core's reusable packet-filter accumulator
 	// (avoids a per-packet heap allocation in both engines).
@@ -452,15 +448,14 @@ func NewCore(id int, cfg Config) (*Core, error) {
 		cfg.BurstSize = DefaultBurstSize
 	}
 	c := &Core{
-		ID:        id,
-		cfg:       cfg,
-		ps:        ps,
-		table:     conntrack.NewTable(cfg.Conntrack),
-		parReg:    reg,
-		stages:    NewStageStats(cfg.Profile),
-		tracer:    cfg.Tracer,
-		acct:      acct,
-		burstSize: cfg.BurstSize,
+		ID:     id,
+		cfg:    cfg,
+		ps:     ps,
+		table:  conntrack.NewTable(cfg.Conntrack),
+		parReg: reg,
+		stages: NewStageStats(cfg.Profile),
+		tracer: cfg.Tracer,
+		acct:   acct,
 	}
 	c.acked.Store(ps.Epoch)
 	c.protoCtr.Store(newProtoCounters(reg.Names()))
@@ -607,50 +602,6 @@ func (c *Core) Duty() *DutyStats { return c.duty }
 // Witness returns the core's elephant-flow witness (nil when
 // Config.Latency is off).
 func (c *Core) Witness() *FlowWitness { return c.wit }
-
-// ProcessMbuf consumes one packet buffer from the core's receive queue.
-// It owns the mbuf and frees it (directly or after buffering). This is
-// the burst=1 datapath; ProcessBurst is the batched equivalent.
-func (c *Core) ProcessMbuf(m *mbuf.Mbuf) {
-	c.pickup()
-	if c.lat != nil {
-		c.nowNs = metrics.NowNanos()
-	}
-	var d burstDelta
-	d.processed = 1
-	if m.RxTick > c.now {
-		c.now = m.RxTick
-	}
-
-	slots := len(c.ps.Multi.Slots)
-	if cap(c.singleRes) < slots {
-		c.singleRes = make([]filter.Result, slots)
-	}
-	res := c.singleRes[:slots]
-
-	// Stage: software packet filter (decode + per-subscription trie
-	// match).
-	var mask uint64
-	c.stages.Time(StageSWFilter, func() {
-		if err := c.parsed.DecodeLayers(m.Data()); err != nil {
-			mask = 0
-			return
-		}
-		mask = c.ps.Multi.PacketInto(&c.parsed, &c.pktScratch, res)
-	})
-	c.processFiltered(&c.parsed, m, filter.MultiResult{Mask: mask, Res: res}, &d)
-	c.foldDelta(&d)
-	m.Free()
-	c.advance()
-	c.flushOffload()
-	if c.lat != nil {
-		c.obsBursts++
-		if c.obsBursts&(obsFlushEvery-1) == 0 {
-			c.lat.flush()
-			c.wit.publish()
-		}
-	}
-}
 
 // ProcessBurst consumes a burst of packet buffers in two passes: decode
 // + software packet filter over the whole batch (one stage-timer entry,
@@ -2268,16 +2219,19 @@ func (c *Core) deliverSessionTo(spec *SubSpec, conn *conntrack.Conn, s *proto.Se
 }
 
 // Run consumes bursts from a receive ring until it closes, then flushes.
-// With BurstSize 1 every dequeue processes a single mbuf and the
-// datapath is packet-for-packet identical to the historical per-packet
-// loop (the bisection baseline). A poked ring wakes the loop without
-// data so a newly published program set is picked up while idle.
+// A poked ring wakes the loop without data so a newly published program
+// set is picked up while idle. With Config.Latency the loop also keeps
+// the duty-cycle ledger: every wall interval is attributed to busy
+// (dequeue + processing) or wait (parked in ring Wait), and ring depth
+// observed at each dequeue is integrated over the iteration it fed —
+// two clock reads per burst or park, never per packet.
 func (c *Core) Run(queue RxRing) {
-	if c.duty != nil {
-		c.runAccounted(queue)
-		return
+	buf := make([]*mbuf.Mbuf, c.cfg.BurstSize)
+	duty := c.duty
+	var last int64
+	if duty != nil {
+		last = metrics.NowNanos()
 	}
-	buf := make([]*mbuf.Mbuf, c.burstSize)
 	for {
 		c.pickup()
 		if c.migFlag.Load() {
@@ -2286,70 +2240,37 @@ func (c *Core) Run(queue RxRing) {
 		n := queue.DequeueBurst(buf)
 		if n == 0 {
 			c.maybeCompleteExport(queue) // empty ring has trivially drained
-			if !queue.Wait() {
-				break
+			var t0 int64
+			if duty != nil {
+				t0 = metrics.NowNanos()
+				duty.busyNs.Add(t0 - last)
 			}
-			continue
-		}
-		if c.burstSize == 1 {
-			c.ProcessMbuf(buf[0])
-		} else {
-			c.ProcessBurst(buf[:n])
-		}
-		c.maybeCompleteExport(queue)
-	}
-	c.pickup()
-	if c.migFlag.Load() {
-		c.handleMigrations(queue)
-	}
-	c.maybeCompleteExport(queue)
-	c.Flush()
-}
-
-// runAccounted is Run with duty-cycle accounting: every wall interval
-// is attributed to busy (dequeue + processing) or wait (parked in ring
-// Wait), and ring depth observed at each dequeue is integrated over the
-// iteration it fed — two clock reads per burst or park, never per
-// packet.
-func (c *Core) runAccounted(queue RxRing) {
-	buf := make([]*mbuf.Mbuf, c.burstSize)
-	last := metrics.NowNanos()
-	for {
-		c.pickup()
-		if c.migFlag.Load() {
-			c.handleMigrations(queue)
-		}
-		n := queue.DequeueBurst(buf)
-		if n == 0 {
-			c.maybeCompleteExport(queue) // empty ring has trivially drained
-			t0 := metrics.NowNanos()
-			c.duty.busyNs.Add(t0 - last)
 			ok := queue.Wait()
-			last = metrics.NowNanos()
-			c.duty.waitNs.Add(last - t0)
-			c.duty.wakeups.Add(1)
+			if duty != nil {
+				last = metrics.NowNanos()
+				duty.waitNs.Add(last - t0)
+				duty.wakeups.Add(1)
+			}
 			if !ok {
 				break
 			}
 			continue
 		}
 		depth := int64(n)
-		if c.cfg.RingSignal != nil {
+		if duty != nil && c.cfg.RingSignal != nil {
 			used, _ := c.cfg.RingSignal()
 			depth += int64(used) // what remained after this dequeue
 		}
-		if c.burstSize == 1 {
-			c.ProcessMbuf(buf[0])
-		} else {
-			c.ProcessBurst(buf[:n])
-		}
+		c.ProcessBurst(buf[:n])
 		c.maybeCompleteExport(queue)
-		now := metrics.NowNanos()
-		iter := now - last
-		c.duty.busyNs.Add(iter)
-		c.duty.occWeighted.Add(iter * depth)
-		c.duty.bursts.Add(1)
-		last = now
+		if duty != nil {
+			now := metrics.NowNanos()
+			iter := now - last
+			duty.busyNs.Add(iter)
+			duty.occWeighted.Add(iter * depth)
+			duty.bursts.Add(1)
+			last = now
+		}
 	}
 	c.pickup()
 	if c.migFlag.Load() {

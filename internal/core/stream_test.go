@@ -155,7 +155,7 @@ func TestByteStreamMbufHygiene(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.RxTick = uint64(i+1) * 1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 	c.Flush()
 	if pool.Available() != pool.Size() {

@@ -83,7 +83,7 @@ func feed(c *core.Core, frames ...[]byte) {
 	for i, fr := range frames {
 		m := mbuf.FromBytes(fr)
 		m.RxTick = c.Now() + uint64(i+1)*1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 }
 
@@ -320,9 +320,9 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 	p.Start()
 	defer p.Stop()
 
-	// One goroutine consumes packets continuously (each ProcessMbuf is a
-	// burst boundary, i.e. a pickup opportunity), while the benchmark
-	// loop churns add/remove swaps through the plane.
+	// One goroutine consumes packets continuously (each one-packet
+	// ProcessBurst is a burst boundary, i.e. a pickup opportunity), while
+	// the benchmark loop churns add/remove swaps through the plane.
 	stop := make(chan struct{})
 	var pkts atomic.Uint64
 	go func() {
@@ -338,7 +338,7 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 			m := mbuf.FromBytes(frame)
 			tick += 1000
 			m.RxTick = tick
-			c.ProcessMbuf(m)
+			c.ProcessBurst([]*mbuf.Mbuf{m})
 			pkts.Add(1)
 		}
 	}()
@@ -430,9 +430,11 @@ func TestPlaneReconcileErrorSurfaced(t *testing.T) {
 	tls := newConn(40500, 443, layers.IPProtoTCP)
 	dns := newConn(40501, 53, layers.IPProtoUDP)
 	other := newConn(40502, 8080, layers.IPProtoTCP)
-	dev.Deliver(tls.pkt(true, layers.TCPSyn, nil), 1000)
-	dev.Deliver(dns.pkt(true, 0, []byte("q")), 2000)
-	dev.Deliver(other.pkt(true, layers.TCPSyn, nil), 3000)
+	dev.DeliverBurst([][]byte{
+		tls.pkt(true, layers.TCPSyn, nil),
+		dns.pkt(true, 0, []byte("q")),
+		other.pkt(true, layers.TCPSyn, nil),
+	}, []uint64{1000, 2000, 3000})
 	st := dev.Stats()
 	if st.HWDropped != 0 || st.Delivered != 3 {
 		t.Fatalf("device stats %+v, want all 3 frames delivered", st)
@@ -444,7 +446,7 @@ func TestPlaneReconcileErrorSurfaced(t *testing.T) {
 		t.Fatalf("dequeued %d frames, want 3", n)
 	}
 	for _, m := range buf[:n] {
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 	if nTLS.Load() != 1 || nDNS.Load() != 1 {
 		t.Fatalf("deliveries tls=%d dns=%d, want 1/1", nTLS.Load(), nDNS.Load())

@@ -54,9 +54,7 @@ func RunHWFilterAblation(seed int64, flows int) AblationResult {
 			rt.Cores()[0].Run(rt.NIC().Queue(0))
 			close(done)
 		}()
-		for i, f := range frames {
-			rt.NIC().Deliver(f, ticks[i])
-		}
+		rt.NIC().DeliverBurst(frames, ticks)
 		rt.NIC().Close()
 		<-done
 		return metrics.GbpsOver(bytes, time.Since(start))

@@ -3,22 +3,16 @@ package experiments
 import "retina"
 
 // BurstSize overrides the datapath burst size for every experiment in
-// this package (0 = framework default of 32, 1 = legacy packet-at-a-
-// time). retina-bench's -burst flag sets it before running experiments
-// so figure/table reproductions can be compared across batch sizes.
+// this package (0 = framework default of 32, 1 = one-packet bursts
+// through the same code). retina-bench's -burst flag sets it before
+// running experiments so figure/table reproductions can be compared
+// across batch sizes.
 var BurstSize int
-
-// ConntrackTable overrides the connection-table backend for every
-// experiment in this package ("" = build default, "flat" or "map").
-// retina-bench's -conntrack flag sets it so figure reproductions can be
-// compared across index implementations (DESIGN.md §15).
-var ConntrackTable string
 
 // baseConfig is what experiments use in place of retina.DefaultConfig:
 // the paper defaults with the package-level burst override applied.
 func baseConfig() retina.Config {
 	cfg := retina.DefaultConfig()
 	cfg.BurstSize = BurstSize
-	cfg.ConntrackTable = ConntrackTable
 	return cfg
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"retina"
+	"retina/internal/mbuf"
 	"retina/internal/traffic"
 )
 
@@ -109,7 +110,9 @@ func runFig8Scheme(cfg Fig8Config, scheme Fig8Scheme, flows int) Fig8Result {
 	nextSample := sampleEvery
 
 	// Offline processing preserves virtual-time fidelity: the table's
-	// clock advances exactly with traffic ticks.
+	// clock advances exactly with traffic ticks, one-packet bursts at a
+	// time.
+	one := make([]*mbuf.Mbuf, 1)
 	for {
 		frame, tick, ok := src.Next()
 		if !ok {
@@ -120,7 +123,8 @@ func runFig8Scheme(cfg Fig8Config, scheme Fig8Scheme, flows int) Fig8Result {
 			continue
 		}
 		m.RxTick = tick
-		corePipe.ProcessMbuf(m)
+		one[0] = m
+		corePipe.ProcessBurst(one)
 
 		for tick >= nextSample {
 			tbl := corePipe.Table()

@@ -43,9 +43,9 @@ func TestFlowRulesDropAndAccount(t *testing.T) {
 		t.Fatalf("FlowRuleCount = %d", n.FlowRuleCount())
 	}
 
-	n.Deliver(fwd, 11)
-	n.Deliver(rev, 12) // canonical key matches the reverse direction too
-	n.Deliver(other, 13)
+	deliverOne(n, fwd, 11)
+	deliverOne(n, rev, 12) // canonical key matches the reverse direction too
+	deliverOne(n, other, 13)
 	st := n.Stats()
 	if st.HWOffloadDrop != 2 || st.Delivered != 1 {
 		t.Fatalf("stats %+v, want 2 offload drops and 1 delivery", st)
@@ -68,7 +68,7 @@ func TestFlowRulesDropAndAccount(t *testing.T) {
 	if removed := n.RemoveFlowRules([]layers.FiveTuple{tupleOf(t, fwd)}); removed != 1 {
 		t.Fatalf("RemoveFlowRules = %d", removed)
 	}
-	n.Deliver(fwd, 30)
+	deliverOne(n, fwd, 30)
 	if st := n.Stats(); st.HWOffloadDrop != 2 || st.Delivered != 2 {
 		t.Fatalf("post-remove stats %+v", st)
 	}
@@ -97,7 +97,7 @@ func TestFlowRulesCapacityAndStaticPrecedence(t *testing.T) {
 	}
 
 	// Touch keys[1] so it is the most recently hit; the rest idle.
-	n.Deliver(buildTCP("10.0.0.1", "10.0.0.2", 1001, 443), 50)
+	deliverOne(n, buildTCP("10.0.0.1", "10.0.0.2", 1001, 443), 50)
 
 	// Installing 3 static rules leaves room for 1 flow rule: the three
 	// least-recently-hit flow rules are evicted, the hot one survives.
@@ -144,8 +144,8 @@ func TestStaticRuleHitCounters(t *testing.T) {
 	if err := n.InstallRules(tcp); err != nil {
 		t.Fatal(err)
 	}
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 2, 443), 2)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 2, 443), 2)
 
 	both := append(append([]filter.FlowRule{}, tcp...), rulesOf(t, "ipv4 and udp.port = 53", n.Capability())...)
 	if err := n.InstallRules(both); err != nil {
@@ -165,8 +165,8 @@ func TestStaticRuleHitCounters(t *testing.T) {
 
 // TestOversizeFrameAttribution is the allocMbuf misattribution
 // regression: a frame larger than the pool's buffers must count as
-// oversize_frame, not no_mbuf, in both the legacy per-packet path and
-// the burst path — and conservation must hold either way.
+// oversize_frame, not no_mbuf, with one-packet and with 8-frame bursts —
+// and conservation must hold either way.
 func TestOversizeFrameAttribution(t *testing.T) {
 	big := make([]byte, 4096)
 	copy(big, buildTCP("1.1.1.1", "2.2.2.2", 1, 443))
@@ -181,9 +181,9 @@ func TestOversizeFrameAttribution(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := mbuf.NewPool(64, 2048)
 			n := New(Config{Queues: 1, RingSize: 64, Pool: pool, Burst: tc.burst})
-			n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
-			n.Deliver(big, 2)
-			n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 2, 443), 3)
+			deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
+			deliverOne(n, big, 2)
+			deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 2, 443), 3)
 			n.Close() // flush staged bursts and return the bulk cache
 
 			st := n.Stats()

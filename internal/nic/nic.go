@@ -83,22 +83,22 @@ type Config struct {
 	Registry *filter.Registry
 	// RetaSize overrides the redirection table size (default 128).
 	RetaSize int
-	// Burst sets the producer-side staging depth: Deliver stages up to
-	// Burst mbufs per queue and publishes them with a single ring
+	// Burst sets the producer-side staging depth: DeliverBurst stages up
+	// to Burst mbufs per queue and publishes them with a single ring
 	// operation, and buffers are drawn from the pool in bulk. 0 or 1
-	// selects the legacy per-packet enqueue.
+	// publishes one-packet bursts through the same code.
 	Burst int
 	// RxStamp stamps every accepted frame with metrics.NowNanos at
 	// ingress (Mbuf.RxNanos) — the hardware RX timestamp the latency
 	// subsystem measures rx→delivery against. The clock is read once
-	// per Deliver/DeliverBurst call, not per frame.
+	// per DeliverBurst call, not per frame.
 	RxStamp bool
 }
 
 // ErrTooManyRules reports flow-table exhaustion.
 var ErrTooManyRules = errors.New("nic: flow table full")
 
-// NIC is one simulated port. Deliver is single-producer (the traffic
+// NIC is one simulated port. DeliverBurst is single-producer (the traffic
 // source); each receive queue has exactly one consumer core. Stats use
 // atomics so monitoring can read them concurrently.
 type NIC struct {
@@ -108,10 +108,10 @@ type NIC struct {
 	reta    *Reta
 	rings   []*Ring
 	tbl     atomic.Pointer[ruleTable]
-	parsed  layers.Parsed // hardware parser state (Deliver is single-producer)
+	parsed  layers.Parsed // hardware parser state (single-producer)
 	scratch [36]byte
 
-	// Burst-mode producer state (single-producer, like Deliver itself):
+	// Producer state (single-producer, like DeliverBurst itself):
 	// pending stages per-queue mbufs until a full burst is published with
 	// one EnqueueBurst; cache holds bulk-allocated buffers so the pool
 	// lock is taken once per burst, not once per packet.
@@ -120,7 +120,7 @@ type NIC struct {
 	cache   []*mbuf.Mbuf
 	cacheN  int
 	// nowNs is the RX timestamp applied to frames of the current
-	// Deliver/DeliverBurst call (producer-owned; 0 when RxStamp is off).
+	// DeliverBurst call (producer-owned; 0 when RxStamp is off).
 	nowNs int64
 
 	// ruleMu serializes table mutations across the two writers (the
@@ -207,6 +207,9 @@ func New(cfg Config) *NIC {
 	if cfg.RetaSize <= 0 {
 		cfg.RetaSize = DefaultRetaSize
 	}
+	if cfg.Burst < 1 {
+		cfg.Burst = 1
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = filter.DefaultRegistry()
@@ -218,20 +221,16 @@ func New(cfg Config) *NIC {
 		reta:       NewReta(cfg.RetaSize, cfg.Queues),
 		rings:      make([]*Ring, cfg.Queues),
 		burst:      cfg.Burst,
+		pending:    make([][]*mbuf.Mbuf, cfg.Queues),
+		cache:      make([]*mbuf.Mbuf, cfg.Burst),
 		bucketPkts: make([]atomic.Uint64, cfg.RetaSize),
 	}
 	for i := range n.rings {
 		n.rings[i] = NewRing(cfg.RingSize)
+		n.pending[i] = make([]*mbuf.Mbuf, 0, n.burst)
 	}
 	n.tbl.Store(emptyRuleTable)
 	n.ftbl.Store(emptyFlowTable)
-	if n.burst > 1 {
-		n.pending = make([][]*mbuf.Mbuf, cfg.Queues)
-		for i := range n.pending {
-			n.pending[i] = make([]*mbuf.Mbuf, 0, n.burst)
-		}
-		n.cache = make([]*mbuf.Mbuf, n.burst)
-	}
 	return n
 }
 
@@ -441,7 +440,8 @@ func (n *NIC) RingHighWater(i int) int {
 
 // FlushPending publishes every staged partial burst to its ring. The
 // producer calls it when the source goes idle or ends so no frame waits
-// for a burst that will never fill. Not safe concurrently with Deliver.
+// for a burst that will never fill. Not safe concurrently with
+// DeliverBurst.
 func (n *NIC) FlushPending() {
 	if n.assignFlag.Load() {
 		n.applyAssigns()
@@ -471,22 +471,9 @@ func (n *NIC) Close() {
 // requests may be applied from another goroutine (ApplyAssignsClosed).
 func (n *NIC) Closed() bool { return n.closed.Load() }
 
-// Deliver offers one frame to the port at the given virtual tick. It
-// performs what the hardware would: header parse, flow-rule match, RSS
-// hash, redirection-table lookup, and ring enqueue. Not safe for
-// concurrent use (a port has one wire).
-func (n *NIC) Deliver(frame []byte, tick uint64) {
-	n.rxFrames.Add(1)
-	if n.assignFlag.Load() {
-		n.applyAssigns()
-	}
-	if n.cfg.RxStamp {
-		n.nowNs = metrics.NowNanos()
-	}
-	n.deliver(frame, tick)
-}
-
-// deliver is Deliver minus the rx count (already taken by the caller).
+// deliver performs what the hardware does for one frame: header parse,
+// flow-rule match, RSS hash, redirection-table lookup, and staging for
+// the ring. The caller has already counted it under rx.
 func (n *NIC) deliver(frame []byte, tick uint64) {
 	if err := n.parsed.DecodeLayers(frame); err != nil {
 		n.malformed.Add(1)
@@ -537,15 +524,6 @@ func (n *NIC) deliver(frame []byte, tick uint64) {
 	m.RSSHash = hash
 	m.RxNanos = n.nowNs
 
-	if n.burst <= 1 {
-		if n.rings[queue].Enqueue(m) {
-			n.delivered.Add(1)
-		} else {
-			m.Free()
-			n.ringDrops.Add(1)
-		}
-		return
-	}
 	n.pending[queue] = append(n.pending[queue], m)
 	if len(n.pending[queue]) >= n.burst {
 		n.flushQueue(int(queue))
@@ -553,9 +531,10 @@ func (n *NIC) deliver(frame []byte, tick uint64) {
 }
 
 // DeliverBurst offers a batch of frames sharing one producer pass;
-// frames[i] arrives at ticks[i]. Equivalent to calling Deliver per
-// frame, with the rx counter bumped once per batch on top of the
-// staged rings and bulk buffer cache underneath.
+// frames[i] arrives at ticks[i]. Each frame is parsed, matched against
+// the flow rules, RSS-dispatched, and staged for its queue's ring; the
+// rx counter is bumped once per batch. Not safe for concurrent use (a
+// port has one wire).
 func (n *NIC) DeliverBurst(frames [][]byte, ticks []uint64) {
 	n.rxFrames.Add(uint64(len(frames)))
 	if n.assignFlag.Load() {
@@ -569,25 +548,12 @@ func (n *NIC) DeliverBurst(frames [][]byte, ticks []uint64) {
 	}
 }
 
-// allocMbuf draws a buffer filled with frame, through the bulk cache in
-// burst mode, attributing each failure to its cause: pool exhaustion
-// (no_mbuf, one pool allocation failure recorded per dropped frame,
-// matching the per-packet path) or a frame too large for the buffer
-// geometry (oversize — the pool had buffers, the frame just cannot be
-// stored).
+// allocMbuf draws a buffer filled with frame through the bulk cache,
+// attributing each failure to its cause: pool exhaustion (no_mbuf, one
+// pool allocation failure recorded per dropped frame) or a frame too
+// large for the buffer geometry (oversize — the pool had buffers, the
+// frame just cannot be stored).
 func (n *NIC) allocMbuf(frame []byte) *mbuf.Mbuf {
-	if n.burst <= 1 {
-		m, err := n.cfg.Pool.AllocData(frame)
-		if err != nil {
-			if errors.Is(err, mbuf.ErrTooLarge) {
-				n.oversize.Add(1)
-			} else {
-				n.noMbuf.Add(1)
-			}
-			return nil
-		}
-		return m
-	}
 	if n.cacheN == 0 {
 		// Refill with what the pool can actually supply so a drained
 		// pool is charged one failure per frame, not one per burst slot.
@@ -616,8 +582,7 @@ func (n *NIC) allocMbuf(frame []byte) *mbuf.Mbuf {
 }
 
 // flushQueue publishes queue q's staged burst. Frames the ring cannot
-// take are dropped and attributed to ring overflow exactly once each —
-// the burst analogue of the per-packet full-ring drop.
+// take are dropped and attributed to ring overflow exactly once each.
 func (n *NIC) flushQueue(q int) {
 	pq := n.pending[q]
 	if len(pq) == 0 {

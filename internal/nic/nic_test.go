@@ -10,6 +10,11 @@ import (
 	"retina/internal/mbuf"
 )
 
+// deliverOne offers frame at tick as a one-frame burst.
+func deliverOne(n *NIC, frame []byte, tick uint64) {
+	n.DeliverBurst([][]byte{frame}, []uint64{tick})
+}
+
 func buildTCP(src, dst string, sp, dp uint16) []byte {
 	var b layers.Builder
 	return b.Build(&layers.PacketSpec{
@@ -136,8 +141,8 @@ func TestNICDeliveryAndFlowConsistency(t *testing.T) {
 	// Both directions of one connection must land on the same queue.
 	fwd := buildTCP("10.0.0.1", "10.0.0.2", 1234, 443)
 	rev := buildTCP("10.0.0.2", "10.0.0.1", 443, 1234)
-	n.Deliver(fwd, 1)
-	n.Deliver(rev, 2)
+	deliverOne(n, fwd, 1)
+	deliverOne(n, rev, 2)
 	st := n.Stats()
 	if st.Delivered != 2 || st.Loss() != 0 {
 		t.Fatalf("stats %+v", st)
@@ -168,8 +173,8 @@ func TestNICHardwareFilterDrops(t *testing.T) {
 	if err := n.InstallRules(prog.Rules); err != nil {
 		t.Fatal(err)
 	}
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 2), 1)
-	n.Deliver(buildUDP("1.1.1.1", "2.2.2.2", 1, 53), 2)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 2), 1)
+	deliverOne(n, buildUDP("1.1.1.1", "2.2.2.2", 1, 53), 2)
 	st := n.Stats()
 	if st.Delivered != 1 || st.HWDropped != 1 {
 		t.Fatalf("stats %+v", st)
@@ -203,7 +208,7 @@ func TestNICRingOverflowCountsAsLoss(t *testing.T) {
 	n := New(Config{Queues: 1, RingSize: 4, Pool: pool})
 	pkt := buildTCP("1.1.1.1", "2.2.2.2", 1, 2)
 	for i := 0; i < 10; i++ {
-		n.Deliver(pkt, uint64(i))
+		deliverOne(n, pkt, uint64(i))
 	}
 	st := n.Stats()
 	if st.Delivered != 4 || st.RingDrops != 6 {
@@ -219,7 +224,7 @@ func TestNICPoolExhaustionCountsAsLoss(t *testing.T) {
 	n := New(Config{Queues: 1, RingSize: 16, Pool: pool})
 	pkt := buildTCP("1.1.1.1", "2.2.2.2", 1, 2)
 	for i := 0; i < 5; i++ {
-		n.Deliver(pkt, uint64(i))
+		deliverOne(n, pkt, uint64(i))
 	}
 	st := n.Stats()
 	if st.NoMbuf != 3 || st.Loss() != 3 {
@@ -233,7 +238,7 @@ func TestNICSinkSampling(t *testing.T) {
 	n.SetSinkFraction(0.5)
 	for i := 0; i < 1000; i++ {
 		pkt := buildTCP("10.0.0.1", "10.0.0.2", uint16(1000+i), 443)
-		n.Deliver(pkt, uint64(i))
+		deliverOne(n, pkt, uint64(i))
 	}
 	st := n.Stats()
 	if st.Sunk == 0 || st.Delivered == 0 {
@@ -248,8 +253,8 @@ func TestNICSinkSampling(t *testing.T) {
 	before := st.Sunk
 	pkt := buildTCP("10.0.0.1", "10.0.0.2", 1000, 443)
 	first := n.Stats().Sunk
-	n.Deliver(pkt, 0)
-	n.Deliver(pkt, 1)
+	deliverOne(n, pkt, 0)
+	deliverOne(n, pkt, 1)
 	after := n.Stats().Sunk
 	delta := after - first
 	if delta != 0 && delta != 2 {
@@ -260,7 +265,7 @@ func TestNICSinkSampling(t *testing.T) {
 func TestNICMalformedFrames(t *testing.T) {
 	pool := mbuf.NewPool(4, 2048)
 	n := New(Config{Queues: 1, Pool: pool})
-	n.Deliver([]byte{1, 2, 3}, 0)
+	deliverOne(n, []byte{1, 2, 3}, 0)
 	if st := n.Stats(); st.Malformed != 1 || st.Delivered != 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -271,7 +276,7 @@ func TestNICNonIPToQueueZero(t *testing.T) {
 	n := New(Config{Queues: 4, RingSize: 8, Pool: pool})
 	arp := make([]byte, 60)
 	arp[12], arp[13] = 0x08, 0x06
-	n.Deliver(arp, 0)
+	deliverOne(n, arp, 0)
 	st := n.Stats()
 	if st.NonRSS != 1 || st.Delivered != 1 {
 		t.Fatalf("stats %+v", st)
@@ -300,7 +305,7 @@ func TestNICBurstOverflowExactlyOnce(t *testing.T) {
 	n := New(Config{Queues: 1, RingSize: 4, Pool: pool, Burst: 8})
 	pkt := buildTCP("1.1.1.1", "2.2.2.2", 1, 2)
 	for i := 0; i < 20; i++ {
-		n.Deliver(pkt, uint64(i))
+		deliverOne(n, pkt, uint64(i))
 	}
 	n.Close() // flushes the staged partial burst
 	st := n.Stats()
@@ -324,8 +329,8 @@ func TestNICBurstOverflowExactlyOnce(t *testing.T) {
 	}
 }
 
-// Burst mode must preserve the delivery and accounting semantics of the
-// per-packet path end to end, including returning cached buffers on
+// Staging 32-frame bursts must preserve the delivery and accounting of
+// one-packet bursts end to end, including returning cached buffers on
 // Close.
 func TestNICBurstMatchesLegacyAccounting(t *testing.T) {
 	run := func(burst int) (Stats, int) {
@@ -333,7 +338,7 @@ func TestNICBurstMatchesLegacyAccounting(t *testing.T) {
 		n := New(Config{Queues: 2, RingSize: 256, Pool: pool, Burst: burst})
 		for i := 0; i < 300; i++ {
 			pkt := buildTCP("10.0.0.1", "10.0.0.2", uint16(1000+i%64), 443)
-			n.Deliver(pkt, uint64(i))
+			deliverOne(n, pkt, uint64(i))
 		}
 		n.Close()
 		// Drain both rings, freeing every delivered mbuf.
@@ -373,11 +378,13 @@ func benchNICDeliver(b *testing.B, burstSize int) {
 			}
 		}(n.Queue(i))
 	}
+	frames, ticks := [][]byte{pkt}, []uint64{0}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(pkt)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Deliver(pkt, uint64(i))
+		ticks[0] = uint64(i)
+		n.DeliverBurst(frames, ticks)
 	}
 	b.StopTimer()
 	n.Close()

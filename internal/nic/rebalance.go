@@ -56,7 +56,7 @@ func (r *AssignReq) TailSnap() uint64 { return r.tailSnap }
 func (r *AssignReq) Epoch() uint64 { return r.epoch }
 
 // RequestAssign queues a redirection-table swap moving bucket to queue.
-// The producer applies it at its next Deliver/DeliverBurst/FlushPending
+// The producer applies it at its next DeliverBurst/FlushPending
 // call; poll Applied (the plane does, with its usual ack-wait loop). If
 // the producer has already closed the port, apply the queue with
 // ApplyAssignsClosed. Safe from any goroutine.

@@ -88,7 +88,7 @@ func TestBucketOfMatchesDispatch(t *testing.T) {
 		t.Fatal("BucketOf failed for a TCP tuple")
 	}
 	want := n.RetaEntry(bucket)
-	n.Deliver(buildTCP("10.0.0.1", "10.0.0.2", 1234, 443), 1)
+	deliverOne(n, buildTCP("10.0.0.1", "10.0.0.2", 1234, 443), 1)
 	n.FlushPending()
 	var buf [8]*mbuf.Mbuf
 	got := int16(-2)
@@ -123,16 +123,16 @@ func TestAssignAppliedByProducer(t *testing.T) {
 	frame := buildTCP("10.0.0.1", "10.0.0.2", 1234, 443)
 
 	epoch0 := n.RetaEpoch()
-	n.Deliver(frame, 1)
+	deliverOne(n, frame, 1)
 	n.FlushPending()
 	req := n.RequestAssign(bucket, dst)
 	if req.Applied() {
 		t.Fatal("applied before any producer activity")
 	}
-	n.Deliver(frame, 2) // producer applies queued assigns first
+	deliverOne(n, frame, 2) // producer applies queued assigns first
 	n.FlushPending()
 	if !req.Applied() {
-		t.Fatal("not applied by the next Deliver")
+		t.Fatal("not applied by the next DeliverBurst")
 	}
 	if req.SrcQueue() != src {
 		t.Fatalf("SrcQueue = %d, want %d", req.SrcQueue(), src)
@@ -173,7 +173,7 @@ func TestAssignCancelAndClosedFallback(t *testing.T) {
 	if !n.CancelAssign(r1) {
 		t.Fatal("cancel of a pending request failed")
 	}
-	n.Deliver(buildTCP("10.0.0.1", "10.0.0.2", 1, 2), 1)
+	deliverOne(n, buildTCP("10.0.0.1", "10.0.0.2", 1, 2), 1)
 	n.FlushPending()
 	if r1.Applied() || n.RetaAssigned(0) == 1 && n.RetaEntry(0) == 1 {
 		t.Fatal("canceled request was applied")

@@ -73,8 +73,8 @@ func TestReconcileInstallBeforeRemove(t *testing.T) {
 	}
 	// Both the outgoing and the incoming program's traffic passes the
 	// mid-swap table.
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
-	n.Deliver(buildUDP("1.1.1.1", "2.2.2.2", 1, 53), 2)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
+	deliverOne(n, buildUDP("1.1.1.1", "2.2.2.2", 1, 53), 2)
 	if st := n.Stats(); st.HWDropped != 0 || st.Delivered != 2 {
 		t.Fatalf("mid-swap drops: %+v", st)
 	}
@@ -87,7 +87,7 @@ func TestReconcileInstallBeforeRemove(t *testing.T) {
 		t.Fatalf("post-shrink table %v, want only the udp rule", final)
 	}
 	// The outgoing program's traffic is now hardware-dropped again.
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 3)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 3)
 	if st := n.Stats(); st.HWDropped != 1 {
 		t.Fatalf("post-shrink stats %+v, want 1 hw drop", st)
 	}
@@ -136,9 +136,9 @@ func TestReconcileFallbackParity(t *testing.T) {
 	}
 	// Pass-everything: both programs' traffic and unrelated traffic all
 	// reach software, exactly like a device with no rules installed.
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
-	n.Deliver(buildUDP("1.1.1.1", "2.2.2.2", 1, 53), 2)
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 9999), 3)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 1)
+	deliverOne(n, buildUDP("1.1.1.1", "2.2.2.2", 1, 53), 2)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 9999), 3)
 	if st := n.Stats(); st.HWDropped != 0 || st.Delivered != 3 {
 		t.Fatalf("fallback dropped in hardware: %+v", st)
 	}
@@ -149,7 +149,7 @@ func TestReconcileFallbackParity(t *testing.T) {
 	if !n.HardwareActive() {
 		t.Fatal("shrink to a fitting set did not re-enable hardware")
 	}
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 4)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 443), 4)
 	if st := n.Stats(); st.HWDropped != 1 {
 		t.Fatalf("stats %+v, want 1 hw drop after resuming", st)
 	}
@@ -174,7 +174,7 @@ func TestReconcileShrinkEmptyDisablesHardware(t *testing.T) {
 	if n.HardwareActive() {
 		t.Fatal("empty rule set left hardware filtering on")
 	}
-	n.Deliver(buildUDP("1.1.1.1", "2.2.2.2", 1, 1), 1)
+	deliverOne(n, buildUDP("1.1.1.1", "2.2.2.2", 1, 1), 1)
 	if st := n.Stats(); st.HWDropped != 0 || st.Delivered != 1 {
 		t.Fatalf("stats %+v", st)
 	}

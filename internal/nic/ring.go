@@ -87,13 +87,6 @@ func (r *Ring) EnqueueBurst(ms []*mbuf.Mbuf) int {
 	return int(n)
 }
 
-// Enqueue enqueues one mbuf, reporting whether it fit (the burst=1
-// legacy path).
-func (r *Ring) Enqueue(m *mbuf.Mbuf) bool {
-	one := [1]*mbuf.Mbuf{m}
-	return r.EnqueueBurst(one[:]) == 1
-}
-
 // DequeueBurst fills out with up to len(out) mbufs and returns the
 // count. Single consumer only; it never blocks (see Wait).
 func (r *Ring) DequeueBurst(out []*mbuf.Mbuf) int {

@@ -46,8 +46,8 @@ func TestRingCapacityExact(t *testing.T) {
 	if n := r.EnqueueBurst(ms); n != 5 {
 		t.Fatalf("EnqueueBurst = %d, want 5 (configured capacity)", n)
 	}
-	if r.Enqueue(ms[5]) {
-		t.Fatal("Enqueue succeeded on a full ring")
+	if r.EnqueueBurst(ms[5:6]) != 0 {
+		t.Fatal("EnqueueBurst succeeded on a full ring")
 	}
 	if used, capa := r.Occupancy(); used != 5 || capa != 5 {
 		t.Fatalf("Occupancy = %d/%d", used, capa)
@@ -78,7 +78,7 @@ func TestRingPartialEnqueue(t *testing.T) {
 func TestRingCloseDrain(t *testing.T) {
 	r := NewRing(4)
 	m := mbuf.FromBytes([]byte{1})
-	r.Enqueue(m)
+	r.EnqueueBurst([]*mbuf.Mbuf{m})
 	r.Close()
 	if !r.Wait() {
 		t.Fatal("Wait = false with a queued mbuf on a closed ring")

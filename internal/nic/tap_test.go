@@ -36,9 +36,9 @@ func TestAggTapCountsMatchingFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	dns := buildUDP("1.1.1.1", "2.2.2.2", 4000, 53)
-	n.Deliver(dns, 1)
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 4000, 80), 2)
-	n.Deliver(dns, 3)
+	deliverOne(n, dns, 1)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 4000, 80), 2)
+	deliverOne(n, dns, 3)
 	if got := count.Load(); got != 2 {
 		t.Fatalf("tap count = %d, want 2", got)
 	}
@@ -46,7 +46,7 @@ func TestAggTapCountsMatchingFrames(t *testing.T) {
 		t.Fatalf("tap bytes = %d, want %d", got, 2*len(dns))
 	}
 	n.RemoveAggTap(id)
-	n.Deliver(dns, 4)
+	deliverOne(n, dns, 4)
 	if got := count.Load(); got != 2 {
 		t.Fatalf("tap fired after removal: count = %d", got)
 	}
@@ -61,8 +61,8 @@ func TestAggTapCatchAll(t *testing.T) {
 	if _, err := n.AddAggTap(nil, func(int, uint64) { count.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	n.Deliver(buildTCP("1.1.1.1", "2.2.2.2", 1, 2), 1)
-	n.Deliver(buildUDP("3.3.3.3", "4.4.4.4", 5, 6), 2)
+	deliverOne(n, buildTCP("1.1.1.1", "2.2.2.2", 1, 2), 1)
+	deliverOne(n, buildUDP("3.3.3.3", "4.4.4.4", 5, 6), 2)
 	if got := count.Load(); got != 2 {
 		t.Fatalf("catch-all tap count = %d, want 2", got)
 	}
@@ -85,7 +85,7 @@ func TestAggTapSeesFramesDroppedLater(t *testing.T) {
 	if _, err := n.AddAggTap(tapProg.Rules, func(int, uint64) { count.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	n.Deliver(buildUDP("1.1.1.1", "2.2.2.2", 4000, 53), 1)
+	deliverOne(n, buildUDP("1.1.1.1", "2.2.2.2", 4000, 53), 1)
 	st := n.Stats()
 	if st.HWDropped != 1 {
 		t.Fatalf("frame not dropped by static rules: %+v", st)

@@ -208,7 +208,7 @@ func runLatencyDifferential(t *testing.T, burst int) *Runtime {
 }
 
 // TestLatencyDifferentialBurstCounts pins the burst-invariance of the
-// observability layer: burst=1 (legacy packet-at-a-time) and burst=32
+// observability layer: burst=1 (one-packet bursts) and burst=32
 // record exactly the same number of rx→delivery observations and the
 // same number of per-stage samples, because the 1-in-128 sampling
 // decision depends only on invocation counts, never on batching.

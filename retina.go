@@ -21,9 +21,11 @@
 package retina
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"retina/internal/aggregate"
@@ -159,7 +161,7 @@ type Config struct {
 	// many frames per ring enqueue and each core dequeues, decodes, and
 	// filters that many packets per iteration, folding telemetry into
 	// shared counters once per burst. Zero selects the default (32);
-	// 1 selects the legacy packet-at-a-time path (useful to bisect
+	// 1 runs one-packet bursts through the same code (useful to bisect
 	// burst-related regressions). See DESIGN.md §11.
 	BurstSize int
 	// Interpreted selects the interpreted filter engine (Appendix B
@@ -188,12 +190,6 @@ type Config struct {
 	// disabling it restores hard refusal (table_full) for every arrival
 	// past the bound.
 	NoPressureEvict bool
-	// ConntrackTable selects the connection-table backend: "flat" (the
-	// open-addressing, cache-line-bucketed table with slab-allocated
-	// connections — the default) or "map" (the original Go-map
-	// implementation, kept as a differential-testing oracle). Empty
-	// selects the build default. See DESIGN.md §15.
-	ConntrackTable string
 	// ReassemblyBudget, PacketBufBudget, and StreamBufBudget bound, per
 	// core, the bytes parked in out-of-order reassembly buffers, held in
 	// pre-verdict packet buffers, and copied into pre-verdict stream
@@ -243,6 +239,12 @@ type Config struct {
 	// off (connection IDs, records, and byte accounting all survive the
 	// move); only the core a connection is served from changes.
 	Rebalance RebalanceConfig
+
+	// conntrackBackend overrides the connection-table backend (empty
+	// selects the build default). Only tests set it, to replay a
+	// workload on the Go-map oracle (conntrack.BackendMap) and compare
+	// it with the flat table; see DESIGN.md §15.
+	conntrackBackend string
 }
 
 // FlowOffloadConfig are the dynamic flow-offload knobs.
@@ -309,7 +311,7 @@ func (c Config) conntrack() conntrack.Config {
 	}
 	cfg.MaxConns = c.MaxConns
 	cfg.PressureEvict = !c.NoPressureEvict
-	cfg.Backend = c.ConntrackTable
+	cfg.Backend = c.conntrackBackend
 	return cfg
 }
 
@@ -336,7 +338,7 @@ type Source interface {
 // BurstSource is an optional Source extension that yields several
 // frames per call, letting the producer loop amortize its call
 // overhead to match the burst datapath. Runtime.Run uses it when the
-// source implements it and BurstSize > 1.
+// source implements it.
 type BurstSource interface {
 	Source
 	// NextBurst fills frames and ticks (equal length) and returns the
@@ -367,15 +369,15 @@ func (s Stats) Loss() uint64 { return s.NIC.Loss() }
 
 // Runtime is a configured Retina instance.
 type Runtime struct {
-	cfg    Config
-	prog   *filter.Program
-	dev    *nic.NIC
-	pool   *mbuf.Pool
-	cores  []*core.Core
+	cfg     Config
+	prog    *filter.Program
+	dev     *nic.NIC
+	pool    *mbuf.Pool
+	cores   []*core.Core
 	sub     *Subscription // initial subscription (nil for NewDynamic)
 	plane   *ctl.Plane
-	offload *offload.Manager       // nil unless Config.FlowOffload.Enable
-	rebal   *rebalance.Rebalancer  // nil unless Config.Rebalance.Enable
+	offload *offload.Manager      // nil unless Config.FlowOffload.Enable
+	rebal   *rebalance.Rebalancer // nil unless Config.Rebalance.Enable
 	reg     *telemetry.Registry
 	tracer  *telemetry.ConnTracer
 
@@ -390,6 +392,11 @@ type Runtime struct {
 	aggMu   sync.Mutex
 	aggTaps map[string]int
 	nicAggs []*aggregate.CoreState
+
+	// offlineOversize counts frames RunOffline could not buffer because
+	// they exceed a packet buffer — the offline share of oversize_frame,
+	// which online the device counts.
+	offlineOversize atomic.Uint64
 }
 
 // New compiles the filter, builds the simulated device and the per-core
@@ -422,12 +429,6 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 	}
 	if cfg.BurstSize <= 0 {
 		cfg.BurstSize = core.DefaultBurstSize
-	}
-	switch cfg.ConntrackTable {
-	case "", conntrack.BackendFlat, conntrack.BackendMap:
-	default:
-		return nil, fmt.Errorf("retina: unknown ConntrackTable %q (want %q or %q)",
-			cfg.ConntrackTable, conntrack.BackendFlat, conntrack.BackendMap)
 	}
 
 	capModel := nic.CapabilityModel{}
@@ -784,27 +785,20 @@ func (r *Runtime) Run(src Source) Stats {
 		go r.rebal.Run()
 	}
 
+	bs, ok := src.(BurstSource)
+	if !ok {
+		bs = oneFrame{src}
+	}
+	frames := make([][]byte, r.cfg.BurstSize)
+	ticks := make([]uint64, r.cfg.BurstSize)
 	var lastTick uint64
-	if bs, ok := src.(BurstSource); ok && r.cfg.BurstSize > 1 {
-		frames := make([][]byte, r.cfg.BurstSize)
-		ticks := make([]uint64, r.cfg.BurstSize)
-		for {
-			n := bs.NextBurst(frames, ticks)
-			if n == 0 {
-				break
-			}
-			r.dev.DeliverBurst(frames[:n], ticks[:n])
-			lastTick = ticks[n-1]
+	for {
+		n := bs.NextBurst(frames, ticks)
+		if n == 0 {
+			break
 		}
-	} else {
-		for {
-			frame, tick, ok := src.Next()
-			if !ok {
-				break
-			}
-			r.dev.Deliver(frame, tick)
-			lastTick = tick
-		}
+		r.dev.DeliverBurst(frames[:n], ticks[:n])
+		lastTick = ticks[n-1]
 	}
 	// Stop the rebalancer before closing the device so no new migration
 	// starts against exiting cores. A move's RETA swap can only be
@@ -835,6 +829,21 @@ func (r *Runtime) Run(src Source) Stats {
 	return r.stats(start, lastTick)
 }
 
+// oneFrame adapts a plain Source to BurstSource one frame per call:
+// Next's frame may alias a buffer the source reuses, so it must reach
+// the device before the next Next call and cannot be batched without
+// copying.
+type oneFrame struct{ Source }
+
+func (o oneFrame) NextBurst(frames [][]byte, ticks []uint64) int {
+	frame, tick, ok := o.Next()
+	if !ok {
+		return 0
+	}
+	frames[0], ticks[0] = frame, tick
+	return 1
+}
+
 func (r *Runtime) stats(start time.Time, lastTick uint64) Stats {
 	st := Stats{
 		NIC:      r.dev.Stats(),
@@ -855,7 +864,9 @@ func (r *Runtime) stats(start time.Time, lastTick uint64) Stats {
 // simulated NIC — the paper's offline mode used in Appendix B. Frames
 // are still batched into bursts of BurstSize mbufs (AllocData copies
 // each frame, so batching is safe even though sources may reuse their
-// frame buffer between Next calls).
+// frame buffer between Next calls). A frame that cannot be buffered is
+// counted like the device counts it: pool_exhausted through the pool's
+// failure count, oversize_frame when it exceeds a buffer.
 func (r *Runtime) RunOffline(src Source) Stats {
 	start := time.Now()
 	c := r.cores[0]
@@ -876,18 +887,14 @@ func (r *Runtime) RunOffline(src Source) Stats {
 		}
 		m, err := r.pool.AllocData(frame)
 		if err != nil {
+			if errors.Is(err, mbuf.ErrTooLarge) {
+				r.offlineOversize.Add(1)
+			}
 			continue
 		}
 		m.RxTick = tick
 		m.RxNanos = nowNs
 		lastTick = tick
-		if burst <= 1 {
-			c.ProcessMbuf(m)
-			if stamp {
-				nowNs = metrics.NowNanos()
-			}
-			continue
-		}
 		batch = append(batch, m)
 		if len(batch) >= burst {
 			c.ProcessBurst(batch)

@@ -12,6 +12,7 @@ import (
 	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/proto"
+	"retina/internal/telemetry"
 	"retina/internal/traffic"
 )
 
@@ -213,6 +214,53 @@ func TestOfflinePcapMode(t *testing.T) {
 	}
 	if stats.Cores[0].Processed == 0 {
 		t.Fatal("no packets processed")
+	}
+}
+
+// TestOfflineUnbufferableFramesAccounted pins offline conservation: a
+// frame RunOffline cannot buffer is counted under the reason the device
+// would give it online — oversize_frame for one larger than a packet
+// buffer, pool_exhausted when no buffer is free — so delivered plus the
+// frame drop reasons equals the frames offered.
+func TestOfflineUnbufferableFramesAccounted(t *testing.T) {
+	frame, _, ok := traffic.NewCampusMix(traffic.CampusConfig{Seed: 77, Flows: 10, Gbps: 10}).Next()
+	if !ok {
+		t.Fatal("campus generator produced no frame")
+	}
+	frame = append([]byte(nil), frame...)
+	big := make([]byte, 3000)
+	copy(big, frame)
+	for _, tc := range []struct {
+		name     string
+		poolSize int
+		frames   [][]byte
+		reason   string
+	}{
+		{"oversize", 0, [][]byte{frame, big}, telemetry.DropOversize},
+		{"pool_exhausted", 1, [][]byte{frame, frame}, telemetry.DropPoolExhausted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Cores = 1
+			cfg.PoolSize = tc.poolSize
+			var delivered uint64
+			rt, err := New(cfg, Packets(func(*Packet) { delivered++ }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.RunOffline(&framesSource{frames: tc.frames})
+			drops := rt.DropBreakdown()
+			if delivered != 1 || drops[tc.reason] != 1 {
+				t.Fatalf("delivered %d, %s %d; want 1 each (breakdown %v)", delivered, tc.reason, drops[tc.reason], drops)
+			}
+			var dropped uint64
+			for _, reason := range telemetry.FrameDropReasons() {
+				dropped += drops[reason]
+			}
+			if got := delivered + dropped; got != uint64(len(tc.frames)) {
+				t.Fatalf("delivered %d + drops %d != %d frames offered (breakdown %v)", delivered, dropped, len(tc.frames), drops)
+			}
+		})
 	}
 }
 

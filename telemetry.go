@@ -57,7 +57,7 @@ func (r *Runtime) registerMetrics() {
 	drop(telemetry.DropMalformed, func() uint64 { return r.dev.Stats().Malformed })
 	drop(telemetry.DropHWFilter, func() uint64 { return r.dev.Stats().HWDropped })
 	drop(telemetry.DropHWOffload, func() uint64 { return r.dev.Stats().HWOffloadDrop })
-	drop(telemetry.DropOversize, func() uint64 { return r.dev.Stats().Oversize })
+	drop(telemetry.DropOversize, func() uint64 { return r.dev.Stats().Oversize + r.offlineOversize.Load() })
 	drop(telemetry.DropRSSSink, func() uint64 { return r.dev.Stats().Sunk })
 	drop(telemetry.DropRingOverflow, func() uint64 { return r.dev.Stats().RingDrops })
 	drop(telemetry.DropPoolExhausted, func() uint64 {
@@ -457,7 +457,7 @@ func (r *Runtime) DropBreakdown() map[string]uint64 {
 		telemetry.DropMalformed:         ns.Malformed,
 		telemetry.DropHWFilter:          ns.HWDropped,
 		telemetry.DropHWOffload:         ns.HWOffloadDrop,
-		telemetry.DropOversize:          ns.Oversize,
+		telemetry.DropOversize:          ns.Oversize + r.offlineOversize.Load(),
 		telemetry.DropRSSSink:           ns.Sunk,
 		telemetry.DropRingOverflow:      ns.RingDrops,
 		telemetry.DropPoolExhausted:     poolFails,
