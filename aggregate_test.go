@@ -74,6 +74,11 @@ func runAggOnce(t *testing.T, cfg Config, src Source, driver func(rt *Runtime, d
 	if err := rt.AddSubscriptionSpecs(aggQuerySet); err != nil {
 		t.Fatal(err)
 	}
+	// A looped source runs until its driver is done, far past what the
+	// rings absorb: pace it to the cores.
+	if ls, ok := src.(*loopedSource); ok {
+		ls.dev = rt.NIC()
+	}
 	done := make(chan struct{})
 	if driver != nil {
 		go driver(rt, done)

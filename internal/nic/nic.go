@@ -104,12 +104,12 @@ var ErrTooManyRules = errors.New("nic: flow table full")
 type NIC struct {
 	cfg     Config
 	reg     *filter.Registry
-	key     []byte
+	rss     *toeplitzTable
 	reta    *Reta
 	rings   []*Ring
 	tbl     atomic.Pointer[ruleTable]
 	parsed  layers.Parsed // hardware parser state (single-producer)
-	scratch [36]byte
+	scratch [maxRSSInput]byte
 
 	// Producer state (single-producer, like DeliverBurst itself):
 	// pending stages per-queue mbufs until a full burst is published with
@@ -217,7 +217,7 @@ func New(cfg Config) *NIC {
 	n := &NIC{
 		cfg:        cfg,
 		reg:        reg,
-		key:        SymmetricKey(),
+		rss:        symmetricRSS,
 		reta:       NewReta(cfg.RetaSize, cfg.Queues),
 		rings:      make([]*Ring, cfg.Queues),
 		burst:      cfg.Burst,
@@ -504,7 +504,7 @@ func (n *NIC) deliver(frame []byte, tick uint64) {
 	queue := int16(0)
 	var hash uint32
 	if input, ok := RSSInput(&n.parsed, n.scratch[:]); ok {
-		hash = Toeplitz(n.key, input)
+		hash = n.rss.hash(input)
 		queue = n.reta.Lookup(hash)
 		n.bucketPkts[hash%uint32(len(n.bucketPkts))].Add(1)
 	} else {

@@ -1,6 +1,9 @@
 package nic
 
 import (
+	"bytes"
+	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -32,40 +35,108 @@ func buildUDP(src, dst string, sp, dp uint16) []byte {
 	})
 }
 
-// TestToeplitzMicrosoftVectors checks the implementation against the
-// official RSS verification suite vectors (Windows NDIS documentation),
-// which pin down both the algorithm and the input byte order.
-func TestToeplitzMicrosoftVectors(t *testing.T) {
-	key := []byte{
-		0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2,
-		0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,
-		0xd0, 0xca, 0x2b, 0xcb, 0xae, 0x7b, 0x30, 0xb4,
-		0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30, 0xf2, 0x0c,
-		0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
-	}
-	cases := []struct {
-		name string
-		in   []byte
-		want uint32
-	}{
-		{
-			// src 66.9.149.187:2794 → dst 161.142.100.80:1766 (TCP/IPv4).
-			name: "v4-with-ports",
-			in: []byte{66, 9, 149, 187, 161, 142, 100, 80,
-				2794 >> 8, 2794 & 0xff, 1766 >> 8, 1766 & 0xff},
-			want: 0x51ccc178,
-		},
-		{
-			name: "v4-ip-only",
-			in:   []byte{66, 9, 149, 187, 161, 142, 100, 80},
-			want: 0x323e8fc2,
-		},
-	}
-	for _, c := range cases {
-		if got := Toeplitz(key, c.in); got != c.want {
-			t.Errorf("%s: Toeplitz = %#x, want %#x", c.name, got, c.want)
+// toeplitzRef is the bit-serial Toeplitz hash, the reference the
+// table-driven Toeplitz is checked against: for each set bit of the input
+// at offset i, the 32-bit window of the key starting at bit i is XORed
+// into the result. key must be at least 8 bytes; key bits past its end
+// count as zero.
+func toeplitzRef(key, data []byte) uint32 {
+	var hash uint32
+	// window keeps the next 64 key bits; its top 32 bits are the window
+	// for the current input bit. After each input byte (8 shifts) the
+	// freed low byte is refilled from the key.
+	window := uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 |
+		uint64(key[3])<<32 | uint64(key[4])<<24 | uint64(key[5])<<16 |
+		uint64(key[6])<<8 | uint64(key[7])
+	next := 8
+	for _, b := range data {
+		for bit := 7; bit >= 0; bit-- {
+			if b&(1<<uint(bit)) != 0 {
+				hash ^= uint32(window >> 32)
+			}
+			window <<= 1
+		}
+		if next < len(key) {
+			window |= uint64(key[next])
+			next++
 		}
 	}
+	return hash
+}
+
+// microsoftKey is the key of the RSS verification suite in the Windows
+// NDIS documentation.
+var microsoftKey = []byte{
+	0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2,
+	0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,
+	0xd0, 0xca, 0x2b, 0xcb, 0xae, 0x7b, 0x30, 0xb4,
+	0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30, 0xf2, 0x0c,
+	0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
+}
+
+// TestToeplitzMicrosoftVectors checks the table and the reference
+// against the official RSS verification suite vectors (Windows NDIS
+// documentation), which pin down both the algorithm and the input byte
+// order.
+func TestToeplitzMicrosoftVectors(t *testing.T) {
+	cases := []struct {
+		src, dst          string
+		sport, dport      uint16
+		ipOnly, withPorts uint32
+	}{
+		{"66.9.149.187", "161.142.100.80", 2794, 1766, 0x323e8fc2, 0x51ccc178},
+		{"3ffe:2501:200:1fff::7", "3ffe:2501:200:3::1", 2794, 1766, 0x2cc18cd5, 0x40207d3d},
+		{"3ffe:501:8::260:97ff:fe40:efab", "ff02::1", 14230, 4739, 0x0f0c461c, 0xdde51bbf},
+		{"3ffe:1900:4545:3:200:f8ff:fe21:67cf", "fe80::200:f8ff:fe21:67cf", 44251, 38024, 0x4b61e985, 0x02d1feef},
+	}
+	hashes := []struct {
+		name string
+		fn   func(key, data []byte) uint32
+	}{{"Toeplitz", Toeplitz}, {"toeplitzRef", toeplitzRef}}
+	for _, c := range cases {
+		ip := append(netip.MustParseAddr(c.src).AsSlice(), netip.MustParseAddr(c.dst).AsSlice()...)
+		withPorts := append(ip[:len(ip):len(ip)],
+			byte(c.sport>>8), byte(c.sport), byte(c.dport>>8), byte(c.dport))
+		for _, h := range hashes {
+			if got := h.fn(microsoftKey, ip); got != c.ipOnly {
+				t.Errorf("%s %s → %s ip-only = %#x, want %#x", h.name, c.src, c.dst, got, c.ipOnly)
+			}
+			if got := h.fn(microsoftKey, withPorts); got != c.withPorts {
+				t.Errorf("%s %s:%d → %s:%d = %#x, want %#x",
+					h.name, c.src, c.sport, c.dst, c.dport, got, c.withPorts)
+			}
+		}
+	}
+}
+
+// FuzzToeplitzTable checks the table-driven hash against the bit-serial
+// reference for keys of 40–52 bytes and inputs of up to 36 bytes, both
+// through Toeplitz (the shared symmetric table or a per-call table) and
+// through a table built for the longest RSS input, whose rows are shared
+// wherever the key windows repeat.
+func FuzzToeplitzTable(f *testing.F) {
+	v4 := []byte{66, 9, 149, 187, 161, 142, 100, 80, 0x0a, 0xea, 0x06, 0xe6}
+	f.Add(SymmetricKey(), v4)
+	f.Add(microsoftKey, v4)
+	f.Add([]byte{}, make([]byte, maxRSSInput))
+	f.Add(append(slices.Clone(microsoftKey), 0xff, 0x01, 0x80, 0x7f, 0x00, 0x55, 0xaa, 0x0f, 0xf0, 0x11, 0x22, 0x33),
+		bytes.Repeat([]byte{0xff}, maxRSSInput))
+	f.Fuzz(func(t *testing.T, key, data []byte) {
+		// Short keys are completed from the symmetric key (an empty one
+		// becomes it), long ones truncated, to stay within 40–52 bytes.
+		if len(key) < ToeplitzKeyLen {
+			key = append(key[:len(key):len(key)], SymmetricKey()[len(key):]...)
+		}
+		key = key[:min(len(key), 52)]
+		data = data[:min(len(data), maxRSSInput)]
+		want := toeplitzRef(key, data)
+		if got := Toeplitz(key, data); got != want {
+			t.Fatalf("Toeplitz(%x, %x) = %#x, reference %#x", key, data, got, want)
+		}
+		if got := newToeplitzTable(key, maxRSSInput).hash(data); got != want {
+			t.Fatalf("full table(%x).hash(%x) = %#x, reference %#x", key, data, got, want)
+		}
+	})
 }
 
 func TestToeplitzSymmetricWithSymKey(t *testing.T) {
@@ -74,6 +145,16 @@ func TestToeplitzSymmetricWithSymKey(t *testing.T) {
 	rev := []byte{10, 0, 0, 2, 10, 0, 0, 1, 0x01, 0xBB, 0x12, 0x34}
 	if Toeplitz(key, fwd) != Toeplitz(key, rev) {
 		t.Fatal("symmetric key did not produce symmetric hash")
+	}
+	// The key repeats every 16 bits, so its table needs only two distinct
+	// 1 KiB rows, which keeps the NIC's hash in L1.
+	distinct := map[*[256]uint32]bool{}
+	for _, r := range symmetricRSS.rows {
+		distinct[r] = true
+	}
+	if len(symmetricRSS.rows) != maxRSSInput || len(distinct) != 2 {
+		t.Fatalf("symmetric table: %d rows, %d distinct; want %d, 2",
+			len(symmetricRSS.rows), len(distinct), maxRSSInput)
 	}
 }
 
@@ -393,3 +474,64 @@ func benchNICDeliver(b *testing.B, burstSize int) {
 
 func BenchmarkNICDeliver(b *testing.B)        { benchNICDeliver(b, 1) }
 func BenchmarkNICDeliverBurst32(b *testing.B) { benchNICDeliver(b, 32) }
+
+// BenchmarkToeplitz times one RSS hash of an IPv4 and an IPv6 four-tuple
+// input through the symmetric-key table the NIC hashes with and through
+// the bit-serial reference.
+func BenchmarkToeplitz(b *testing.B) {
+	key := SymmetricKey()
+	inputs := []struct {
+		name string
+		in   []byte
+	}{
+		{"IPv4", make([]byte, 12)},
+		{"IPv6", make([]byte, maxRSSInput)},
+	}
+	for _, in := range inputs {
+		for i := range in.in {
+			in.in[i] = byte(i*37 + 11)
+		}
+		b.Run(in.name+"/table", func(b *testing.B) {
+			for b.Loop() {
+				toeplitzSink ^= symmetricRSS.hash(in.in)
+			}
+		})
+		b.Run(in.name+"/reference", func(b *testing.B) {
+			for b.Loop() {
+				toeplitzSink ^= toeplitzRef(key, in.in)
+			}
+		})
+	}
+}
+
+// toeplitzSink keeps benchmarked hashes live.
+var toeplitzSink uint32
+
+// The RSS hash is on the producer's per-frame path: hashing a tuple,
+// bucketing it, and delivering a burst on a warm pool allocate nothing.
+func TestRSSDispatchAllocatesNothing(t *testing.T) {
+	ft := layers.FiveTuple{SrcPort: 40001, DstPort: 443, Proto: layers.IPProtoTCP, IsIPv6: true}
+	ft.SrcIP = layers.ParseAddr16("2001:db8::1")
+	ft.DstIP = layers.ParseAddr16("2001:db8:ff::2:3")
+	if a := testing.AllocsPerRun(100, func() { HashTuple(ft) }); a != 0 {
+		t.Errorf("HashTuple: %v allocs/call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { BucketOf(ft, DefaultRetaSize) }); a != 0 {
+		t.Errorf("BucketOf: %v allocs/call", a)
+	}
+
+	pool := mbuf.NewPool(4096, 2048)
+	n := New(Config{Queues: 4, RingSize: 1024, Pool: pool, Burst: 32})
+	var b layers.Builder
+	v6 := b.Build(&layers.PacketSpec{IsIPv6: true, SrcIP6: ft.SrcIP, DstIP6: ft.DstIP,
+		Proto: layers.IPProtoUDP, SrcPort: 5353, DstPort: 53})
+	frames := [][]byte{buildTCP("10.0.0.1", "10.0.0.2", 1234, 443), buildUDP("10.0.0.3", "10.0.0.4", 999, 53), v6}
+	ticks := []uint64{1, 2, 3}
+	n.DeliverBurst(frames, ticks) // warm the producer's mbuf cache
+	if a := testing.AllocsPerRun(100, func() { n.DeliverBurst(frames, ticks) }); a != 0 {
+		t.Errorf("NIC.DeliverBurst: %v allocs/call", a)
+	}
+	if st := n.Stats(); st.Loss() != 0 {
+		t.Fatalf("stats %+v: rings or pool undersized for the measurement", st)
+	}
+}

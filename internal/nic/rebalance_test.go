@@ -76,34 +76,83 @@ func TestQuickTupleBucketSymmetry(t *testing.T) {
 }
 
 // HashTuple must agree with the NIC's own dispatch hash: a frame built
-// from a tuple lands in the bucket BucketOf predicts.
+// from a tuple carries the reference Toeplitz hash of its RSS input and
+// lands in the bucket BucketOf predicts, for IPv4 and IPv6 over TCP and
+// UDP. A non-IP frame is not hashed and goes to queue 0 with hash 0.
+// Core migration keys on RSSHash % RetaSize, so a wrong hash here would
+// misroute bucket handoffs.
 func TestBucketOfMatchesDispatch(t *testing.T) {
 	pool := mbuf.NewPool(64, 2048)
 	n := New(Config{Queues: 4, RingSize: 64, Pool: pool})
-	ft := layers.FiveTuple{SrcPort: 1234, DstPort: 443, Proto: layers.IPProtoTCP}
-	copy(ft.SrcIP[:4], []byte{10, 0, 0, 1})
-	copy(ft.DstIP[:4], []byte{10, 0, 0, 2})
-	bucket, ok := BucketOf(ft, n.RetaSize())
-	if !ok {
-		t.Fatal("BucketOf failed for a TCP tuple")
-	}
-	want := n.RetaEntry(bucket)
-	deliverOne(n, buildTCP("10.0.0.1", "10.0.0.2", 1234, 443), 1)
-	n.FlushPending()
-	var buf [8]*mbuf.Mbuf
-	got := int16(-2)
-	for q := 0; q < n.Queues(); q++ {
-		for _, m := range buf[:n.Queue(q).DequeueBurst(buf[:])] {
-			got = int16(q)
-			if m.RSSHash%uint32(n.RetaSize()) != uint32(bucket) {
-				t.Fatalf("frame hash %#x maps to bucket %d, BucketOf said %d",
-					m.RSSHash, m.RSSHash%uint32(n.RetaSize()), bucket)
+	// dispatch delivers frame and returns the one mbuf it produced.
+	dispatch := func(frame []byte) *mbuf.Mbuf {
+		t.Helper()
+		deliverOne(n, frame, 1)
+		n.FlushPending()
+		var got *mbuf.Mbuf
+		var buf [8]*mbuf.Mbuf
+		for q := 0; q < n.Queues(); q++ {
+			for _, m := range buf[:n.Queue(q).DequeueBurst(buf[:])] {
+				if got != nil || int(m.Queue) != q {
+					t.Fatalf("unexpected delivery on queue %d (mbuf queue %d)", q, m.Queue)
+				}
+				got = m
 			}
-			m.Free()
 		}
+		if got == nil {
+			t.Fatal("frame not delivered")
+		}
+		return got
 	}
-	if got != want {
-		t.Fatalf("frame landed on queue %d, RETA entry says %d", got, want)
+
+	specs := []layers.PacketSpec{
+		{SrcIP4: layers.ParseAddr4("10.0.0.1"), DstIP4: layers.ParseAddr4("10.0.0.2"),
+			Proto: layers.IPProtoTCP, SrcPort: 1234, DstPort: 443},
+		{SrcIP4: layers.ParseAddr4("192.168.7.9"), DstIP4: layers.ParseAddr4("8.8.4.4"),
+			Proto: layers.IPProtoUDP, SrcPort: 53124, DstPort: 53},
+		{IsIPv6: true, SrcIP6: layers.ParseAddr16("2001:db8::1"), DstIP6: layers.ParseAddr16("2001:db8:ff::2:3"),
+			Proto: layers.IPProtoTCP, SrcPort: 40001, DstPort: 443},
+		{IsIPv6: true, SrcIP6: layers.ParseAddr16("fe80::200:f8ff:fe21:67cf"), DstIP6: layers.ParseAddr16("ff02::1:3"),
+			Proto: layers.IPProtoUDP, SrcPort: 5353, DstPort: 5355},
+	}
+	var b layers.Builder
+	for _, spec := range specs {
+		ft := layers.FiveTuple{SrcPort: spec.SrcPort, DstPort: spec.DstPort, Proto: spec.Proto, IsIPv6: spec.IsIPv6}
+		if spec.IsIPv6 {
+			ft.SrcIP, ft.DstIP = spec.SrcIP6, spec.DstIP6
+		} else {
+			copy(ft.SrcIP[:4], spec.SrcIP4[:])
+			copy(ft.DstIP[:4], spec.DstIP4[:])
+		}
+		bucket, ok := BucketOf(ft, n.RetaSize())
+		if !ok {
+			t.Fatalf("%v: BucketOf failed", ft)
+		}
+		m := dispatch(b.Build(&spec))
+		var p layers.Parsed
+		if err := p.DecodeLayers(m.Data()); err != nil {
+			t.Fatalf("%v: delivered frame does not decode: %v", ft, err)
+		}
+		var scratch [maxRSSInput]byte
+		in, _ := RSSInput(&p, scratch[:])
+		if want := toeplitzRef(SymmetricKey(), in); m.RSSHash != want {
+			t.Fatalf("%v: RSSHash %#x, reference Toeplitz %#x", ft, m.RSSHash, want)
+		}
+		if got := int(m.RSSHash % uint32(n.RetaSize())); got != bucket {
+			t.Fatalf("%v: frame hash %#x maps to bucket %d, BucketOf said %d", ft, m.RSSHash, got, bucket)
+		}
+		if want := n.RetaEntry(bucket); int16(m.Queue) != want {
+			t.Fatalf("%v: frame landed on queue %d, RETA entry says %d", ft, m.Queue, want)
+		}
+		m.Free()
+	}
+
+	arp := make([]byte, 60)
+	arp[12], arp[13] = 0x08, 0x06
+	if m := dispatch(arp); m.RSSHash != 0 || m.Queue != 0 {
+		t.Fatalf("non-IP frame: hash %#x on queue %d, want 0 on 0", m.RSSHash, m.Queue)
+	} else {
+		m.Free()
 	}
 }
 

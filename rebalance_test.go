@@ -30,10 +30,15 @@ func nicBucketOf(ft layers.FiveTuple) (int, bool) {
 // record tick stamps placement-independent — restarting ticks would
 // leave a core's clock stuck at the previous pass's maximum, a value
 // that depends on which core the highest-tick flow was routed to.
+//
+// With dev set, the source serves each frame only once every receive
+// ring of dev has room (see waitForRoom), so the replay runs at the
+// cores' pace and no frame is lost however fast the producer is.
 type loopedSource struct {
 	frames [][]byte
 	ticks  []uint64
 	more   func(pass int) bool
+	dev    *nic.NIC
 
 	i      int
 	pass   int
@@ -59,10 +64,33 @@ func (s *loopedSource) Next() ([]byte, uint64, bool) {
 		}
 		s.i = 0
 	}
+	if s.dev != nil {
+		s.waitForRoom()
+	}
 	f, tk := s.frames[s.i], s.ticks[s.i]+uint64(s.pass)*s.span
 	s.i++
 	s.served.Add(1)
 	return f, tk, true
+}
+
+// waitForRoom holds the next frame while any ring of dev is more than an
+// eighth full: enough backlog to keep the cores busy, little enough that
+// a migration's source core drains it well within the swap timeout. Next
+// runs on the producer goroutine, so while it waits it calls
+// FlushPending: that applies queued RETA swaps — a core fenced for a
+// bucket migration stops dequeuing until the swap is applied — and
+// publishes staged partial bursts, which fit below the mark.
+func (s *loopedSource) waitForRoom() {
+	for q := 0; q < s.dev.Queues(); q++ {
+		for {
+			used, capacity := s.dev.RingOccupancy(q)
+			if used <= capacity/8 {
+				break
+			}
+			s.dev.FlushPending()
+			runtime.Gosched()
+		}
+	}
 }
 
 // rebalanceRun is one differential run's observables (same shape as the
@@ -230,6 +258,7 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 				}
 			}()
 		}
+		src.dev = rt.NIC()
 		out.stats = rt.Run(src)
 		<-done
 		out.passes = src.pass
@@ -314,6 +343,7 @@ func TestRebalanceAdaptiveEndToEnd(t *testing.T) {
 		mv, _ := rt.ControlPlane().RebalanceStats()
 		return mv < 3 && time.Now().Before(deadline)
 	})
+	src.dev = rt.NIC()
 	stats := rt.Run(src)
 
 	if stats.Loss() != 0 {
