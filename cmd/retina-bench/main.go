@@ -29,29 +29,18 @@ import (
 )
 
 func main() {
+	cfg := retina.DefaultConfig()
+	cfg.RegisterFlags(flag.CommandLine)
 	exp := flag.String("experiment", "all", "experiment to run: fig5, fig6, fig7, fig8, fig9, fig12, table2, ablations, all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full documented configuration)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	burst := flag.Int("burst", 0, "datapath burst size for all experiments (0 = default 32, 1 = one-packet bursts through the same code)")
-	subsFile := flag.String("subs", "", "JSON file of {name, filter, callback} subscription specs; benches them as one multi-subscription set instead of -experiment")
-	cores := flag.Int("cores", 4, "cores for the -subs multi-subscription bench")
-	offload := flag.Bool("offload", false, "enable the dynamic flow-offload fastpath for the -subs bench (per-flow drop rules for terminally-decided connections)")
-	offloadRules := flag.Int("offload-rules", 0, "flow-offload rule-table budget (0 = device capacity)")
-	offloadIdle := flag.Duration("offload-idle", 0, "flow-offload idle eviction horizon in virtual time (0 = 5s default, negative = never)")
-	latency := flag.Bool("latency", false, "enable latency tracking for the -subs bench and print the observability report (rx→delivery percentiles, per-stage cycles, duty cycle, RSS skew)")
-	rebalanceOn := flag.Bool("rebalance", false, "enable the adaptive RSS rebalancer for the -subs bench (periodic RETA bucket migration with conntrack handoff)")
-	rebalanceInterval := flag.Duration("rebalance-interval", 0, "rebalancer observation interval (0 = 100ms default)")
-	rebalanceMoves := flag.Int("rebalance-moves", 0, "max bucket moves per rebalance round (0 = 2 default)")
-	rebalanceHyst := flag.Float64("rebalance-hysteresis", 0, "hot-queue skew (hottest over mean) below which buckets stay put (0 = 1.2 default)")
+	subsFile := flag.String("subs", "", "JSON file of {name, filter, callback} subscription specs; benches them as one multi-subscription set instead of -experiment (the runtime flags apply to this bench; -burst also applies to the experiments)")
 	aggSrc := flag.String("agg", "", `for the -subs bench: attach an aggregation clause ("op[:key[:window[:k]]]" shorthand or JSON) to every packet-level subscription and print the merged reports`)
 	flag.Parse()
-	experiments.BurstSize = *burst
+	experiments.BurstSize = cfg.BurstSize
 
 	if *subsFile != "" {
-		fo := retina.FlowOffloadConfig{Enable: *offload, MaxFlowRules: *offloadRules, IdleTimeout: *offloadIdle}
-		rb := retina.RebalanceConfig{Enable: *rebalanceOn, Interval: *rebalanceInterval,
-			MaxMovesPerRound: *rebalanceMoves, Hysteresis: *rebalanceHyst}
-		benchSubs(*subsFile, *aggSrc, *scale, *seed, *burst, *cores, fo, rb, *latency)
+		benchSubs(cfg, *subsFile, *aggSrc, *scale, *seed)
 		return
 	}
 
@@ -113,7 +102,7 @@ func main() {
 
 // benchSubs runs a declarative multi-subscription set over the campus
 // mix and reports throughput next to the per-subscription counters.
-func benchSubs(subsFile, aggSrc string, scale float64, seed int64, burst, cores int, fo retina.FlowOffloadConfig, rb retina.RebalanceConfig, latency bool) {
+func benchSubs(cfg retina.Config, subsFile, aggSrc string, scale float64, seed int64) {
 	specs, err := retina.LoadSubscriptionSpecs(subsFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -141,12 +130,6 @@ func benchSubs(subsFile, aggSrc string, scale float64, seed int64, burst, cores 
 	if flows < 500 {
 		flows = 500
 	}
-	cfg := retina.DefaultConfig()
-	cfg.Cores = cores
-	cfg.BurstSize = burst
-	cfg.FlowOffload = fo
-	cfg.Rebalance = rb
-	cfg.LatencyTracking = latency
 	rt, err := retina.NewDynamic(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -167,7 +150,7 @@ func benchSubs(subsFile, aggSrc string, scale float64, seed int64, burst, cores 
 		processed += cs.Processed
 	}
 	fmt.Printf("multi-subscription bench: %d subscriptions, %d cores, %d flows\n",
-		len(specs), cores, flows)
+		len(specs), cfg.Cores, flows)
 	fmt.Printf("rx %d frames, processed %d, %.2f Mpps sustained, %v elapsed\n\n",
 		stats.NIC.RxFrames, processed,
 		float64(processed)/elapsed.Seconds()/1e6, elapsed.Round(time.Millisecond))
@@ -186,41 +169,11 @@ func benchSubs(subsFile, aggSrc string, scale float64, seed int64, burst, cores 
 		fmt.Printf("\nrebalance: %d bucket moves, %d conns migrated, %d rounds (%d failed moves), last skew %.2f\n",
 			mv, cm, reb.Rounds(), reb.FailedMoves(), reb.LastSkew())
 	}
-	if latency {
+	if cfg.LatencyTracking {
 		printObservability(rt)
 	}
-	printAggReports(rt)
-}
-
-// printAggReports renders every aggregation query's merged windowed
-// report (no-op when no subscription carries a clause).
-func printAggReports(rt *retina.Runtime) {
 	for _, rep := range rt.Aggregates() {
-		q := rep.Query
-		desc := q.Op
-		if q.Key != "" && q.Key != "none" {
-			desc += "(" + q.Key + ")"
-		}
-		if q.Window != "" {
-			desc += " window=" + q.Window
-		}
-		fmt.Printf("\naggregate %s: %s stage=%s — %d events, %d windows sealed\n",
-			q.Name, desc, q.Stage, rep.Totals.Events, rep.Totals.WindowsSealed)
-		for _, w := range rep.Windows {
-			switch {
-			case len(w.TopK) > 0:
-				fmt.Printf("  window %d:\n", w.Seq)
-				for i, g := range w.TopK {
-					fmt.Printf("    #%d %-40s %d\n", i+1, g.Key, g.Count)
-				}
-			case len(w.Groups) > 0:
-				fmt.Printf("  window %d: %d groups\n", w.Seq, len(w.Groups))
-			case q.Op == "distinct":
-				fmt.Printf("  window %d: distinct≈%d\n", w.Seq, w.Distinct)
-			default:
-				fmt.Printf("  window %d: count=%d sum=%d\n", w.Seq, w.Count, w.Sum)
-			}
-		}
+		rep.WriteText(os.Stdout)
 	}
 }
 
@@ -228,10 +181,7 @@ func printAggReports(rt *retina.Runtime) {
 // percentiles, a Figure 7-style per-stage cycle table built from the
 // sampled stage histograms, each core's duty ledger, and the RSS skew.
 func printObservability(rt *retina.Runtime) {
-	sum := rt.LatencySummary()
-	fmt.Printf("\nlatency (rx → delivery, %d samples): p50 %s  p99 %s  p99.9 %s\n",
-		sum.Count, metrics.FormatNanos(sum.P50Ns), metrics.FormatNanos(sum.P99Ns),
-		metrics.FormatNanos(sum.P999Ns))
+	fmt.Printf("\n%s\n", rt.LatencySummary())
 
 	fmt.Println("\nstage            samples    p50          p99          ~cycles(p50)")
 	for _, st := range core.Stages() {

@@ -334,26 +334,16 @@ func render(w io.Writer, snap, prev *snapshot) {
 	}
 
 	// Drop breakdown, largest first.
-	type reasonCount struct {
-		reason string
-		n      float64
-	}
-	var rc []reasonCount
+	byReason := map[string]uint64{}
 	for _, p := range snap.samples {
 		if p.Name == "retina_drops_total" && p.Value > 0 {
-			rc = append(rc, reasonCount{p.Label("reason"), p.Value})
+			byReason[p.Label("reason")] = uint64(p.Value)
 		}
 	}
-	if len(rc) > 0 {
-		sort.Slice(rc, func(i, j int) bool {
-			if rc[i].n != rc[j].n {
-				return rc[i].n > rc[j].n
-			}
-			return rc[i].reason < rc[j].reason
-		})
+	if len(byReason) > 0 {
 		var parts []string
-		for _, r := range rc {
-			parts = append(parts, fmt.Sprintf("%s:%s", r.reason, fmtCount(r.n)))
+		for _, reason := range telemetry.RankDrops(byReason) {
+			parts = append(parts, fmt.Sprintf("%s:%s", reason, fmtCount(float64(byReason[reason]))))
 		}
 		fmt.Fprintf(w, "drops    %s\n", strings.Join(parts, "  "))
 	}

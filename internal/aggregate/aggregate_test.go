@@ -304,3 +304,77 @@ func TestQueryString(t *testing.T) {
 		t.Errorf("Q.String() = %q, want %q", got, want)
 	}
 }
+
+func TestReportWriteText(t *testing.T) {
+	cases := []struct {
+		name string
+		rep  Report
+		want string
+	}{
+		{"topk with late and overflow", Report{
+			Query:  QueryInfo{Name: "top", Op: "topk", Key: "src_ip", Window: "1000000us", K: 2, Stage: "packet"},
+			Totals: Totals{Events: 9, WindowsSealed: 2, Late: 1, GroupOverflow: 3},
+			Windows: []WindowResult{{Seq: 0, StartTick: 0, EndTick: 1000000,
+				TopK: []GroupResult{{Key: "10.0.0.1", Count: 5}, {Key: "10.0.0.2", Count: 4}}}},
+		}, `
+aggregate top: topk(src_ip) window=1000000us stage=packet — 9 events, 2 windows sealed
+  (1 late events dropped, 3 group-table overflows)
+  window 0 [0..1000000)us:
+    #1 10.0.0.1                                 5
+    #2 10.0.0.2                                 4
+`},
+		{"grouped count", Report{
+			Query:   QueryInfo{Name: "ports", Op: "count", Key: "dst_port", Stage: "conn"},
+			Totals:  Totals{Events: 3, WindowsSealed: 1},
+			Windows: []WindowResult{{Count: 3, Groups: []GroupResult{{Key: "443", Count: 2}, {Key: "53", Count: 1}}}},
+		}, `
+aggregate ports: count(dst_port) stage=conn — 3 events, 1 windows sealed
+  window 0 [0..0)us: 2 groups
+    443                                        2
+    53                                         1
+`},
+		{"grouped sum", Report{
+			Query:   QueryInfo{Name: "bytes", Op: "sum", Key: "proto", Value: "bytes", Stage: "packet"},
+			Totals:  Totals{Events: 4, WindowsSealed: 1},
+			Windows: []WindowResult{{Count: 4, Sum: 900, Groups: []GroupResult{{Key: "tcp", Count: 3, Sum: 800}, {Key: "udp", Count: 1, Sum: 100}}}},
+		}, `
+aggregate bytes: sum(proto) stage=packet — 4 events, 1 windows sealed
+  window 0 [0..0)us: 2 groups
+    tcp                                        count=3 sum=800
+    udp                                        count=1 sum=100
+`},
+		{"distinct and scalar sum", Report{
+			Query:   QueryInfo{Name: "d", Op: "distinct", Key: "dst_ip", Window: "500000us", Stage: "nic"},
+			Totals:  Totals{Events: 12, WindowsSealed: 2},
+			Windows: []WindowResult{{Seq: 0, EndTick: 500000, Distinct: 7}, {Seq: 1, StartTick: 500000, EndTick: 1000000, Distinct: 2}},
+		}, `
+aggregate d: distinct(dst_ip) window=500000us stage=nic — 12 events, 2 windows sealed
+  window 0 [0..500000)us: distinct≈7
+  window 1 [500000..1000000)us: distinct≈2
+`},
+		{"scalar sum", Report{
+			Query:   QueryInfo{Name: "s", Op: "sum", Key: "none", Value: "payload", Stage: "packet"},
+			Totals:  Totals{Events: 2, WindowsSealed: 1},
+			Windows: []WindowResult{{Count: 2, Sum: 1400}},
+		}, `
+aggregate s: sum stage=packet — 2 events, 1 windows sealed
+  window 0 [0..0)us: count=2 sum=1400
+`},
+		{"scalar count, late only", Report{
+			Query:   QueryInfo{Name: "c", Op: "count", Stage: "session"},
+			Totals:  Totals{Events: 6, WindowsSealed: 1, Late: 2},
+			Windows: []WindowResult{{Count: 6}},
+		}, `
+aggregate c: count stage=session — 6 events, 1 windows sealed
+  (2 late events dropped, 0 group-table overflows)
+  window 0 [0..0)us: count=6
+`},
+	}
+	for _, tc := range cases {
+		var b strings.Builder
+		tc.rep.WriteText(&b)
+		if got := b.String(); got != tc.want {
+			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -195,6 +196,52 @@ type Report struct {
 	Query   QueryInfo      `json:"query"`
 	Windows []WindowResult `json:"windows"`
 	Totals  Totals         `json:"totals"`
+}
+
+// WriteText renders the report as the CLI tools print it: a blank line,
+// a header with the query and its totals, a late/overflow line when
+// either is non-zero, then each window — topk ranks, per-group rows, or
+// the window's scalar result.
+func (r Report) WriteText(w io.Writer) {
+	q := r.Query
+	desc := q.Op
+	if q.Key != "" && q.Key != "none" {
+		desc += "(" + q.Key + ")"
+	}
+	if q.Window != "" {
+		desc += " window=" + q.Window
+	}
+	fmt.Fprintf(w, "\naggregate %s: %s stage=%s — %d events, %d windows sealed\n",
+		q.Name, desc, q.Stage, r.Totals.Events, r.Totals.WindowsSealed)
+	if r.Totals.Late > 0 || r.Totals.GroupOverflow > 0 {
+		fmt.Fprintf(w, "  (%d late events dropped, %d group-table overflows)\n",
+			r.Totals.Late, r.Totals.GroupOverflow)
+	}
+	for _, win := range r.Windows {
+		fmt.Fprintf(w, "  window %d [%d..%d)us:", win.Seq, win.StartTick, win.EndTick)
+		switch {
+		case len(win.TopK) > 0:
+			fmt.Fprintln(w)
+			for i, g := range win.TopK {
+				fmt.Fprintf(w, "    #%d %-40s %d\n", i+1, g.Key, g.Count)
+			}
+		case len(win.Groups) > 0:
+			fmt.Fprintf(w, " %d groups\n", len(win.Groups))
+			for _, g := range win.Groups {
+				if q.Op == "sum" {
+					fmt.Fprintf(w, "    %-42s count=%d sum=%d\n", g.Key, g.Count, g.Sum)
+				} else {
+					fmt.Fprintf(w, "    %-42s %d\n", g.Key, g.Count)
+				}
+			}
+		case q.Op == "distinct":
+			fmt.Fprintf(w, " distinct≈%d\n", win.Distinct)
+		case q.Op == "sum":
+			fmt.Fprintf(w, " count=%d sum=%d\n", win.Count, win.Sum)
+		default:
+			fmt.Fprintf(w, " count=%d\n", win.Count)
+		}
+	}
 }
 
 // snapshot renders the merged state deterministically: windows in

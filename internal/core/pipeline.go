@@ -45,8 +45,6 @@ type Config struct {
 	Set *ProgramSet
 	// Conntrack configures the core's connection table.
 	Conntrack conntrack.Config
-	// MaxOutOfOrder bounds the per-connection reorder buffer.
-	MaxOutOfOrder int
 	// Profile enables per-stage wall-time sampling (Figure 7).
 	Profile bool
 	// PacketBufferCap overrides the per-connection packet buffer bound.
@@ -1291,7 +1289,7 @@ func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
 		(conn.State == conntrack.StateProbe || conn.State == conntrack.StateParse ||
 			cs.anyStreamLive())
 	if needReasm {
-		cs.reasm = reassembly.NewLite(c.cfg.MaxOutOfOrder)
+		cs.reasm = reassembly.NewLite(reassembly.DefaultMaxOutOfOrder)
 		cs.reasm.SetBudget(c.reasmHooks)
 	}
 }

@@ -160,8 +160,10 @@ func NewHistogram(bounds []float64) *Histogram {
 // Observe adds a value.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
-	atomic.AddUint64(&h.counts[i], 1)
+	// total before the bucket, so no bucket ever exceeds total (Bucket
+	// reads in the opposite order).
 	atomic.AddUint64(&h.total, 1)
+	atomic.AddUint64(&h.counts[i], 1)
 }
 
 // Bucket returns the bucket's upper bound ("+Inf" last) and its fraction
@@ -171,8 +173,9 @@ func (h *Histogram) Bucket(i int) (bound float64, frac float64) {
 	if i < len(h.bounds) {
 		bound = h.bounds[i]
 	}
+	n := atomic.LoadUint64(&h.counts[i])
 	if total := atomic.LoadUint64(&h.total); total > 0 {
-		frac = float64(atomic.LoadUint64(&h.counts[i])) / float64(total)
+		frac = float64(n) / float64(total)
 	}
 	return bound, frac
 }

@@ -112,6 +112,22 @@ func FrameDropReasons() []string {
 	}
 }
 
+// RankDrops orders a drop-reason breakdown for display: largest count
+// first, ties broken by reason name.
+func RankDrops(drops map[string]uint64) []string {
+	reasons := make([]string, 0, len(drops))
+	for k := range drops {
+		reasons = append(reasons, k)
+	}
+	sort.Slice(reasons, func(i, j int) bool {
+		if drops[reasons[i]] != drops[reasons[j]] {
+			return drops[reasons[i]] > drops[reasons[j]]
+		}
+		return reasons[i] < reasons[j]
+	})
+	return reasons
+}
+
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use.
 type Counter struct{ v atomic.Uint64 }

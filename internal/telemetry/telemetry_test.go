@@ -28,6 +28,24 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestRankDropsLargestFirstNameTieBreak(t *testing.T) {
+	drops := map[string]uint64{
+		DropTableFull:    7,
+		DropSWFilter:     40,
+		DropConnRejected: 7,
+		DropRSSSink:      7,
+		DropMalformed:    1,
+	}
+	got := strings.Join(RankDrops(drops), " ")
+	want := "sw_filter conn_rejected rss_sink table_full malformed"
+	if got != want {
+		t.Fatalf("RankDrops = %q, want %q", got, want)
+	}
+	if n := len(RankDrops(nil)); n != 0 {
+		t.Fatalf("RankDrops(nil) has %d reasons", n)
+	}
+}
+
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_x_total", "x")

@@ -3,13 +3,13 @@ package retina
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"retina/internal/mbuf"
 	"retina/internal/metrics"
+	"retina/internal/telemetry"
 )
 
 // LiveStats is a point-in-time snapshot of a running Runtime, safe to
@@ -153,18 +153,8 @@ func formatDrops(drops map[string]uint64) string {
 	if len(drops) == 0 {
 		return "none"
 	}
-	reasons := make([]string, 0, len(drops))
-	for k := range drops {
-		reasons = append(reasons, k)
-	}
-	sort.Slice(reasons, func(i, j int) bool {
-		if drops[reasons[i]] != drops[reasons[j]] {
-			return drops[reasons[i]] > drops[reasons[j]]
-		}
-		return reasons[i] < reasons[j]
-	})
 	var b strings.Builder
-	for i, k := range reasons {
+	for i, k := range telemetry.RankDrops(drops) {
 		if i > 0 {
 			b.WriteByte(' ')
 		}

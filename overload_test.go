@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,6 +189,53 @@ func TestPressureEvictionAcceptance(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestDropLedgerMatchesExposition checks the two readers of the drop
+// ledger agree over a run that sheds for several reasons: every
+// retina_drops_total sample equals DropBreakdown's count for its reason
+// (absent = zero), and the series follow the ledger's order.
+func TestDropLedgerMatchesExposition(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	cfg.Filter = "http"
+	cfg.MaxConns = 24
+	cfg.ReassemblyBudget = 8192
+	cfg.PacketBufBudget = 8192
+	cfg.PacketBufferCap = 4096
+	rt, err := New(cfg, Packets(func(*Packet) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(traffic.NewAdversarialWorkload(traffic.AdvOOOFlood, 202, 120, 20))
+
+	drops := rt.DropBreakdown()
+	if len(drops) < 4 {
+		t.Fatalf("only %d non-zero drop reasons (%v); the check needs at least 4", len(drops), drops)
+	}
+	var order []string
+	for _, s := range rt.Registry().Samples() {
+		if s.Name != "retina_drops_total" {
+			continue
+		}
+		reason := s.Label("reason")
+		order = append(order, reason)
+		if got := uint64(s.Value); got != drops[reason] {
+			t.Errorf("retina_drops_total{reason=%q} = %d, DropBreakdown = %d", reason, got, drops[reason])
+		}
+	}
+	var want []string
+	for _, d := range dropLedger {
+		want = append(want, d.reason)
+	}
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Errorf("retina_drops_total series order\n got %v\nwant %v", order, want)
+	}
+	for reason := range drops {
+		if !slices.Contains(order, reason) {
+			t.Errorf("DropBreakdown reports %q, which has no retina_drops_total series", reason)
 		}
 	}
 }

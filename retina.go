@@ -22,6 +22,7 @@ package retina
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"strings"
 	"sync"
@@ -178,8 +179,6 @@ type Config struct {
 	// the timeout; zero selects the default.
 	EstablishTimeout  time.Duration
 	InactivityTimeout time.Duration
-	// MaxOutOfOrder bounds per-connection reorder buffers (default 500).
-	MaxOutOfOrder int
 	// Profile enables per-stage timing (Figure 7).
 	Profile bool
 	// MaxConns bounds each core's connection table (0 = unlimited).
@@ -199,13 +198,6 @@ type Config struct {
 	ReassemblyBudget int64
 	PacketBufBudget  int64
 	StreamBufBudget  int64
-	// PoolLowWater and RingHighWater set the overload watermarks: when
-	// the mbuf pool's free fraction falls below PoolLowWater or a receive
-	// ring's occupancy exceeds RingHighWater, cores skip optional
-	// buffering work. Zero selects the defaults (0.05 / 0.90); negative
-	// disables the signal.
-	PoolLowWater  float64
-	RingHighWater float64
 	// PacketBufferCap overrides the per-connection packet buffer bound
 	// for packet subscriptions awaiting a filter verdict.
 	PacketBufferCap int
@@ -213,8 +205,6 @@ type Config struct {
 	// TraceSample connections records a first-packet → identify →
 	// first-parse → session-verdict → expiry span (0 disables).
 	TraceSample int
-	// TraceMax bounds retained completed trace spans (0 = default 1024).
-	TraceMax int
 	// Modules registers user-defined protocol modules (the
 	// extensibility mechanism of §3.3 / Appendix A): each contributes
 	// filter-language identifiers and a per-connection parser.
@@ -295,6 +285,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// RegisterFlags binds the command-line flags the CLI tools share onto
+// c's fields; each flag's default is the field's current value.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Cores, "cores", c.Cores, "processing cores (receive queues)")
+	fs.IntVar(&c.BurstSize, "burst", c.BurstSize, "datapath burst size (0 = default 32, 1 = one-packet bursts through the same code)")
+	fs.BoolVar(&c.LatencyTracking, "latency", c.LatencyTracking, "enable latency tracking and print the rx→delivery percentiles")
+	fs.BoolVar(&c.FlowOffload.Enable, "offload", c.FlowOffload.Enable, "enable the dynamic flow-offload fastpath (per-flow drop rules at the device for terminally-decided connections)")
+	fs.IntVar(&c.FlowOffload.MaxFlowRules, "offload-rules", c.FlowOffload.MaxFlowRules, "flow-offload rule-table budget (0 = device capacity)")
+	fs.DurationVar(&c.FlowOffload.IdleTimeout, "offload-idle", c.FlowOffload.IdleTimeout, "flow-offload idle eviction horizon in virtual time (0 = 5s default, negative = never)")
+	fs.BoolVar(&c.Rebalance.Enable, "rebalance", c.Rebalance.Enable, "enable the adaptive RSS rebalancer (periodic RETA bucket migration with conntrack handoff; needs -cores > 1)")
+	fs.DurationVar(&c.Rebalance.Interval, "rebalance-interval", c.Rebalance.Interval, "rebalancer observation interval (0 = 100ms default)")
+	fs.IntVar(&c.Rebalance.MaxMovesPerRound, "rebalance-moves", c.Rebalance.MaxMovesPerRound, "max bucket moves per rebalance round (0 = 2 default)")
+	fs.Float64Var(&c.Rebalance.Hysteresis, "rebalance-hysteresis", c.Rebalance.Hysteresis, "hot-queue skew (hottest over mean) below which buckets stay put (0 = 1.2 default)")
+}
+
 func (c Config) conntrack() conntrack.Config {
 	cfg := conntrack.DefaultConfig()
 	switch {
@@ -321,8 +326,6 @@ func (c Config) budget() overload.Budget {
 		ReassemblyBytes: c.ReassemblyBudget,
 		PacketBufBytes:  c.PacketBufBudget,
 		StreamBufBytes:  c.StreamBufBudget,
-		PoolLowWater:    c.PoolLowWater,
-		RingHighWater:   c.RingHighWater,
 	}
 }
 
@@ -537,7 +540,7 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 
 	rt := &Runtime{cfg: cfg, prog: prog, dev: dev, pool: pool, sub: sub, plane: plane, offload: mgr}
 	if cfg.TraceSample > 0 {
-		rt.tracer = telemetry.NewConnTracer(cfg.TraceSample, cfg.TraceMax)
+		rt.tracer = telemetry.NewConnTracer(cfg.TraceSample, 0)
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		q := i
@@ -552,7 +555,6 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 			Set:             ps,
 			BurstSize:       cfg.BurstSize,
 			Conntrack:       ctCfg,
-			MaxOutOfOrder:   cfg.MaxOutOfOrder,
 			Profile:         cfg.Profile,
 			PacketBufferCap: cfg.PacketBufferCap,
 			ExtraParsers:    extraParsers,
@@ -969,56 +971,39 @@ type LatencySummary struct {
 	P999Ns float64
 }
 
+// String renders the summary as the rx→delivery line the CLI tools
+// print.
+func (s LatencySummary) String() string {
+	return fmt.Sprintf("latency (rx → delivery, %d samples): p50 %s  p99 %s  p99.9 %s",
+		s.Count, metrics.FormatNanos(s.P50Ns), metrics.FormatNanos(s.P99Ns), metrics.FormatNanos(s.P999Ns))
+}
+
 // LatencySummary merges every core's rx→delivery histogram and returns
 // its percentiles. Zero summary when LatencyTracking is off or nothing
 // was delivered. Safe while the runtime processes traffic (counts are
 // at-burst-boundary consistent).
 func (r *Runtime) LatencySummary() LatencySummary {
-	agg := r.aggregateRxHist()
-	if agg == nil || agg.Count() == 0 {
-		return LatencySummary{}
-	}
-	return LatencySummary{
-		Count:  agg.Count(),
-		P50Ns:  agg.Quantile(0.50),
-		P99Ns:  agg.Quantile(0.99),
-		P999Ns: agg.Quantile(0.999),
-	}
-}
-
-// aggregateRxHist merges per-core rx→delivery histograms (nil when
-// latency tracking is off).
-func (r *Runtime) aggregateRxHist() *telemetry.Histogram {
-	var agg *telemetry.Histogram
-	for _, c := range r.cores {
-		lat := c.Latency()
-		if lat == nil {
-			return nil
-		}
-		if agg == nil {
-			agg = telemetry.NewLogLinearHistogram(telemetry.LatencyLayout)
-		}
-		agg.Merge(lat.RxHist())
-	}
-	return agg
+	return r.summarizeLatency((*core.LatencyStats).RxHist)
 }
 
 // StageLatencySummary merges every core's sampled histogram for one
 // pipeline stage and returns its percentiles (zero when tracking is
 // off).
 func (r *Runtime) StageLatencySummary(st core.Stage) LatencySummary {
-	var agg *telemetry.Histogram
-	for _, c := range r.cores {
-		lat := c.Latency()
-		if lat == nil {
-			return LatencySummary{}
-		}
-		if agg == nil {
-			agg = telemetry.NewLogLinearHistogram(telemetry.LatencyLayout)
-		}
-		agg.Merge(lat.StageHist(st))
+	return r.summarizeLatency(func(l *core.LatencyStats) *telemetry.Histogram { return l.StageHist(st) })
+}
+
+// summarizeLatency merges the histogram pick selects from every core's
+// latency stats and returns its percentiles.
+func (r *Runtime) summarizeLatency(pick func(*core.LatencyStats) *telemetry.Histogram) LatencySummary {
+	if len(r.cores) == 0 || r.cores[0].Latency() == nil {
+		return LatencySummary{}
 	}
-	if agg == nil || agg.Count() == 0 {
+	agg := telemetry.NewLogLinearHistogram(telemetry.LatencyLayout)
+	for _, c := range r.cores {
+		agg.Merge(pick(c.Latency()))
+	}
+	if agg.Count() == 0 {
 		return LatencySummary{}
 	}
 	return LatencySummary{

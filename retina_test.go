@@ -1,6 +1,7 @@
 package retina
 
 import (
+	"flag"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -520,5 +521,52 @@ func TestHTTPTransactionsSubscription(t *testing.T) {
 	rt.RunOffline(src)
 	if len(hosts) == 0 {
 		t.Fatal("no HTTP transactions delivered")
+	}
+}
+
+func TestConfigRegisterFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		got  func(Config) any
+		want any
+	}{
+		{[]string{"-cores", "6"}, func(c Config) any { return c.Cores }, 6},
+		{[]string{"-burst", "8"}, func(c Config) any { return c.BurstSize }, 8},
+		{[]string{"-latency"}, func(c Config) any { return c.LatencyTracking }, true},
+		{[]string{"-offload"}, func(c Config) any { return c.FlowOffload.Enable }, true},
+		{[]string{"-offload-rules", "100"}, func(c Config) any { return c.FlowOffload.MaxFlowRules }, 100},
+		{[]string{"-offload-idle", "-1s"}, func(c Config) any { return c.FlowOffload.IdleTimeout }, -time.Second},
+		{[]string{"-rebalance"}, func(c Config) any { return c.Rebalance.Enable }, true},
+		{[]string{"-rebalance-interval", "250ms"}, func(c Config) any { return c.Rebalance.Interval }, 250 * time.Millisecond},
+		{[]string{"-rebalance-moves", "3"}, func(c Config) any { return c.Rebalance.MaxMovesPerRound }, 3},
+		{[]string{"-rebalance-hysteresis", "1.5"}, func(c Config) any { return c.Rebalance.Hysteresis }, 1.5},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		cfg.RegisterFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := tc.got(cfg); got != tc.want {
+			t.Errorf("%v: field = %v, want %v", tc.args, got, tc.want)
+		}
+	}
+
+	// An unparsed flag keeps the Config's value, which is also the
+	// default -h shows.
+	cfg := Config{Cores: 3, BurstSize: 16, Rebalance: RebalanceConfig{Hysteresis: 1.3}}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	cfg.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-latency"}); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Cores != 3 || cfg.BurstSize != 16 || cfg.Rebalance.Hysteresis != 1.3 || !cfg.LatencyTracking {
+		t.Errorf("after parsing only -latency: %+v", cfg)
+	}
+	for name, want := range map[string]string{"cores": "3", "burst": "16", "rebalance-hysteresis": "1.3", "offload": "false"} {
+		if got := fs.Lookup(name).DefValue; got != want {
+			t.Errorf("-%s default = %q, want %q", name, got, want)
+		}
 	}
 }

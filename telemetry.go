@@ -12,6 +12,7 @@ import (
 
 	"retina/internal/conntrack"
 	"retina/internal/core"
+	"retina/internal/nic"
 	"retina/internal/overload"
 	"retina/internal/telemetry"
 )
@@ -24,15 +25,57 @@ func (r *Runtime) Registry() *telemetry.Registry { return r.reg }
 // was set).
 func (r *Runtime) Tracer() *telemetry.ConnTracer { return r.tracer }
 
-// sumCores folds one CoreStats field across all cores at scrape time.
-func (r *Runtime) sumCores(f func(core.CoreStats) uint64) func() uint64 {
-	return func() uint64 {
-		var total uint64
-		for _, c := range r.cores {
-			total += f(c.Stats())
-		}
-		return total
+// sumCores folds one CoreStats field across all cores.
+func (r *Runtime) sumCores(f func(core.CoreStats) uint64) uint64 {
+	var total uint64
+	for _, c := range r.cores {
+		total += f(c.Stats())
 	}
+	return total
+}
+
+// dropLedger maps every drop reason to the counter it is read from, in
+// retina_drops_total series order. The registry and DropBreakdown both
+// read through it.
+var dropLedger = []struct {
+	reason string
+	count  func(*Runtime) uint64
+}{
+	{telemetry.DropMalformed, nicDrops(func(s nic.Stats) uint64 { return s.Malformed })},
+	{telemetry.DropHWFilter, nicDrops(func(s nic.Stats) uint64 { return s.HWDropped })},
+	{telemetry.DropHWOffload, nicDrops(func(s nic.Stats) uint64 { return s.HWOffloadDrop })},
+	// Offline mode refuses oversize frames before they reach the device.
+	{telemetry.DropOversize, func(r *Runtime) uint64 { return r.dev.Stats().Oversize + r.offlineOversize.Load() }},
+	{telemetry.DropRSSSink, nicDrops(func(s nic.Stats) uint64 { return s.Sunk })},
+	{telemetry.DropRingOverflow, nicDrops(func(s nic.Stats) uint64 { return s.RingDrops })},
+	// Offline mode allocates from the pool directly; count every failed
+	// allocation exactly once.
+	{telemetry.DropPoolExhausted, func(r *Runtime) uint64 {
+		_, fails := r.pool.Stats()
+		return max(fails, r.dev.Stats().NoMbuf)
+	}},
+	{telemetry.DropSWFilter, coreDrops(func(s core.CoreStats) uint64 { return s.FilterDropped })},
+	{telemetry.DropNotTrackable, coreDrops(func(s core.CoreStats) uint64 { return s.NotTrackable })},
+	{telemetry.DropTableFull, coreDrops(func(s core.CoreStats) uint64 { return s.TableFull })},
+	{telemetry.DropConnRejected, coreDrops(func(s core.CoreStats) uint64 { return s.TombstonePkts })},
+	{telemetry.DropPktBufOverflow, coreDrops(func(s core.CoreStats) uint64 { return s.PktBufOverflow })},
+	{telemetry.DropPendingDiscard, coreDrops(func(s core.CoreStats) uint64 { return s.PendingDiscard })},
+	{telemetry.DropStreamBufOverflow, coreDrops(func(s core.CoreStats) uint64 { return s.StreamBufOverflow })},
+	{telemetry.DropReasmBufferFull, coreDrops(func(s core.CoreStats) uint64 { return s.ReasmDropped })},
+	{telemetry.DropReasmBudget, coreDrops(func(s core.CoreStats) uint64 { return s.ReasmBudgetDrops })},
+	{telemetry.DropPktBufBudget, coreDrops(func(s core.CoreStats) uint64 { return s.PktBufBudget })},
+	{telemetry.DropShedLowPool, coreDrops(func(s core.CoreStats) uint64 { return s.ShedLowPool })},
+	{telemetry.DropEvictedPressure, coreDrops(func(s core.CoreStats) uint64 { return s.EvictedPressure })},
+}
+
+// nicDrops reads a device-side drop counter.
+func nicDrops(f func(nic.Stats) uint64) func(*Runtime) uint64 {
+	return func(r *Runtime) uint64 { return f(r.dev.Stats()) }
+}
+
+// coreDrops sums a core-side drop counter across all cores.
+func coreDrops(f func(core.CoreStats) uint64) func(*Runtime) uint64 {
+	return func(r *Runtime) uint64 { return r.sumCores(f) }
 }
 
 // registerMetrics wires every layer's counters into the registry as pull
@@ -50,38 +93,11 @@ func (r *Runtime) registerMetrics() {
 
 	// The drop-reason taxonomy: one series per reason, all under a single
 	// family so dashboards can sum and break down losses uniformly.
-	drop := func(reason string, fn func() uint64) {
-		reg.CounterFunc("retina_drops_total", "frames dropped, by reason", fn,
-			telemetry.L("reason", reason))
+	for _, d := range dropLedger {
+		count := d.count
+		reg.CounterFunc("retina_drops_total", "frames dropped, by reason",
+			func() uint64 { return count(r) }, telemetry.L("reason", d.reason))
 	}
-	drop(telemetry.DropMalformed, func() uint64 { return r.dev.Stats().Malformed })
-	drop(telemetry.DropHWFilter, func() uint64 { return r.dev.Stats().HWDropped })
-	drop(telemetry.DropHWOffload, func() uint64 { return r.dev.Stats().HWOffloadDrop })
-	drop(telemetry.DropOversize, func() uint64 { return r.dev.Stats().Oversize + r.offlineOversize.Load() })
-	drop(telemetry.DropRSSSink, func() uint64 { return r.dev.Stats().Sunk })
-	drop(telemetry.DropRingOverflow, func() uint64 { return r.dev.Stats().RingDrops })
-	drop(telemetry.DropPoolExhausted, func() uint64 {
-		nofromNIC := r.dev.Stats().NoMbuf
-		_, fails := r.pool.Stats()
-		if fails > nofromNIC {
-			// Offline mode allocates from the pool directly; count every
-			// failed allocation exactly once.
-			return fails
-		}
-		return nofromNIC
-	})
-	drop(telemetry.DropSWFilter, r.sumCores(func(s core.CoreStats) uint64 { return s.FilterDropped }))
-	drop(telemetry.DropNotTrackable, r.sumCores(func(s core.CoreStats) uint64 { return s.NotTrackable }))
-	drop(telemetry.DropTableFull, r.sumCores(func(s core.CoreStats) uint64 { return s.TableFull }))
-	drop(telemetry.DropConnRejected, r.sumCores(func(s core.CoreStats) uint64 { return s.TombstonePkts }))
-	drop(telemetry.DropPktBufOverflow, r.sumCores(func(s core.CoreStats) uint64 { return s.PktBufOverflow }))
-	drop(telemetry.DropPendingDiscard, r.sumCores(func(s core.CoreStats) uint64 { return s.PendingDiscard }))
-	drop(telemetry.DropStreamBufOverflow, r.sumCores(func(s core.CoreStats) uint64 { return s.StreamBufOverflow }))
-	drop(telemetry.DropReasmBufferFull, r.sumCores(func(s core.CoreStats) uint64 { return s.ReasmDropped }))
-	drop(telemetry.DropReasmBudget, r.sumCores(func(s core.CoreStats) uint64 { return s.ReasmBudgetDrops }))
-	drop(telemetry.DropPktBufBudget, r.sumCores(func(s core.CoreStats) uint64 { return s.PktBufBudget }))
-	drop(telemetry.DropShedLowPool, r.sumCores(func(s core.CoreStats) uint64 { return s.ShedLowPool }))
-	drop(telemetry.DropEvictedPressure, r.sumCores(func(s core.CoreStats) uint64 { return s.EvictedPressure }))
 
 	// Buffer pool.
 	reg.GaugeFunc("retina_mbuf_pool_free", "free packet buffers",
@@ -175,7 +191,7 @@ func (r *Runtime) registerMetrics() {
 	// subscription, so nothing to label).
 	if r.sub != nil {
 		reg.CounterFunc("retina_subscription_delivered_total", "callback deliveries per subscription",
-			r.sumCores(func(s core.CoreStats) uint64 { return s.Delivered }),
+			func() uint64 { return r.sumCores(func(s core.CoreStats) uint64 { return s.Delivered }) },
 			telemetry.L("subscription", r.sub.Level.String()))
 	}
 
@@ -432,51 +448,10 @@ func (r *Runtime) registerAggregateMetrics(spec *core.SubSpec) {
 // all cores. Keys are the telemetry.Drop* reason strings; zero-valued
 // reasons are omitted.
 func (r *Runtime) DropBreakdown() map[string]uint64 {
-	ns := r.dev.Stats()
-	_, poolFails := r.pool.Stats()
-	if ns.NoMbuf > poolFails {
-		poolFails = ns.NoMbuf
-	}
-	var agg core.CoreStats
-	for _, c := range r.cores {
-		s := c.Stats()
-		agg.FilterDropped += s.FilterDropped
-		agg.NotTrackable += s.NotTrackable
-		agg.TableFull += s.TableFull
-		agg.TombstonePkts += s.TombstonePkts
-		agg.PktBufOverflow += s.PktBufOverflow
-		agg.PendingDiscard += s.PendingDiscard
-		agg.StreamBufOverflow += s.StreamBufOverflow
-		agg.ReasmDropped += s.ReasmDropped
-		agg.ReasmBudgetDrops += s.ReasmBudgetDrops
-		agg.PktBufBudget += s.PktBufBudget
-		agg.ShedLowPool += s.ShedLowPool
-		agg.EvictedPressure += s.EvictedPressure
-	}
-	out := map[string]uint64{
-		telemetry.DropMalformed:         ns.Malformed,
-		telemetry.DropHWFilter:          ns.HWDropped,
-		telemetry.DropHWOffload:         ns.HWOffloadDrop,
-		telemetry.DropOversize:          ns.Oversize + r.offlineOversize.Load(),
-		telemetry.DropRSSSink:           ns.Sunk,
-		telemetry.DropRingOverflow:      ns.RingDrops,
-		telemetry.DropPoolExhausted:     poolFails,
-		telemetry.DropSWFilter:          agg.FilterDropped,
-		telemetry.DropNotTrackable:      agg.NotTrackable,
-		telemetry.DropTableFull:         agg.TableFull,
-		telemetry.DropConnRejected:      agg.TombstonePkts,
-		telemetry.DropPktBufOverflow:    agg.PktBufOverflow,
-		telemetry.DropPendingDiscard:    agg.PendingDiscard,
-		telemetry.DropStreamBufOverflow: agg.StreamBufOverflow,
-		telemetry.DropReasmBufferFull:   agg.ReasmDropped,
-		telemetry.DropReasmBudget:       agg.ReasmBudgetDrops,
-		telemetry.DropPktBufBudget:      agg.PktBufBudget,
-		telemetry.DropShedLowPool:       agg.ShedLowPool,
-		telemetry.DropEvictedPressure:   agg.EvictedPressure,
-	}
-	for k, v := range out {
-		if v == 0 {
-			delete(out, k)
+	out := map[string]uint64{}
+	for _, d := range dropLedger {
+		if n := d.count(r); n > 0 {
+			out[d.reason] = n
 		}
 	}
 	return out

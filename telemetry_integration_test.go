@@ -196,7 +196,6 @@ func TestConnTraceLifecycle(t *testing.T) {
 	cfg.Filter = "tls"
 	cfg.Cores = 1
 	cfg.TraceSample = 1
-	cfg.TraceMax = 10000
 	rt, err := New(cfg, Connections(func(*ConnRecord) {}))
 	if err != nil {
 		t.Fatal(err)
