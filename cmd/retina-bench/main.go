@@ -154,23 +154,18 @@ func benchSubs(cfg retina.Config, subsFile, aggSrc string, scale float64, seed i
 	fmt.Printf("rx %d frames, processed %d, %.2f Mpps sustained, %v elapsed\n\n",
 		stats.NIC.RxFrames, processed,
 		float64(processed)/elapsed.Seconds()/1e6, elapsed.Round(time.Millisecond))
-	fmt.Println("id  name                  level       delivered  matched-conns  filter")
-	for _, info := range rt.ListSubscriptions() {
-		fmt.Printf("%-3d %-21s %-10s %10d %14d  %s\n",
-			info.ID, info.Name, info.Level, info.Delivered, info.MatchedConns, info.Filter)
-	}
+	retina.WriteSubscriptionTable(os.Stdout, rt.ListSubscriptions())
 	if mgr := rt.Offload(); mgr != nil {
 		ms := mgr.Stats()
 		fmt.Printf("\nflow offload: %d frames dropped at the device, %d rules installed (peak %d live), %d evicted lru, %d evicted idle\n",
 			stats.NIC.HWOffloadDrop, ms.Installed, ms.PeakRules, ms.EvictedLRU, ms.EvictedIdle)
 	}
-	if reb := rt.Rebalancer(); reb != nil {
-		mv, cm := rt.ControlPlane().RebalanceStats()
-		fmt.Printf("\nrebalance: %d bucket moves, %d conns migrated, %d rounds (%d failed moves), last skew %.2f\n",
-			mv, cm, reb.Rounds(), reb.FailedMoves(), reb.LastSkew())
+	status := rt.Status()
+	if reb := status.Rebalance; reb != nil {
+		fmt.Printf("\n%s\n", reb)
 	}
-	if cfg.LatencyTracking {
-		printObservability(rt)
+	if obs := status.Observability; obs != nil {
+		printObservability(rt, obs)
 	}
 	for _, rep := range rt.Aggregates() {
 		rep.WriteText(os.Stdout)
@@ -180,8 +175,8 @@ func benchSubs(cfg retina.Config, subsFile, aggSrc string, scale float64, seed i
 // printObservability renders the latency/duty/skew report: rx→delivery
 // percentiles, a Figure 7-style per-stage cycle table built from the
 // sampled stage histograms, each core's duty ledger, and the RSS skew.
-func printObservability(rt *retina.Runtime) {
-	fmt.Printf("\n%s\n", rt.LatencySummary())
+func printObservability(rt *retina.Runtime, obs *retina.ObservabilityStatus) {
+	fmt.Printf("\n%s\n", obs.Latency)
 
 	fmt.Println("\nstage            samples    p50          p99          ~cycles(p50)")
 	for _, st := range core.Stages() {
@@ -195,17 +190,13 @@ func printObservability(rt *retina.Runtime) {
 	}
 
 	fmt.Println("\ncore   busy%   mean-occ   bursts   wakeups   top flow")
-	for i, c := range rt.Cores() {
-		d, w := c.Duty(), c.Witness()
-		if d == nil || w == nil {
-			continue
-		}
+	for _, d := range obs.Cores {
 		topFlow := "-"
-		if top := w.Top(); len(top) > 0 {
-			topFlow = fmt.Sprintf("%s (%d pkts)", top[0].Tuple.String(), top[0].Packets)
+		if len(d.Elephants) > 0 {
+			topFlow = fmt.Sprintf("%s (%d pkts)", d.Elephants[0].Flow, d.Elephants[0].Packets)
 		}
 		fmt.Printf("%-5d  %5.1f   %8.2f   %6d   %7d   %s\n",
-			i, d.BusyFraction()*100, d.MeanOccupancy(), d.Bursts(), d.Wakeups(), topFlow)
+			d.Core, d.BusyFraction*100, d.MeanOccupancy, d.Bursts, d.Wakeups, topFlow)
 	}
 	fmt.Printf("\nrss skew (max/mean core share): %.3f\n", rt.RSSSkew())
 }

@@ -122,11 +122,7 @@ func main() {
 	if specs != nil {
 		fmt.Printf("%d frames read, %d subscriptions, %v elapsed\n\n",
 			r.Frames(), len(specs), stats.Elapsed)
-		fmt.Println("id  name                  level       delivered  matched-conns  filter")
-		for _, info := range rt.ListSubscriptions() {
-			fmt.Printf("%-3d %-21s %-10s %10d %14d  %s\n",
-				info.ID, info.Name, info.Level, info.Delivered, info.MatchedConns, info.Filter)
-		}
+		retina.WriteSubscriptionTable(os.Stdout, rt.ListSubscriptions())
 	} else {
 		var processed, filterDropped uint64
 		for _, cs := range stats.Cores {
@@ -136,10 +132,8 @@ func main() {
 		fmt.Printf("\n%d frames read, %d matched the filter, %d deliveries, %v elapsed\n",
 			r.Frames(), processed-filterDropped, count, stats.Elapsed)
 	}
-	if reb := rt.Rebalancer(); reb != nil {
-		mv, cm := rt.ControlPlane().RebalanceStats()
-		fmt.Printf("rebalance: %d bucket moves, %d conns migrated, %d rounds (%d failed moves), last skew %.2f\n",
-			mv, cm, reb.Rounds(), reb.FailedMoves(), reb.LastSkew())
+	if reb := rt.Status().Rebalance; reb != nil {
+		fmt.Println(reb)
 	}
 	for _, rep := range rt.Aggregates() {
 		rep.WriteText(os.Stdout)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 )
@@ -19,14 +18,10 @@ type timedFrame struct {
 // land inside a small test workload.
 func burstTestCore(t *testing.T, burst int, sub *Subscription) *Core {
 	t.Helper()
-	prog, err := filter.Compile("ipv4 and tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ct := conntrack.DefaultConfig()
 	ct.EstablishTimeout = 500_000    // 0.5s virtual
 	ct.InactivityTimeout = 1_000_000 // 1s virtual
-	c, err := NewCore(0, Config{Program: prog, Sub: sub, Conntrack: ct, BurstSize: burst})
+	c, err := NewCore(0, Config{Set: testSet(t, "ipv4 and tcp", sub), Conntrack: ct, BurstSize: burst})
 	if err != nil {
 		t.Fatal(err)
 	}

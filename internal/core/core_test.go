@@ -75,15 +75,34 @@ func (f *flow) teardown() [][]byte {
 
 func newTestCore(t *testing.T, filterSrc string, sub *Subscription) *Core {
 	t.Helper()
-	prog, err := filter.Compile(filterSrc, filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCore(0, Config{Program: prog, Sub: sub, Conntrack: conntrack.DefaultConfig()})
+	c, err := NewCore(0, Config{Set: testSet(t, filterSrc, sub), Conntrack: conntrack.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// staticSet compiles filterSrc into a one-slot program set for sub — the
+// shape retina.New builds for a single subscription.
+func staticSet(filterSrc string, sub *Subscription) (*ProgramSet, error) {
+	prog, err := filter.Compile(filterSrc, filter.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return NewProgramSet(0, []*SubSpec{{
+		Name: "static", Filter: filterSrc, Sub: sub, Prog: prog,
+		NeedsConn: prog.NeedsConnTracking(),
+	}}, nil)
+}
+
+// testSet is staticSet failing the test on error.
+func testSet(t testing.TB, filterSrc string, sub *Subscription) *ProgramSet {
+	t.Helper()
+	ps, err := staticSet(filterSrc, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
 }
 
 // feed pushes raw frames through the core at increasing ticks.
@@ -461,13 +480,17 @@ func TestMbufRefcountHygiene(t *testing.T) {
 }
 
 func TestSubscriptionValidation(t *testing.T) {
-	prog := filter.MustCompile("ipv4", filter.Options{})
-	_, err := NewCore(0, Config{Program: prog, Sub: &Subscription{Level: LevelPacket}})
-	if err == nil {
+	build := func(sub *Subscription) error {
+		ps, err := staticSet("ipv4", sub)
+		if err == nil {
+			_, err = NewCore(0, Config{Set: ps})
+		}
+		return err
+	}
+	if build(&Subscription{Level: LevelPacket}) == nil {
 		t.Fatal("subscription without callback accepted")
 	}
-	_, err = NewCore(0, Config{Program: prog, Sub: &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}, SessionProtos: []string{"bogus"}}})
-	if err == nil {
+	if build(&Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}, SessionProtos: []string{"bogus"}}) == nil {
 		t.Fatal("unknown session protocol accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 )
@@ -14,14 +13,9 @@ func TestPacketBufferCapBounded(t *testing.T) {
 	// A packet subscription on a connection whose verdict never comes
 	// (session predicate, handshake never completes) must not buffer
 	// unboundedly.
-	prog, err := filter.Compile("tls.sni ~ 'never'", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	delivered := 0
 	c, err := NewCore(0, Config{
-		Program:         prog,
-		Sub:             &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { delivered++ }},
+		Set:             testSet(t, "tls.sni ~ 'never'", &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { delivered++ }}),
 		Conntrack:       conntrack.DefaultConfig(),
 		PacketBufferCap: 8,
 	})
@@ -45,16 +39,11 @@ func TestPacketBufferCapBounded(t *testing.T) {
 }
 
 func TestConnTableFullDropsGracefully(t *testing.T) {
-	prog, err := filter.Compile("ipv4 and tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := 0
 	ct := conntrack.DefaultConfig()
 	ct.MaxConns = 4
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { recs++ }},
+		Set:       testSet(t, "ipv4 and tcp", &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { recs++ }}),
 		Conntrack: ct,
 	})
 	if err != nil {
@@ -76,13 +65,8 @@ func TestConnTableFullDropsGracefully(t *testing.T) {
 
 func TestProbeBudgetGivesUp(t *testing.T) {
 	// A stream that never identifies must stop consuming probe work.
-	prog, err := filter.Compile("tls", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}},
+		Set:       testSet(t, "tls", &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}}),
 		Conntrack: conntrack.DefaultConfig(),
 	})
 	if err != nil {
@@ -114,14 +98,9 @@ func TestMarkUpgradeOnLaterPacket(t *testing.T) {
 	// Filter with a port predicate only some packets satisfy: the
 	// connection's mark must upgrade when a deeper-matching packet
 	// arrives, letting the conn filter succeed.
-	prog, err := filter.Compile("(tcp.dst_port = 443 and tls) or tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := 0
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { seen++ }},
+		Set:       testSet(t, "(tcp.dst_port = 443 and tls) or tcp", &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { seen++ }}),
 		Conntrack: conntrack.DefaultConfig(),
 	})
 	if err != nil {
@@ -138,14 +117,9 @@ func TestMarkUpgradeOnLaterPacket(t *testing.T) {
 }
 
 func TestZeroLengthAndWeirdFrames(t *testing.T) {
-	prog, err := filter.Compile("", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { n++ }},
+		Set:       testSet(t, "", &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { n++ }}),
 		Conntrack: conntrack.DefaultConfig(),
 	})
 	if err != nil {
@@ -160,5 +134,67 @@ func TestZeroLengthAndWeirdFrames(t *testing.T) {
 	// Only the 64-byte frame can possibly decode as Ethernet.
 	if c.Stats().Processed != 4 {
 		t.Fatalf("processed = %d", c.Stats().Processed)
+	}
+}
+
+// TestExtraMemTracksHeldBytes pins conn.ExtraMem — the per-connection
+// figure behind Table.MemoryBytes — to the bytes the connection really
+// holds: every frame buffered awaiting the verdict plus the payload
+// parked in reassembly, and nothing once the buffers are gone.
+func TestExtraMemTracksHeldBytes(t *testing.T) {
+	c, err := NewCore(0, Config{
+		Set:       testSet(t, "tls.sni ~ 'never'", &Subscription{Level: LevelPacket, OnPacket: func(*Packet) {}}),
+		Conntrack: conntrack.DefaultConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFlow(t, 42005, 443)
+	frames := f.handshake()
+	frames = append(frames, f.pkt(true, layers.TCPAck, []byte{0x16, 0x03, 0x03, 0x3F, 0xFF}))
+	for i := 0; i < 5; i++ {
+		frames = append(frames, f.pkt(true, layers.TCPAck, bytes.Repeat([]byte{0xAA}, 100)))
+	}
+	f.cliSeq += 50 // a hole: the next segment parks in reassembly
+	frames = append(frames, f.pkt(true, layers.TCPAck, bytes.Repeat([]byte{0xBB}, 100)))
+	feed(c, frames)
+
+	held := 100 // the parked segment's payload
+	for _, fr := range frames {
+		held += len(fr) // every frame is buffered: the verdict never comes
+	}
+	if got := c.Stats().BufferedPkts; got != uint64(len(frames)) {
+		t.Fatalf("buffered %d frames, want %d", got, len(frames))
+	}
+	var conns []*conntrack.Conn
+	c.Table().Each(func(conn *conntrack.Conn) { conns = append(conns, conn) })
+	if len(conns) != 1 {
+		t.Fatalf("%d connections tracked, want 1", len(conns))
+	}
+	if got := conns[0].ExtraMem; got != held {
+		t.Fatalf("ExtraMem = %d mid-connection, want %d held bytes", got, held)
+	}
+	if got := c.Table().MemoryBytes(); got < uint64(held) {
+		t.Fatalf("MemoryBytes = %d, below the %d held bytes", got, held)
+	}
+	if err := c.Table().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	c.Flush()
+	if got := conns[0].ExtraMem; got != 0 {
+		t.Fatalf("ExtraMem = %d after Flush, want 0", got)
+	}
+	if got := c.Table().MemoryBytes(); got != 0 {
+		t.Fatalf("MemoryBytes = %d after Flush, want 0", got)
+	}
+	if got := c.Accountant().TotalUsed(); got != 0 {
+		t.Fatalf("accountant holds %d bytes after Flush, want 0", got)
+	}
+	if err := c.Table().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Accountant().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

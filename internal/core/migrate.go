@@ -194,7 +194,7 @@ func (c *Core) releaseForExport(conn *conntrack.Conn) {
 	if cs.pktBufBytes > 0 {
 		c.acct.Release(overload.ClassPacketBuf, cs.pktBufBytes)
 	}
-	if sb := cs.streamBytesTotal(); sb > 0 {
+	if sb := cs.streamBufBytes; sb > 0 {
 		c.acct.Release(overload.ClassStreamBuf, sb)
 	}
 	if cs.inPending {
@@ -247,7 +247,7 @@ func (c *Core) importPackage(pkg *MigrationPackage) int {
 			if cs.pktBufBytes > 0 {
 				c.acct.ForceReserve(overload.ClassPacketBuf, cs.pktBufBytes)
 			}
-			if sb := cs.streamBytesTotal(); sb > 0 {
+			if sb := cs.streamBufBytes; sb > 0 {
 				c.acct.ForceReserve(overload.ClassStreamBuf, sb)
 			}
 		}

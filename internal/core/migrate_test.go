@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 )
@@ -34,19 +33,10 @@ func TestRunMigrationHandoff(t *testing.T) {
 			}
 			out.pkts[port] += r.PktsOrig + r.PktsResp
 		}}
-		prog, err := filter.Compile("ipv4 and tcp", filter.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := NewProgramSet(0, []*SubSpec{{
-			Name: "static", Filter: prog.Source, Sub: sub, Prog: prog,
-			NeedsConn: prog.NeedsConnTracking(),
-		}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := testSet(t, "ipv4 and tcp", sub)
 		cores := make([]*Core, 2)
 		for i := range cores {
+			var err error
 			cores[i], err = NewCore(i, Config{Set: ps, Conntrack: conntrack.DefaultConfig(), BurstSize: 8, Latency: latency})
 			if err != nil {
 				t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 	"retina/internal/metrics"
@@ -12,14 +11,10 @@ import (
 
 func latencyTestCore(t *testing.T, burst int, sub *Subscription) *Core {
 	t.Helper()
-	prog, err := filter.Compile("ipv4 and tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ct := conntrack.DefaultConfig()
 	ct.EstablishTimeout = 500_000
 	ct.InactivityTimeout = 1_000_000
-	c, err := NewCore(0, Config{Program: prog, Sub: sub, Conntrack: ct, BurstSize: burst, Latency: true})
+	c, err := NewCore(0, Config{Set: testSet(t, "ipv4 and tcp", sub), Conntrack: ct, BurstSize: burst, Latency: true})
 	if err != nil {
 		t.Fatal(err)
 	}

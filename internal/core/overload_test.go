@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 	"retina/internal/overload"
@@ -13,11 +12,7 @@ import (
 
 func newOverloadCore(t *testing.T, filterSrc string, sub *Subscription, mutate func(*Config)) *Core {
 	t.Helper()
-	prog, err := filter.Compile(filterSrc, filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Program: prog, Sub: sub, Conntrack: conntrack.DefaultConfig()}
+	cfg := Config{Set: testSet(t, filterSrc, sub), Conntrack: conntrack.DefaultConfig()}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -33,15 +33,8 @@ const maxStreamBufBytes = 256 << 10
 
 // Config configures one processing core.
 type Config struct {
-	// Program is the compiled filter (single-subscription construction;
-	// ignored when Set is non-nil).
-	Program *filter.Program
-	// Sub is the user's subscription (single-subscription construction;
-	// ignored when Set is non-nil).
-	Sub *Subscription
-	// Set is the initial multi-subscription program set. When nil, a
-	// one-slot static set is built from Program and Sub — the historical
-	// single-subscription datapath, packet-for-packet identical.
+	// Set is the initial multi-subscription program set (required; the
+	// control plane publishes its successors).
 	Set *ProgramSet
 	// Conntrack configures the core's connection table.
 	Conntrack conntrack.Config
@@ -330,11 +323,12 @@ type connState struct {
 	// expiry queues the matching removal).
 	offloaded bool
 
-	// pktBufBytes is the total packet-buffer budget reserved across all
-	// subscriptions; inPending marks live membership in the core's
-	// pendingBuf shed queue.
-	pktBufBytes int
-	inPending   bool
+	// pktBufBytes and streamBufBytes are the packet- and stream-buffer
+	// budget reserved across all subscriptions; inPending marks live
+	// membership in the core's pendingBuf shed queue.
+	pktBufBytes    int
+	streamBufBytes int
+	inPending      bool
 
 	finOrig bool
 	finResp bool
@@ -344,22 +338,16 @@ type connState struct {
 	trace *telemetry.ConnTrace
 }
 
-// pktBufFrames counts buffered frame references across subscriptions.
-func (cs *connState) pktBufFrames() int {
-	n := 0
-	for i := range cs.subs {
-		n += len(cs.subs[i].pktBuf)
+// syncMem sets the connection's ExtraMem to the bytes it holds: packet-
+// and stream-buffer bytes as charged to the overload accountant, plus
+// the reassembler's parked payload. Every path that changes one of them
+// calls it, so the table's memory figure never drifts.
+func (cs *connState) syncMem(conn *conntrack.Conn) {
+	n := cs.pktBufBytes + cs.streamBufBytes
+	if cs.reasm != nil {
+		n += cs.reasm.BufferedBytes()
 	}
-	return n
-}
-
-// streamBytesTotal sums buffered stream bytes across subscriptions.
-func (cs *connState) streamBytesTotal() int {
-	n := 0
-	for i := range cs.subs {
-		n += cs.subs[i].streamBufBytes
-	}
-	return n
+	conn.ExtraMem = n
 }
 
 // anyStreamLive reports whether any byte-stream subscription still wants
@@ -405,28 +393,7 @@ func (cs *connState) allRejected() bool {
 func NewCore(id int, cfg Config) (*Core, error) {
 	ps := cfg.Set
 	if ps == nil {
-		if cfg.Program == nil {
-			return nil, fmt.Errorf("core: nil filter program")
-		}
-		if cfg.Sub == nil {
-			return nil, fmt.Errorf("core: nil subscription")
-		}
-		if err := cfg.Sub.Validate(); err != nil {
-			return nil, err
-		}
-		spec := &SubSpec{
-			ID:        0,
-			Name:      "static",
-			Filter:    cfg.Program.Source,
-			Sub:       cfg.Sub,
-			Prog:      cfg.Program,
-			NeedsConn: cfg.Program.NeedsConnTracking(),
-		}
-		var err error
-		ps, err = NewProgramSet(0, []*SubSpec{spec}, cfg.ExtraParsers)
-		if err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("core: nil program set")
 	}
 	reg, err := proto.BuildRegistryWith(ps.ParserNames, ps.ExtraParsers)
 	if err != nil {
@@ -656,8 +623,7 @@ func (c *Core) ProcessBurst(ms []*mbuf.Mbuf) {
 	if c.lat != nil {
 		c.obsBursts++
 		if c.obsBursts&(obsFlushEvery-1) == 0 {
-			c.lat.flush()
-			c.wit.publish()
+			c.publishObs()
 		}
 	}
 	mbuf.FreeBulk(ms)
@@ -752,6 +718,12 @@ func (c *Core) AdvanceTime(tick uint64) {
 	}
 	c.advance()
 	c.flushOffload()
+	c.publishObs()
+}
+
+// publishObs folds the burst-local latency histograms and the elephant
+// witness into their shared, scrapeable forms (no-op with Latency off).
+func (c *Core) publishObs() {
 	if c.lat != nil {
 		c.lat.flush()
 		c.wit.publish()
@@ -933,7 +905,7 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 				s.pktBuf = append(s.pktBuf, pktBufEntry{m: m.Ref()})
 				s.pktBufBytes += m.Len()
 				cs.pktBufBytes += m.Len()
-				conn.ExtraMem += m.Len()
+				cs.syncMem(conn)
 				if !cs.inPending {
 					cs.inPending = true
 					c.enqueuePending(conn)
@@ -1129,7 +1101,7 @@ func (c *Core) activateSub(conn *conntrack.Conn, cs *connState, si int, s *subSt
 		}
 		s.connMark = cr.Node
 		if cr.Terminal {
-			c.markSubMatched(conn, cs, si, s)
+			c.markSubMatched(conn, si, s)
 			c.onSubFullMatch(conn, cs, s)
 			return
 		}
@@ -1231,7 +1203,7 @@ func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
 			if conn.ConnMark == 0 {
 				conn.ConnMark = cr.Node
 			}
-			c.markSubMatched(conn, cs, i, s)
+			c.markSubMatched(conn, i, s)
 			c.onSubFullMatch(conn, cs, s)
 		}
 	}
@@ -1266,13 +1238,7 @@ func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
 	} else if wantProbe {
 		// Nothing can identify the protocol; without identification the
 		// connection filter can never pass a non-terminal mark.
-		for i := range cs.subs {
-			s := &cs.subs[i]
-			if s.spec == nil || s.matched || s.rejected || !s.engaged() {
-				continue
-			}
-			c.rejectSub(conn, cs, s)
-		}
+		c.rejectPending(conn, cs)
 		if !cs.tombstone {
 			conn.State = conntrack.StateTrack
 		}
@@ -1356,9 +1322,7 @@ func (c *Core) feed(conn *conntrack.Conn, cs *connState, p *layers.Parsed, m *mb
 			c.ctr.reasmBudget.Inc()
 		}
 	})
-	if cs.reasm != nil {
-		conn.ExtraMem = cs.reasm.BufferedBytes()
-	}
+	cs.syncMem(conn)
 }
 
 // handleStreamData runs protocol identification and parsing on in-order
@@ -1398,19 +1362,7 @@ func (c *Core) handleStreamData(conn *conntrack.Conn, cs *connState, data []byte
 			cs.candidates = nil
 			cs.unidentified = true
 			c.ctr.connsUnidentified.Inc()
-			for i := range cs.subs {
-				s := &cs.subs[i]
-				if s.spec == nil || s.matched || s.rejected || s.drain || !s.engaged() {
-					continue
-				}
-				c.rejectSub(conn, cs, s)
-			}
-			if !cs.tombstone {
-				// Some subscription already matched (its filter was
-				// satisfied at the packet layer); sessions will never come.
-				conn.State = conntrack.StateTrack
-				c.releaseStreamState(conn, cs)
-			}
+			c.abandonParsing(conn, cs)
 			return
 		} else {
 			return // keep probing
@@ -1436,18 +1388,32 @@ func (c *Core) handleStreamData(conn *conntrack.Conn, cs *connState, data []byte
 			if ctr := c.protoCtr.Load().parseErrors[cs.active.Name()]; ctr != nil {
 				ctr.Inc()
 			}
-			for i := range cs.subs {
-				s := &cs.subs[i]
-				if s.spec == nil || s.matched || s.rejected || s.drain || !s.engaged() {
-					continue
-				}
-				c.rejectSub(conn, cs, s)
-			}
-			if !cs.tombstone {
-				conn.State = conntrack.StateTrack
-				c.releaseStreamState(conn, cs)
-			}
+			c.abandonParsing(conn, cs)
 		}
+	}
+}
+
+// abandonParsing handles a connection whose protocol can no longer be
+// identified or parsed: pending subscriptions are rejected, and a
+// connection some subscription already matched (its filter was satisfied
+// before the session layer) drops to lightweight tracking.
+func (c *Core) abandonParsing(conn *conntrack.Conn, cs *connState) {
+	c.rejectPending(conn, cs)
+	if !cs.tombstone {
+		conn.State = conntrack.StateTrack
+		c.releaseStreamState(conn, cs)
+	}
+}
+
+// rejectPending rejects every engaged subscription whose verdict is
+// still pending: the filter stage that could rule for it will never run.
+func (c *Core) rejectPending(conn *conntrack.Conn, cs *connState) {
+	for i := range cs.subs {
+		s := &cs.subs[i]
+		if s.spec == nil || s.matched || s.rejected || s.drain || !s.engaged() {
+			continue
+		}
+		c.rejectSub(conn, cs, s)
 	}
 }
 
@@ -1488,7 +1454,7 @@ func (c *Core) onServiceIdentified(conn *conntrack.Conn, cs *connState) {
 			conn.ConnMark = cr.Node
 		}
 		if cr.Terminal {
-			c.markSubMatched(conn, cs, i, s)
+			c.markSubMatched(conn, i, s)
 			c.onSubFullMatch(conn, cs, s)
 			if s.spec.Sub.Level == LevelSession {
 				anyParse = true // deliver every session
@@ -1614,7 +1580,7 @@ func (c *Core) onSessionParsed(conn *conntrack.Conn, cs *connState, sess *proto.
 		}
 		// Verdict pending on the session filter.
 		if ok[i] {
-			c.markSubMatched(conn, cs, i, s)
+			c.markSubMatched(conn, i, s)
 			c.onSubFullMatch(conn, cs, s)
 			if lvl == LevelSession {
 				c.deliverSessionTo(s.spec, conn, sess)
@@ -1674,13 +1640,7 @@ func (c *Core) afterParsing(conn *conntrack.Conn, cs *connState) {
 	if conn.State != conntrack.StateParse {
 		return
 	}
-	for i := range cs.subs {
-		s := &cs.subs[i]
-		if s.spec == nil || s.matched || s.rejected || s.drain || !s.engaged() {
-			continue
-		}
-		c.rejectSub(conn, cs, s)
-	}
+	c.rejectPending(conn, cs)
 	if cs.tombstone {
 		return
 	}
@@ -1708,14 +1668,13 @@ func (c *Core) afterParsing(conn *conntrack.Conn, cs *connState) {
 // markSubMatched records a subscription's full filter match for the
 // connection: the per-subscription match counters, the live-connection
 // hold used for drain progress, and the conntrack match bitmask.
-func (c *Core) markSubMatched(conn *conntrack.Conn, cs *connState, si int, s *subState) {
+func (c *Core) markSubMatched(conn *conntrack.Conn, si int, s *subState) {
 	s.matched = true
 	s.spec.MatchedConns.Inc()
 	s.spec.LiveConns.Add(1)
 	if si >= 0 && si < filter.MaxSubscriptions && si < len(c.ps.Slots) {
 		conn.SubMask |= 1 << uint(si)
 	}
-	_ = cs
 }
 
 // onSubFullMatch runs once when the connection first satisfies one
@@ -1792,12 +1751,8 @@ func (c *Core) releaseSubPktBytes(conn *conntrack.Conn, cs *connState, s *subSta
 	if s.pktBufBytes > 0 {
 		c.acct.Release(overload.ClassPacketBuf, s.pktBufBytes)
 		cs.pktBufBytes -= s.pktBufBytes
-		if conn.ExtraMem >= s.pktBufBytes {
-			conn.ExtraMem -= s.pktBufBytes
-		} else {
-			conn.ExtraMem = 0
-		}
 		s.pktBufBytes = 0
+		cs.syncMem(conn)
 	}
 	if cs.pktBufBytes <= 0 && cs.inPending {
 		cs.inPending = false
@@ -1810,12 +1765,9 @@ func (c *Core) releaseSubPktBytes(conn *conntrack.Conn, cs *connState, s *subSta
 func (c *Core) releaseSubStreamBytes(conn *conntrack.Conn, cs *connState, s *subState) {
 	if s.streamBufBytes > 0 {
 		c.acct.Release(overload.ClassStreamBuf, s.streamBufBytes)
-		if conn.ExtraMem >= s.streamBufBytes {
-			conn.ExtraMem -= s.streamBufBytes
-		} else {
-			conn.ExtraMem = 0
-		}
+		cs.streamBufBytes -= s.streamBufBytes
 		s.streamBufBytes = 0
+		cs.syncMem(conn)
 	}
 }
 
@@ -1859,7 +1811,8 @@ func (c *Core) emitStream(conn *conntrack.Conn, cs *connState, seq uint32, paylo
 		}
 		s.streamBuf = append(s.streamBuf, chunk)
 		s.streamBufBytes += len(payload)
-		conn.ExtraMem += len(payload)
+		cs.streamBufBytes += len(payload)
+		cs.syncMem(conn)
 	}
 }
 
@@ -1984,7 +1937,6 @@ func (c *Core) rejectConn(conn *conntrack.Conn, cs *connState) {
 	cs.tombstone = true
 	conn.State = conntrack.StateTrack
 	c.releaseStreamState(conn, cs)
-	conn.ExtraMem = 0
 	c.queueOffload(conn, cs, offload.VerdictUnsubscribed)
 }
 
@@ -2044,7 +1996,7 @@ func (c *Core) releaseStreamState(conn *conntrack.Conn, cs *connState) {
 	}
 	cs.candidates = nil
 	cs.active = nil
-	conn.ExtraMem = cs.pktBufFrames()*mbuf.DefaultBufSize + cs.streamBytesTotal()
+	cs.syncMem(conn)
 }
 
 // maybeTerminate removes gracefully finished connections.
@@ -2147,7 +2099,6 @@ func (c *Core) finishConn(conn *conntrack.Conn, cs *connState, reason conntrack.
 	conn.SubMask = 0
 	cs.tombstone = true
 	c.releaseStreamState(conn, cs)
-	conn.ExtraMem = 0
 }
 
 // Flush delivers records for all live connections (end of run) and
@@ -2170,10 +2121,7 @@ func (c *Core) Flush() {
 	for _, st := range c.aggStates {
 		st.FinalSeal()
 	}
-	if c.lat != nil {
-		c.lat.flush()
-		c.wit.publish()
-	}
+	c.publishObs()
 }
 
 // deliverPacket invokes one subscription's packet callback for an mbuf,

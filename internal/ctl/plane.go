@@ -140,9 +140,12 @@ type Plane struct {
 	lastMoveErr   atomic.Pointer[string]
 }
 
-// NewSpec compiles one subscription's filter into a SubSpec the plane
-// can slot. The ID is assigned at Add time.
-func NewSpec(name, filterSrc string, sub *core.Subscription, opts Options) (*core.SubSpec, error) {
+// NewSpec compiles one subscription's filter, and its optional
+// aggregation clause, into a SubSpec the plane can slot. The query is
+// compiled against the subscription's filter and level, which decides
+// its push-down stage (aggregate.Compile). The ID is assigned at Add
+// time.
+func NewSpec(name, filterSrc string, sub *core.Subscription, agg *aggregate.Spec, opts Options) (*core.SubSpec, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("ctl: subscription %q has no callbacks", name)
 	}
@@ -157,22 +160,12 @@ func NewSpec(name, filterSrc string, sub *core.Subscription, opts Options) (*cor
 	if err != nil {
 		return nil, fmt.Errorf("ctl: compiling filter for %q: %w", name, err)
 	}
-	return &core.SubSpec{
+	spec := &core.SubSpec{
 		Name:      name,
 		Filter:    filterSrc,
 		Sub:       sub,
 		Prog:      prog,
 		NeedsConn: prog.NeedsConnTracking(),
-	}, nil
-}
-
-// NewSpecAgg is NewSpec plus an optional aggregation clause: the query
-// is compiled against the subscription's filter and level, which
-// decides its push-down stage (aggregate.Compile).
-func NewSpecAgg(name, filterSrc string, sub *core.Subscription, agg *aggregate.Spec, opts Options) (*core.SubSpec, error) {
-	spec, err := NewSpec(name, filterSrc, sub, opts)
-	if err != nil {
-		return nil, err
 	}
 	if agg == nil {
 		return spec, nil
@@ -284,14 +277,10 @@ func (p *Plane) Swaps() uint64 { return p.swaps.Load() }
 // soon as their core picks up the epoch; connections already past their
 // identification point when the subscription attaches are best-effort
 // (decidable only from packet-terminal marks or an identified service).
-func (p *Plane) Add(name, filterSrc string, sub *core.Subscription) (SubInfo, error) {
-	return p.AddWithAggregate(name, filterSrc, sub, nil)
-}
-
-// AddWithAggregate is Add with an optional aggregation clause compiled
-// against the subscription (nil agg behaves exactly like Add).
-func (p *Plane) AddWithAggregate(name, filterSrc string, sub *core.Subscription, agg *aggregate.Spec) (SubInfo, error) {
-	spec, err := NewSpecAgg(name, filterSrc, sub, agg, p.opts)
+// agg, when non-nil, is an aggregation clause compiled against the
+// subscription (see NewSpec).
+func (p *Plane) Add(name, filterSrc string, sub *core.Subscription, agg *aggregate.Spec) (SubInfo, error) {
+	spec, err := NewSpec(name, filterSrc, sub, agg, p.opts)
 	if err != nil {
 		return SubInfo{}, err
 	}

@@ -25,7 +25,7 @@ func connSub(count *atomic.Uint64) *core.Subscription {
 
 func mustSpec(t *testing.T, name, filterSrc string, sub *core.Subscription) *core.SubSpec {
 	t.Helper()
-	spec, err := NewSpec(name, filterSrc, sub, Options{})
+	spec, err := NewSpec(name, filterSrc, sub, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +100,17 @@ func TestPlaneBookkeeping(t *testing.T) {
 		t.Fatalf("initial list = %+v", got)
 	}
 
-	info, err := p.Add("web", "tcp.port = 80", pktSub(&n))
+	info, err := p.Add("web", "tcp.port = 80", pktSub(&n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.ID != 1 || p.Epoch() != 1 || p.Swaps() != 1 {
 		t.Fatalf("after add: info %+v epoch %d swaps %d", info, p.Epoch(), p.Swaps())
 	}
-	if _, err := p.Add("web", "udp", pktSub(&n)); err == nil {
+	if _, err := p.Add("web", "udp", pktSub(&n), nil); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := p.Add("bad", "no such proto &&&", pktSub(&n)); err == nil {
+	if _, err := p.Add("bad", "no such proto &&&", pktSub(&n), nil); err == nil {
 		t.Fatal("bad filter accepted")
 	}
 	if err := p.Remove("ghost"); err == nil {
@@ -127,7 +127,7 @@ func TestPlaneBookkeeping(t *testing.T) {
 	}
 
 	// The freed slot is reused, the ID is not.
-	info, err = p.Add("main", "udp.port = 53", pktSub(&n))
+	info, err = p.Add("main", "udp.port = 53", pktSub(&n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPlanePickupAndDispatch(t *testing.T) {
 		t.Fatalf("a delivered %d, want 1", nA.Load())
 	}
 
-	if _, err := p.Add("b", "tcp", pktSub(&nB)); err != nil {
+	if _, err := p.Add("b", "tcp", pktSub(&nB), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.AckedEpoch(); got != 0 {
@@ -207,7 +207,7 @@ func TestPlaneAckWaiting(t *testing.T) {
 	// without a timeout.
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Add("late", "udp", pktSub(&n))
+		_, err := p.Add("late", "udp", pktSub(&n), nil)
 		done <- err
 	}()
 	flow := newConn(40200, 443, layers.IPProtoTCP)
@@ -228,7 +228,7 @@ func TestPlaneAckWaiting(t *testing.T) {
 
 timeoutCase:
 	// Nothing consumes: the add times out but the swap is committed.
-	if _, err := p.Add("stalled", "udp.port = 53", pktSub(&n)); err == nil {
+	if _, err := p.Add("stalled", "udp.port = 53", pktSub(&n), nil); err == nil {
 		t.Fatal("expected ack timeout")
 	} else if !strings.Contains(err.Error(), "not acked") {
 		t.Fatalf("unexpected error: %v", err)
@@ -346,7 +346,7 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Add("churn", "udp.port = 53", pktSub(&n)); err != nil {
+		if _, err := p.Add("churn", "udp.port = 53", pktSub(&n), nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := p.Remove("churn"); err != nil {
@@ -384,7 +384,7 @@ func TestPlaneReconcileErrorSurfaced(t *testing.T) {
 
 	var nTLS, nDNS atomic.Uint64
 	var logs []string
-	spec, err := NewSpec("tls", "ipv4 and tcp.port = 443", pktSub(&nTLS), Options{HW: capModel})
+	spec, err := NewSpec("tls", "ipv4 and tcp.port = 443", pktSub(&nTLS), nil, Options{HW: capModel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestPlaneReconcileErrorSurfaced(t *testing.T) {
 
 	// The union (tcp.443 + udp.53) needs 2 rules > MaxRules 1: the grow
 	// reconcile fails mid-swap, the swap still commits.
-	if _, err := p.Add("dns", "ipv4 and udp.port = 53", pktSub(&nDNS)); err != nil {
+	if _, err := p.Add("dns", "ipv4 and udp.port = 53", pktSub(&nDNS), nil); err != nil {
 		t.Fatalf("swap must survive a hardware reconcile failure: %v", err)
 	}
 	// Both the grow (union) and the shrink (new set) fail — two counted

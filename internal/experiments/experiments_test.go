@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"retina/internal/telemetry"
 )
 
 // The experiment entry points are exercised at tiny scale: the point is
@@ -214,6 +216,33 @@ func TestTable2Small(t *testing.T) {
 	PrintTable2(&buf, r)
 	if !strings.Contains(buf.String(), "single SYN") {
 		t.Fatal("PrintTable2 output incomplete")
+	}
+}
+
+// TestFigure13Buckets pins Figure 13's bucket rule: a size equal to a
+// bound counts in that bound's row, one byte more in the next, and a
+// frame above 1,514 bytes in +Inf.
+func TestFigure13Buckets(t *testing.T) {
+	h := telemetry.NewHistogramBuckets(packetSizeBounds)
+	for _, size := range []float64{56, 57, 1514, 1515} {
+		h.Observe(size)
+	}
+	want := map[string]string{"56.00": "25.0%", "218": "25.0%", "1514": "25.0%", "+Inf": "25.0%"}
+	rows := sizeTable(h).Rows
+	if len(rows) != len(packetSizeBounds)+1 {
+		t.Fatalf("%d rows, want %d", len(rows), len(packetSizeBounds)+1)
+	}
+	for _, r := range rows {
+		w, ok := want[r[0]]
+		if !ok {
+			w = "0%"
+		}
+		if r[1] != w {
+			t.Errorf("size <= %s: %s, want %s", r[0], r[1], w)
+		}
+	}
+	if last := rows[len(rows)-1][0]; last != "+Inf" {
+		t.Fatalf("last row %q, want +Inf", last)
 	}
 }
 

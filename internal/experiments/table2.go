@@ -8,15 +8,20 @@ import (
 	"retina"
 	"retina/internal/layers"
 	"retina/internal/metrics"
+	"retina/internal/telemetry"
 	"retina/internal/traffic"
 )
+
+// packetSizeBounds are Figure 13's bucket upper bounds in bytes: bucket
+// i counts frames of size ≤ bound i, and larger frames land in +Inf.
+var packetSizeBounds = []float64{56, 218, 380, 542, 704, 866, 1028, 1190, 1352, 1514}
 
 // Table2Result is the campus traffic characterization (Table 2 +
 // Figure 13), measured by Retina applications over the generated mix —
 // it doubles as the calibration check for the traffic generator.
 type Table2Result struct {
 	AvgPacketSize float64
-	SizeHist      *metrics.Histogram
+	SizeHist      *telemetry.Histogram
 
 	TCPConnFrac       float64
 	UDPConnFrac       float64
@@ -36,7 +41,7 @@ func RunTable2(seed int64, flows int) Table2Result {
 
 	// App 1: packet sizes (Figure 13).
 	var mu sync.Mutex
-	hist := metrics.NewHistogram([]float64{56, 218, 380, 542, 704, 866, 1028, 1190, 1352, 1514})
+	hist := telemetry.NewHistogramBuckets(packetSizeBounds)
 	var sizeSum, sizeN uint64
 	{
 		cfg := baseConfig()
@@ -133,14 +138,24 @@ func PrintTable2(w io.Writer, r Table2Result) {
 	tbl.Write(w)
 
 	fmt.Fprintln(w, "\nFigure 13: packet size distribution")
-	h := &Table{Header: []string{"size <=", "fraction"}}
-	for i := 0; i < r.SizeHist.NumBuckets(); i++ {
-		bound, frac := r.SizeHist.Bucket(i)
+	sizeTable(r.SizeHist).Write(w)
+}
+
+// sizeTable renders a packet-size histogram as Figure 13's rows: each
+// bucket's upper bound ("+Inf" last) and its share of all frames.
+func sizeTable(h *telemetry.Histogram) *Table {
+	t := &Table{Header: []string{"size <=", "fraction"}}
+	bounds, counts, total := h.Bounds(), h.BucketCounts(), h.Count()
+	for i, n := range counts {
 		label := "+Inf"
-		if bound < 1e17 {
-			label = F(bound)
+		if i < len(bounds) {
+			label = F(bounds[i])
 		}
-		h.Add(label, Pct(frac))
+		frac := 0.0
+		if total > 0 {
+			frac = float64(n) / float64(total)
+		}
+		t.Add(label, Pct(frac))
 	}
-	h.Write(w)
+	return t
 }

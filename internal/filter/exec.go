@@ -64,10 +64,6 @@ func (r Result) FrontierNodes(fn func(int)) {
 // NoMatch is the zero Result.
 var NoMatch = Result{}
 
-// PacketFilterFunc is the software packet filter (§4.1): it evaluates
-// packet-layer predicates against a decoded packet.
-type PacketFilterFunc func(p *layers.Parsed) Result
-
 // ConnFilterFunc is the connection filter: given the identified service
 // and the packet filter's terminal node, it decides whether the
 // connection can still satisfy some pattern.
@@ -165,8 +161,9 @@ func (s *PacketScratch) reset() {
 	s.acc.terminal = -1
 }
 
-// PacketEvalFunc is a PacketFilterFunc evaluating with a caller-owned
-// scratch (allocation-free on single-branch matches).
+// PacketEvalFunc is the software packet filter (§4.1): it evaluates
+// packet-layer predicates against a decoded packet, accumulating into a
+// caller-owned scratch (allocation-free on single-branch matches).
 type PacketEvalFunc func(p *layers.Parsed, s *PacketScratch) Result
 
 // frontierResult converts an accumulated frontier into a Result. The
@@ -189,7 +186,7 @@ func frontierResult(acc *pktAcc) Result {
 	return r
 }
 
-// CompilePacketFilter generates the software packet filter from the
+// CompilePacketEval generates the software packet filter from the
 // trie. The returned closure tree mirrors the nested conditionals of the
 // paper's generated Rust (Figure 3): each packet-layer node becomes one
 // matcher; on success, packet-layer children are tried depth-first, and
@@ -198,19 +195,6 @@ func frontierResult(acc *pktAcc) Result {
 // (connection/session predicates remain on a direct child). All matching
 // branches are explored — not just the first — so the connection filter
 // can resume from every still-viable pattern.
-func CompilePacketFilter(reg *Registry, t *Trie) (PacketFilterFunc, error) {
-	eval, err := CompilePacketEval(reg, t)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *layers.Parsed) Result {
-		var s PacketScratch
-		return eval(p, &s)
-	}, nil
-}
-
-// CompilePacketEval is CompilePacketFilter with a caller-owned scratch,
-// for callers that evaluate per packet and can reuse the accumulator.
 func CompilePacketEval(reg *Registry, t *Trie) (PacketEvalFunc, error) {
 	root, err := compilePacketNode(reg, t.Root)
 	if err != nil {

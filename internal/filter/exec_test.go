@@ -62,6 +62,12 @@ func tcp6Pkt(t *testing.T, dstPort uint16) *layers.Parsed {
 
 // engines returns both execution engines for a filter so every test runs
 // against compiled and interpreted code, asserting their equivalence.
+// packet evaluates prog's packet filter with a fresh scratch.
+func packet(prog *Program, p *layers.Parsed) Result {
+	var s PacketScratch
+	return prog.PacketWith(p, &s)
+}
+
 func engines(t *testing.T, src string) map[string]*Program {
 	t.Helper()
 	return map[string]*Program{
@@ -73,13 +79,13 @@ func engines(t *testing.T, src string) map[string]*Program {
 func TestPacketFilterBasic(t *testing.T) {
 	for name, prog := range engines(t, "ipv4 and tcp") {
 		t.Run(name, func(t *testing.T) {
-			if r := prog.Packet(tcpPkt(t, 1234, 80)); !r.Match || !r.Terminal {
+			if r := packet(prog, tcpPkt(t, 1234, 80)); !r.Match || !r.Terminal {
 				t.Fatalf("tcp packet: %+v", r)
 			}
-			if r := prog.Packet(udpPkt(t, 53)); r.Match {
+			if r := packet(prog, udpPkt(t, 53)); r.Match {
 				t.Fatalf("udp packet matched: %+v", r)
 			}
-			if r := prog.Packet(tcp6Pkt(t, 80)); r.Match {
+			if r := packet(prog, tcp6Pkt(t, 80)); r.Match {
 				t.Fatalf("ipv6 packet matched ipv4 filter: %+v", r)
 			}
 		})
@@ -90,13 +96,13 @@ func TestPacketFilterPortPredicates(t *testing.T) {
 	for name, prog := range engines(t, "tcp.port >= 100") {
 		t.Run(name, func(t *testing.T) {
 			// Direction-agnostic: either port satisfies.
-			if r := prog.Packet(tcpPkt(t, 50, 443)); !r.Match {
+			if r := packet(prog, tcpPkt(t, 50, 443)); !r.Match {
 				t.Fatal("dst port 443 should match")
 			}
-			if r := prog.Packet(tcpPkt(t, 443, 50)); !r.Match {
+			if r := packet(prog, tcpPkt(t, 443, 50)); !r.Match {
 				t.Fatal("src port 443 should match")
 			}
-			if r := prog.Packet(tcpPkt(t, 50, 60)); r.Match {
+			if r := packet(prog, tcpPkt(t, 50, 60)); r.Match {
 				t.Fatal("both ports < 100 should not match")
 			}
 		})
@@ -106,10 +112,10 @@ func TestPacketFilterPortPredicates(t *testing.T) {
 func TestPacketFilterSrcDstPorts(t *testing.T) {
 	for name, prog := range engines(t, "tcp.dst_port = 443") {
 		t.Run(name, func(t *testing.T) {
-			if r := prog.Packet(tcpPkt(t, 443, 80)); r.Match {
+			if r := packet(prog, tcpPkt(t, 443, 80)); r.Match {
 				t.Fatal("src-port-only packet matched dst_port predicate")
 			}
-			if r := prog.Packet(tcpPkt(t, 80, 443)); !r.Match {
+			if r := packet(prog, tcpPkt(t, 80, 443)); !r.Match {
 				t.Fatal("dst port 443 should match")
 			}
 		})
@@ -119,14 +125,14 @@ func TestPacketFilterSrcDstPorts(t *testing.T) {
 func TestPacketFilterIPPredicates(t *testing.T) {
 	for name, prog := range engines(t, "ipv4.addr in 10.1.0.0/16") {
 		t.Run(name, func(t *testing.T) {
-			if r := prog.Packet(tcpPkt(t, 1, 2)); !r.Match {
+			if r := packet(prog, tcpPkt(t, 1, 2)); !r.Match {
 				t.Fatal("10.1.1.1 in 10.1.0.0/16 should match")
 			}
 			far := buildPacket(t, &layers.PacketSpec{
 				SrcIP4: layers.ParseAddr4("192.168.1.1"), DstIP4: layers.ParseAddr4("172.16.0.1"),
 				Proto: layers.IPProtoTCP, SrcPort: 1, DstPort: 2,
 			})
-			if r := prog.Packet(far); r.Match {
+			if r := packet(prog, far); r.Match {
 				t.Fatal("out-of-prefix addresses matched")
 			}
 		})
@@ -136,7 +142,7 @@ func TestPacketFilterIPPredicates(t *testing.T) {
 func TestPacketFilterIPv6Prefix(t *testing.T) {
 	for name, prog := range engines(t, "ipv6.addr in 3::b/125 and tcp") {
 		t.Run(name, func(t *testing.T) {
-			if r := prog.Packet(tcp6Pkt(t, 80)); !r.Match {
+			if r := packet(prog, tcp6Pkt(t, 80)); !r.Match {
 				t.Fatal("3::b should be inside 3::b/125 (masked 3::8/125)")
 			}
 		})
@@ -150,10 +156,10 @@ func TestPacketFilterTTL(t *testing.T) {
 				SrcIP4: layers.ParseAddr4("1.1.1.1"), DstIP4: layers.ParseAddr4("2.2.2.2"),
 				TTL: 128, Proto: layers.IPProtoTCP, SrcPort: 1, DstPort: 2,
 			})
-			if !prog.Packet(hi).Match {
+			if !packet(prog, hi).Match {
 				t.Fatal("TTL 128 should match > 64")
 			}
-			if prog.Packet(tcpPkt(t, 1, 2)).Match { // default TTL 64
+			if packet(prog, tcpPkt(t, 1, 2)).Match { // default TTL 64
 				t.Fatal("TTL 64 should not match > 64")
 			}
 		})
@@ -167,7 +173,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 	for name, prog := range engines(t, src) {
 		t.Run(name, func(t *testing.T) {
 			// IPv4 TCP with port >= 100: non-terminal packet match.
-			r := prog.Packet(tcpPkt(t, 34567, 443))
+			r := packet(prog, tcpPkt(t, 34567, 443))
 			if !r.Match || r.Terminal {
 				t.Fatalf("packet result: %+v", r)
 			}
@@ -201,7 +207,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 			}
 
 			// Ports below 100: packet mark at tcp; only http can match.
-			r2 := prog.Packet(tcpPkt(t, 50, 60))
+			r2 := packet(prog, tcpPkt(t, 50, 60))
 			if !r2.Match || r2.Terminal {
 				t.Fatalf("low-port packet result: %+v", r2)
 			}
@@ -213,7 +219,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 			}
 
 			// IPv6 TCP: only the http pattern applies.
-			r3 := prog.Packet(tcp6Pkt(t, 8080))
+			r3 := packet(prog, tcp6Pkt(t, 8080))
 			if !r3.Match || r3.Terminal {
 				t.Fatalf("ipv6 packet result: %+v", r3)
 			}
@@ -225,7 +231,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 			}
 
 			// UDP never matches.
-			if r := prog.Packet(udpPkt(t, 53)); r.Match {
+			if r := packet(prog, udpPkt(t, 53)); r.Match {
 				t.Fatalf("udp matched: %+v", r)
 			}
 
@@ -240,7 +246,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 func TestSessionFilterRegexAnchors(t *testing.T) {
 	for name, prog := range engines(t, `tls.sni matches '.*\.com$'`) {
 		t.Run(name, func(t *testing.T) {
-			r := prog.Packet(tcpPkt(t, 1000, 443))
+			r := packet(prog, tcpPkt(t, 1000, 443))
 			cr := prog.Conn(fakeConn{"tls"}, r.Node)
 			if !cr.Match {
 				t.Fatalf("conn: %+v", cr)
@@ -264,7 +270,7 @@ func TestSessionFilterRegexAnchors(t *testing.T) {
 func TestSessionFilterIntField(t *testing.T) {
 	for name, prog := range engines(t, "tls.version = 0x0304") {
 		t.Run(name, func(t *testing.T) {
-			r := prog.Packet(tcpPkt(t, 1000, 443))
+			r := packet(prog, tcpPkt(t, 1000, 443))
 			cr := prog.Conn(fakeConn{"tls"}, r.Node)
 			tls13 := fakeSession{proto: "tls", ints: map[string]uint64{"version": 0x0304}}
 			tls12 := fakeSession{proto: "tls", ints: map[string]uint64{"version": 0x0303}}
@@ -281,7 +287,7 @@ func TestSessionFilterIntField(t *testing.T) {
 func TestSessionFilterMissingField(t *testing.T) {
 	for name, prog := range engines(t, "tls.sni ~ 'x'") {
 		t.Run(name, func(t *testing.T) {
-			r := prog.Packet(tcpPkt(t, 1000, 443))
+			r := packet(prog, tcpPkt(t, 1000, 443))
 			cr := prog.Conn(fakeConn{"tls"}, r.Node)
 			empty := fakeSession{proto: "tls"}
 			if prog.Session(empty, cr.Node) {
@@ -294,7 +300,7 @@ func TestSessionFilterMissingField(t *testing.T) {
 func TestConnFilterTLSOrSSH(t *testing.T) {
 	for name, prog := range engines(t, "ipv4 and (tls or ssh)") {
 		t.Run(name, func(t *testing.T) {
-			r := prog.Packet(tcpPkt(t, 1000, 22))
+			r := packet(prog, tcpPkt(t, 1000, 22))
 			if !r.Match || r.Terminal {
 				t.Fatalf("packet: %+v", r)
 			}
@@ -320,7 +326,7 @@ func TestPacketTerminalPassesStatefulStages(t *testing.T) {
 	// "ipv4 and tcp" filter) work.
 	for name, prog := range engines(t, "ipv4 and tcp") {
 		t.Run(name, func(t *testing.T) {
-			r := prog.Packet(tcpPkt(t, 1, 2))
+			r := packet(prog, tcpPkt(t, 1, 2))
 			if !r.Terminal {
 				t.Fatalf("packet: %+v", r)
 			}
@@ -338,10 +344,10 @@ func TestPacketTerminalPassesStatefulStages(t *testing.T) {
 func TestMatchAllFilter(t *testing.T) {
 	for name, prog := range engines(t, "") {
 		t.Run(name, func(t *testing.T) {
-			if r := prog.Packet(tcpPkt(t, 1, 2)); !r.Match || !r.Terminal {
+			if r := packet(prog, tcpPkt(t, 1, 2)); !r.Match || !r.Terminal {
 				t.Fatalf("tcp: %+v", r)
 			}
-			if r := prog.Packet(udpPkt(t, 53)); !r.Match || !r.Terminal {
+			if r := packet(prog, udpPkt(t, 53)); !r.Match || !r.Terminal {
 				t.Fatalf("udp: %+v", r)
 			}
 			if prog.NeedsConnTracking() {
@@ -369,8 +375,8 @@ func TestEnginesAgree(t *testing.T) {
 		comp := MustCompile(src, Options{Engine: EngineCompiled})
 		interp := MustCompile(src, Options{Engine: EngineInterpreted})
 		for i, pkt := range packets {
-			rc := comp.Packet(pkt)
-			ri := interp.Packet(pkt)
+			rc := packet(comp, pkt)
+			ri := packet(interp, pkt)
 			if !rc.Equal(ri) {
 				t.Errorf("filter %q packet %d: compiled %+v vs interpreted %+v", src, i, rc, ri)
 			}
@@ -405,7 +411,7 @@ func BenchmarkPacketFilterCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prog.Packet(&p)
+		_ = packet(prog, &p)
 	}
 }
 
@@ -421,6 +427,6 @@ func BenchmarkPacketFilterInterpreted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prog.Packet(&p)
+		_ = packet(prog, &p)
 	}
 }

@@ -155,7 +155,7 @@ func FuzzFilterEnginesDifferential(f *testing.F) {
 		prng := rand.New(rand.NewSource(int64(pseed)))
 		for i := 0; i < 25; i++ {
 			pkt := randomParsedPacket(prng)
-			rc, ri := comp.Packet(pkt), interp.Packet(pkt)
+			rc, ri := packet(comp, pkt), packet(interp, pkt)
 			if !rc.Equal(ri) {
 				t.Fatalf("filter %q: packet engines diverge: %+v vs %+v", src, rc, ri)
 			}
@@ -218,7 +218,7 @@ func TestMultiBranchFrontierConnMatch(t *testing.T) {
 	pkt := buildFuzzPkt(t, 8080, 200)
 	for _, eng := range []Engine{EngineCompiled, EngineInterpreted} {
 		prog := MustCompile(src, Options{Engine: eng})
-		r1 := prog.Packet(pkt)
+		r1 := packet(prog, pkt)
 		if !r1.Match || r1.Terminal {
 			t.Fatalf("engine %d: packet result %+v", eng, r1)
 		}
@@ -248,7 +248,7 @@ func TestTerminalSiblingNotShadowed(t *testing.T) {
 	pkt := buildFuzzPkt(t, 8080, 200)
 	for _, eng := range []Engine{EngineCompiled, EngineInterpreted} {
 		prog := MustCompile(src, Options{Engine: eng})
-		r1 := prog.Packet(pkt)
+		r1 := packet(prog, pkt)
 		if !r1.Match || !r1.Terminal {
 			t.Fatalf("engine %d: packet result %+v, want terminal match", eng, r1)
 		}
@@ -268,7 +268,7 @@ func TestConnFrontierAncestorBranchNotShadowed(t *testing.T) {
 	sess := fuzzSession{proto: "tls", strs: map[string]string{"sni": "unrelated"}, ints: map[string]uint64{"version": 772}}
 	for _, eng := range []Engine{EngineCompiled, EngineInterpreted} {
 		prog := MustCompile(src, Options{Engine: eng})
-		r1 := prog.Packet(pkt)
+		r1 := packet(prog, pkt)
 		if !r1.Match || r1.Terminal {
 			t.Fatalf("engine %d: packet result %+v", eng, r1)
 		}

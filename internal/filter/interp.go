@@ -79,17 +79,8 @@ func (in *Interpreter) evalCompare(lhs Value, pred Predicate) bool {
 	return false
 }
 
-// PacketFilter returns an interpreting PacketFilterFunc.
-func (in *Interpreter) PacketFilter() PacketFilterFunc {
-	eval := in.PacketEval()
-	return func(p *layers.Parsed) Result {
-		var s PacketScratch
-		return eval(p, &s)
-	}
-}
-
-// PacketEval returns the interpreting packet filter taking a
-// caller-owned scratch (see CompilePacketEval).
+// PacketEval returns the interpreting packet filter (see
+// CompilePacketEval).
 func (in *Interpreter) PacketEval() PacketEvalFunc {
 	return func(p *layers.Parsed, s *PacketScratch) Result {
 		s.reset()

@@ -28,20 +28,8 @@ type MultiResult struct {
 	// Mask has bit i set when slot i's packet filter matched.
 	Mask uint64
 	// Res is slot-indexed; Res[i] is meaningful only when bit i of Mask
-	// is set. The slice is owned by the scratch and valid until the next
-	// evaluation with the same scratch.
+	// is set. The slice is the caller's PacketInto destination.
 	Res []Result
-}
-
-// Match reports whether any subscription matched.
-func (mr MultiResult) Match() bool { return mr.Mask != 0 }
-
-// MultiScratch is the reusable evaluation state for one core: a shared
-// per-slot PacketScratch plus the slot-indexed result buffer. Not safe
-// for concurrent use; the zero value is ready.
-type MultiScratch struct {
-	pkt PacketScratch
-	res []Result
 }
 
 // MultiProgram merges N independently compiled subscription programs
@@ -87,24 +75,13 @@ func NewMultiProgram(epoch uint64, slots []*SubProgram) (*MultiProgram, error) {
 	return mp, nil
 }
 
-// PacketWith evaluates every slot's software packet filter against one
-// decoded packet, reusing the caller's scratch. Res[i].Sub carries the
+// PacketInto evaluates every slot's software packet filter against one
+// decoded packet, reusing the caller's scratch. dst must be len(Slots)
+// long and receives the slot-indexed results; Res[i].Sub carries the
 // slot's subscription ID so downstream stages can attribute matches even
-// after the slot index has been recycled.
-func (mp *MultiProgram) PacketWith(p *layers.Parsed, s *MultiScratch) MultiResult {
-	if cap(s.res) < len(mp.Slots) {
-		s.res = make([]Result, len(mp.Slots))
-	}
-	res := s.res[:len(mp.Slots)]
-	mask := mp.PacketInto(p, &s.pkt, res)
-	return MultiResult{Mask: mask, Res: res}
-}
-
-// PacketInto is PacketWith with a caller-owned destination: dst must be
-// len(Slots) long and receives the slot-indexed results. The burst
-// datapath uses it to keep one Result row per packet of the batch alive
-// at once (a shared scratch row would be overwritten by the next
-// packet). Returns the match bitmask.
+// after the slot index has been recycled. The burst datapath keeps one
+// Result row per packet of the batch alive at once (a shared row would
+// be overwritten by the next packet). Returns the match bitmask.
 func (mp *MultiProgram) PacketInto(p *layers.Parsed, s *PacketScratch, dst []Result) uint64 {
 	var mask uint64
 	for i, slot := range mp.Slots {

@@ -23,16 +23,18 @@ func multiProg(t *testing.T, epoch uint64, filters ...string) *MultiProgram {
 	return mp
 }
 
+// evalMulti runs mp's packet filters over p into a fresh result row.
+func evalMulti(mp *MultiProgram, p *layers.Parsed) MultiResult {
+	var s PacketScratch
+	res := make([]Result, len(mp.Slots))
+	return MultiResult{Mask: mp.PacketInto(p, &s, res), Res: res}
+}
+
 func TestMultiProgramMaskAndSubIDs(t *testing.T) {
 	mp := multiProg(t, 1, "tcp.dst_port = 443", "udp", "tcp")
-	var s MultiScratch
-
-	mr := mp.PacketWith(tcpPkt(t, 1234, 443), &s)
+	mr := evalMulti(mp, tcpPkt(t, 1234, 443))
 	if mr.Mask != 0b101 {
 		t.Fatalf("mask = %b, want 101", mr.Mask)
-	}
-	if !mr.Match() {
-		t.Fatal("Match() false with non-zero mask")
 	}
 	// Each matching slot's Result carries its subscription ID, and every
 	// slot gets an independent verdict over its own trie.
@@ -46,7 +48,7 @@ func TestMultiProgramMaskAndSubIDs(t *testing.T) {
 		t.Fatal("udp slot matched a tcp packet")
 	}
 
-	mr = mp.PacketWith(udpPkt(t, 53), &s)
+	mr = evalMulti(mp, udpPkt(t, 53))
 	if mr.Mask != 0b010 {
 		t.Fatalf("mask = %b, want 010", mr.Mask)
 	}
@@ -57,9 +59,8 @@ func TestMultiProgramMaskAndSubIDs(t *testing.T) {
 
 func TestMultiProgramNoMatch(t *testing.T) {
 	mp := multiProg(t, 1, "tcp.dst_port = 443", "udp.dst_port = 53")
-	var s MultiScratch
-	mr := mp.PacketWith(tcpPkt(t, 1, 80), &s)
-	if mr.Mask != 0 || mr.Match() {
+	mr := evalMulti(mp, tcpPkt(t, 1, 80))
+	if mr.Mask != 0 {
 		t.Fatalf("mask = %b, want 0", mr.Mask)
 	}
 }
@@ -69,8 +70,7 @@ func TestMultiProgramFreeSlots(t *testing.T) {
 	if mp.Live() != 1 {
 		t.Fatalf("Live() = %d, want 1", mp.Live())
 	}
-	var s MultiScratch
-	mr := mp.PacketWith(tcpPkt(t, 1, 80), &s)
+	mr := evalMulti(mp, tcpPkt(t, 1, 80))
 	if mr.Mask != 0b010 {
 		t.Fatalf("mask = %b, want 010", mr.Mask)
 	}
@@ -101,7 +101,6 @@ func TestMultiProgramNilProgram(t *testing.T) {
 func TestMultiProgramAgreesWithStandalone(t *testing.T) {
 	filters := []string{"tcp.port >= 100", "ipv4 and udp", "tls.sni ~ 'x'"}
 	mp := multiProg(t, 7, filters...)
-	var ms MultiScratch
 	var ps PacketScratch
 	pkts := map[string]*layers.Parsed{
 		"tcp443":  tcpPkt(t, 1234, 443),
@@ -113,7 +112,7 @@ func TestMultiProgramAgreesWithStandalone(t *testing.T) {
 		standalone := MustCompile(src, Options{})
 		for name, parsed := range pkts {
 			want := standalone.PacketWith(parsed, &ps)
-			mr := mp.PacketWith(parsed, &ms)
+			mr := evalMulti(mp, parsed)
 			got := mr.Res[i]
 			if got.Match != want.Match || got.Terminal != want.Terminal || got.Node != want.Node {
 				t.Fatalf("slot %d (%s) on %s: got %+v, want %+v", i, src, name, got, want)

@@ -25,7 +25,6 @@ type Program struct {
 	Trie   *Trie
 	Rules  []FlowRule
 
-	Packet  PacketFilterFunc
 	Conn    ConnFilterFunc
 	Session SessionFilterFunc
 
@@ -35,8 +34,7 @@ type Program struct {
 }
 
 // PacketWith evaluates the software packet filter with the caller's
-// reusable scratch, avoiding Packet's per-call accumulator allocation.
-// The cores use it with one scratch each on the hot path.
+// reusable scratch; the cores keep one scratch each on the hot path.
 func (p *Program) PacketWith(pk *layers.Parsed, s *PacketScratch) Result {
 	return p.packetEval(pk, s)
 }
@@ -92,12 +90,6 @@ func Compile(source string, opts Options) (*Program, error) {
 	default:
 		return nil, fmt.Errorf("filter: unknown engine %d", opts.Engine)
 	}
-	eval := prog.packetEval
-	prog.Packet = func(p *layers.Parsed) Result {
-		var s PacketScratch
-		return eval(p, &s)
-	}
-
 	if opts.HW != nil {
 		prog.Rules = GenerateFlowRules(trie, opts.HW)
 	}

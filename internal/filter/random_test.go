@@ -96,8 +96,8 @@ func TestRandomFiltersEnginesAgree(t *testing.T) {
 		compiledOK++
 		for j := 0; j < 20; j++ {
 			pkt := randomParsedPacket(rng)
-			rc := comp.Packet(pkt)
-			ri := interp.Packet(pkt)
+			rc := packet(comp, pkt)
+			ri := packet(interp, pkt)
 			if !rc.Equal(ri) {
 				t.Fatalf("filter %q: compiled %+v vs interpreted %+v", src, rc, ri)
 			}
@@ -150,7 +150,7 @@ func TestRandomFiltersHWRulesAreBroader(t *testing.T) {
 		}
 		for j := 0; j < 30; j++ {
 			pkt := randomParsedPacket(rng)
-			if prog.Packet(pkt).Match && !hwAdmits(pkt) {
+			if packet(prog, pkt).Match && !hwAdmits(pkt) {
 				t.Fatalf("filter %q: software matched a packet the hardware rules drop", src)
 			}
 		}

@@ -1,7 +1,8 @@
 // Package metrics provides the measurement substrate the benchmark
 // harness uses: a virtual cycle clock (substituting for rdtsc on the
-// paper's 3 GHz Xeon), throughput and loss meters, and histogram/CDF
-// helpers for regenerating the paper's figures.
+// paper's 3 GHz Xeon), stage timers, throughput helpers, and the
+// exact-percentile Series behind the paper's CDFs and tables. Bucketed
+// histograms live in the telemetry package.
 package metrics
 
 import (
@@ -101,36 +102,6 @@ func (s *StageTimer) AvgCycles() float64 {
 	return NsToCycles(float64(s.nanos.Load()) / float64(c))
 }
 
-// Meter tracks a byte/packet rate over wall time.
-type Meter struct {
-	bytes   atomic.Uint64
-	packets atomic.Uint64
-	start   time.Time
-}
-
-// NewMeter starts a meter.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Record adds one packet of n bytes.
-func (m *Meter) Record(n int) {
-	m.bytes.Add(uint64(n))
-	m.packets.Add(1)
-}
-
-// Totals returns cumulative bytes and packets.
-func (m *Meter) Totals() (bytes, packets uint64) {
-	return m.bytes.Load(), m.packets.Load()
-}
-
-// Gbps returns the average rate since the meter started.
-func (m *Meter) Gbps() float64 {
-	el := time.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.bytes.Load()) * 8 / el / 1e9
-}
-
 // GbpsOver computes Gbps for an explicit byte count and duration —
 // used when experiments run on virtual time.
 func GbpsOver(bytes uint64, d time.Duration) float64 {
@@ -139,52 +110,6 @@ func GbpsOver(bytes uint64, d time.Duration) float64 {
 	}
 	return float64(bytes) * 8 / d.Seconds() / 1e9
 }
-
-// Histogram is a fixed-bucket histogram for packet sizes and similar
-// bounded quantities (Figure 13). Observe is safe for concurrent use
-// (bucket and total updates are atomic); readers see a histogram that
-// may be mid-update but never corrupt, which is the consistency the
-// telemetry layer's scrapes need.
-type Histogram struct {
-	bounds []float64 // upper bounds, ascending; immutable after creation
-	counts []uint64  // accessed atomically
-	total  uint64    // accessed atomically
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds;
-// values above the last bound land in a final overflow bucket.
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe adds a value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	// total before the bucket, so no bucket ever exceeds total (Bucket
-	// reads in the opposite order).
-	atomic.AddUint64(&h.total, 1)
-	atomic.AddUint64(&h.counts[i], 1)
-}
-
-// Bucket returns the bucket's upper bound ("+Inf" last) and its fraction
-// of observations.
-func (h *Histogram) Bucket(i int) (bound float64, frac float64) {
-	bound = math.Inf(1)
-	if i < len(h.bounds) {
-		bound = h.bounds[i]
-	}
-	n := atomic.LoadUint64(&h.counts[i])
-	if total := atomic.LoadUint64(&h.total); total > 0 {
-		frac = float64(n) / float64(total)
-	}
-	return bound, frac
-}
-
-// NumBuckets returns the bucket count (len(bounds)+1).
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return atomic.LoadUint64(&h.total) }
 
 // Series is an accumulating sample set with percentile and CDF queries
 // (Figures 8, 9; Table 2's P50/P99 rows). All methods are guarded by an

@@ -41,19 +41,6 @@ func TestStageTimer(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	m.Record(1000)
-	m.Record(500)
-	b, p := m.Totals()
-	if b != 1500 || p != 2 {
-		t.Fatalf("totals %d %d", b, p)
-	}
-	if m.Gbps() <= 0 {
-		t.Fatal("Gbps not positive")
-	}
-}
-
 func TestGbpsOver(t *testing.T) {
 	// 125 MB in 1s = 1 Gbps.
 	if got := GbpsOver(125_000_000, time.Second); math.Abs(got-1.0) > 1e-9 {
@@ -61,24 +48,6 @@ func TestGbpsOver(t *testing.T) {
 	}
 	if GbpsOver(1, 0) != 0 {
 		t.Fatal("zero duration should yield 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{100, 500, 1500})
-	for _, v := range []float64{50, 99, 100, 400, 1400, 9000} {
-		h.Observe(v)
-	}
-	if h.Total() != 6 || h.NumBuckets() != 4 {
-		t.Fatalf("total=%d buckets=%d", h.Total(), h.NumBuckets())
-	}
-	bound, frac := h.Bucket(0)
-	if bound != 100 || math.Abs(frac-0.5) > 1e-9 { // 50, 99, 100 → 3/6
-		t.Fatalf("bucket0 = %v %v", bound, frac)
-	}
-	bound, frac = h.Bucket(3)
-	if !math.IsInf(bound, 1) || math.Abs(frac-1.0/6) > 1e-9 {
-		t.Fatalf("overflow bucket = %v %v", bound, frac)
 	}
 }
 
@@ -169,46 +138,6 @@ func TestStageTimerNanosExact(t *testing.T) {
 	}
 	if st.Count() != 5 {
 		t.Fatalf("Count = %d", st.Count())
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram([]float64{10, 100, 1000})
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 5000
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(float64((g*per + i) % 2000))
-			}
-		}(g)
-	}
-	// Concurrent reader: fractions must stay within [0,1] even mid-run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 1000; i++ {
-			for b := 0; b < h.NumBuckets(); b++ {
-				if _, frac := h.Bucket(b); frac < 0 || frac > 1.000001 {
-					t.Errorf("bucket %d fraction %v out of range", b, frac)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	if h.Total() != goroutines*per {
-		t.Fatalf("Total = %d, want %d", h.Total(), goroutines*per)
-	}
-	sum := 0.0
-	for b := 0; b < h.NumBuckets(); b++ {
-		_, frac := h.Bucket(b)
-		sum += frac
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("bucket fractions sum to %v, want 1", sum)
 	}
 }
 

@@ -496,7 +496,7 @@ func (n *NIC) deliver(frame []byte, tick uint64) {
 		return
 	}
 
-	if tbl := n.tbl.Load(); tbl.on && !matchRules(tbl, &n.parsed) {
+	if tbl := n.tbl.Load(); tbl.on && !matchRules(tbl.rules, &n.parsed) {
 		n.hwDropped.Add(1)
 		return
 	}
@@ -600,8 +600,10 @@ func (n *NIC) flushQueue(q int) {
 	n.pending[q] = pq[:0]
 }
 
-func matchRules(tbl *ruleTable, p *layers.Parsed) bool {
-	for _, r := range tbl.rules {
+// matchRules reports whether any rule's conjunction matches the frame,
+// counting a hit on the first rule that does.
+func matchRules(rules []*compiledRule, p *layers.Parsed) bool {
+	for _, r := range rules {
 		ok := true
 		for _, m := range r.matchers {
 			if !m(p) {

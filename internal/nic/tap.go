@@ -88,30 +88,9 @@ func (n *NIC) RemoveAggTap(id int) {
 // rule matching — a counter stage sits before the drop stages.
 func (n *NIC) runTaps(tt *tapTable, p *layers.Parsed, wire int, tick uint64) {
 	for _, t := range tt.taps {
-		if tapMatch(t.rules, p) {
+		// An empty rule set is the catch-all: it counts every frame.
+		if len(t.rules) == 0 || matchRules(t.rules, p) {
 			t.fn(wire, tick)
 		}
 	}
-}
-
-// tapMatch reports whether any rule's conjunction matches (an empty
-// rule set — the catch-all — matches everything).
-func tapMatch(rules []*compiledRule, p *layers.Parsed) bool {
-	if len(rules) == 0 {
-		return true
-	}
-	for _, r := range rules {
-		ok := true
-		for _, m := range r.matchers {
-			if !m(p) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			r.hits.Add(1)
-			return true
-		}
-	}
-	return false
 }

@@ -481,7 +481,7 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 	var slots []*core.SubSpec
 	var prog *filter.Program
 	if sub != nil {
-		spec, err := ctl.NewSpec("main", cfg.Filter, sub, ctlOpts)
+		spec, err := ctl.NewSpec("main", cfg.Filter, sub, nil, ctlOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -615,11 +615,7 @@ type SubscriptionInfo = ctl.SubInfo
 // rules grow before the swap so coverage never narrows. Safe to call
 // while Run is processing traffic.
 func (r *Runtime) AddSubscription(name, filterSrc string, sub *Subscription) (SubscriptionInfo, error) {
-	info, err := r.plane.Add(name, filterSrc, sub)
-	if spec := r.plane.Spec(name); spec != nil {
-		r.registerSubscriptionMetrics(spec)
-	}
-	return info, err
+	return r.AddSubscriptionWithAggregate(name, filterSrc, sub, nil)
 }
 
 // AddSubscriptionWithAggregate is AddSubscription plus a declarative
@@ -628,7 +624,7 @@ func (r *Runtime) AddSubscription(name, filterSrc string, sub *Subscription) (Su
 // (aggregate.Compile), and a NIC-stage query additionally installs a
 // device tap over the filter's exact hardware rules.
 func (r *Runtime) AddSubscriptionWithAggregate(name, filterSrc string, sub *Subscription, agg *AggregateSpec) (SubscriptionInfo, error) {
-	info, err := r.plane.AddWithAggregate(name, filterSrc, sub, agg)
+	info, err := r.plane.Add(name, filterSrc, sub, agg)
 	spec := r.plane.Spec(name)
 	if spec != nil {
 		r.registerSubscriptionMetrics(spec)
@@ -917,10 +913,12 @@ func (r *Runtime) RunOffline(src Source) Stats {
 // perfectly even RSS spread, N (the core count) means one core took
 // everything — over the window since the previous RSSSkew call (the
 // first call covers the whole run, so a single post-run read matches
-// the old cumulative semantics). Windowing makes the gauge react to
-// traffic shifts instead of averaging them away, which is what the
-// adaptive rebalancer needs; RSSSkewCumulative keeps the whole-run
-// figure. 1.0 when the window saw no traffic.
+// the old cumulative semantics). Windowing makes the LiveStats gauge
+// react to traffic shifts instead of averaging them away. The adaptive
+// rebalancer does not read it: it windows the device's per-bucket
+// counters (NIC.BucketPackets) itself and scores queues with
+// rebalance.Skew. RSSSkewCumulative keeps the whole-run figure. 1.0
+// when the window saw no traffic.
 func (r *Runtime) RSSSkew() float64 {
 	r.skewMu.Lock()
 	defer r.skewMu.Unlock()

@@ -3,6 +3,7 @@ package retina
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"retina/internal/aggregate"
@@ -104,4 +105,15 @@ func (r *Runtime) AddSubscriptionSpecs(specs []SubscriptionSpec) error {
 		}
 	}
 	return nil
+}
+
+// WriteSubscriptionTable renders subs as the subscription table the CLI
+// tools print after a run: id, name, level, callback invocations,
+// matched connections and the filter expression.
+func WriteSubscriptionTable(w io.Writer, subs []SubscriptionInfo) {
+	fmt.Fprintln(w, "id  name                  level       delivered  matched-conns  filter")
+	for _, info := range subs {
+		fmt.Fprintf(w, "%-3d %-21s %-10s %10d %14d  %s\n",
+			info.ID, info.Name, info.Level, info.Delivered, info.MatchedConns, info.Filter)
+	}
 }

@@ -141,3 +141,24 @@ func TestSubscriptionSpecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 }
+
+// TestRunSummaryRenderers pins the subscription table and the rebalance
+// line that retina-pcap and retina-bench print after a run.
+func TestRunSummaryRenderers(t *testing.T) {
+	var b strings.Builder
+	WriteSubscriptionTable(&b, []SubscriptionInfo{
+		{ID: 0, Name: "web", Level: "packet", Delivered: 1234, MatchedConns: 0, Filter: "tcp.port = 80"},
+		{ID: 12, Name: "tls-handshakes", Level: "session", Delivered: 7, MatchedConns: 9, Filter: "tls"},
+	})
+	want := "id  name                  level       delivered  matched-conns  filter\n" +
+		"0   web                   packet           1234              0  tcp.port = 80\n" +
+		"12  tls-handshakes        session             7              9  tls\n"
+	if b.String() != want {
+		t.Fatalf("subscription table:\n%s\nwant:\n%s", b.String(), want)
+	}
+
+	st := RebalanceStatus{Moves: 3, ConnsMigrated: 41, Rounds: 10, FailedMoves: 1, LastSkew: 1.234, LastError: "ignored"}
+	if got, want := st.String(), "rebalance: 3 bucket moves, 41 conns migrated, 10 rounds (1 failed moves), last skew 1.23"; got != want {
+		t.Fatalf("rebalance line = %q, want %q", got, want)
+	}
+}

@@ -636,6 +636,12 @@ type RebalanceStatus struct {
 	LastError     string  `json:"last_error,omitempty"`
 }
 
+// String renders the one-line rebalance summary the CLI tools print.
+func (s RebalanceStatus) String() string {
+	return fmt.Sprintf("rebalance: %d bucket moves, %d conns migrated, %d rounds (%d failed moves), last skew %.2f",
+		s.Moves, s.ConnsMigrated, s.Rounds, s.FailedMoves, s.LastSkew)
+}
+
 // ObservabilityStatus is the latency/duty slice of StatusReport,
 // populated when Config.LatencyTracking is enabled.
 type ObservabilityStatus struct {
