@@ -8,7 +8,8 @@
 //
 //  1. filter metadata (name, parent protocol, filterable fields), and
 //
-//  2. a stateful per-connection parser implementing proto.Parser.
+//  2. a stateful per-connection parser implementing proto.Parser, whose
+//     Probe method is stateless (one instance probes every connection).
 //
 //     go run ./examples/customproto
 package main
@@ -62,6 +63,9 @@ type memoParser struct {
 
 func (p *memoParser) Name() string { return "memo" }
 
+// Probe must be stateless: it may read only its arguments, never p.
+// The runtime probes every connection with one shared memoParser and
+// builds a connection's own parser only once Probe reports a match.
 func (p *memoParser) Probe(data []byte, orig bool) proto.ProbeResult {
 	if !orig {
 		return proto.ProbeUnsure

@@ -208,9 +208,9 @@ type FlowCount struct {
 // across seven lines and showed up as the single largest line item in
 // the tracking-overhead profile.
 type FlowWitness struct {
-	seen   uint64              // packets offered (sampling counter)
-	fp     [witnessK]uint32    // port-pair fingerprints (scanned per sample)
-	counts [witnessK]uint64    // sampled packet counts (scanned per sample)
+	seen   uint64                     // packets offered (sampling counter)
+	fp     [witnessK]uint32           // port-pair fingerprints (scanned per sample)
+	counts [witnessK]uint64           // sampled packet counts (scanned per sample)
 	tuples [witnessK]layers.FiveTuple // full tuples (verify + publish only)
 	n      int
 	dirty  bool

@@ -206,6 +206,13 @@ type Core struct {
 	// losing window contents.
 	aggBySlot []*aggregate.CoreState
 	aggStates []*aggregate.CoreState
+
+	// Connection-state slab (connstate.go): freeStates lists reusable
+	// states, releasedStates those retired since the last burst
+	// boundary, and stateChunk is the size of the last chunk carved.
+	freeStates     *connState
+	releasedStates *connState
+	stateChunk     int
 }
 
 // obsFlushEvery is the observability fold interval in bursts (power of
@@ -255,136 +262,6 @@ type pktToken struct {
 type pktBufEntry struct {
 	m   *mbuf.Mbuf
 	tok *pktToken
-}
-
-// subState is one subscription's per-connection processing state.
-type subState struct {
-	// spec identifies the subscription (pointer identity; stable across
-	// program swaps). nil marks a free slot.
-	spec *SubSpec
-
-	matched  bool // full filter match achieved for this subscription
-	rejected bool // this subscription's filter failed for the connection
-	// drain marks a removed subscription kept only to deliver its final
-	// connection record; it receives no new data.
-	drain bool
-
-	// frontier is the union of packet-filter frontier nodes matched by
-	// the connection's packets for this subscription: every trie branch
-	// still viable. The connection filter must try all of them — a
-	// single mark commits to one branch and silently drops patterns
-	// matched on another. An empty frontier means the subscription is
-	// dormant for the connection (none of its packets matched yet).
-	frontier []int
-	// connMarks are the connection-filter nodes that matched once the
-	// service was identified; the session filter must likewise try all.
-	connMarks []int
-	connMark  int
-
-	// Packet-level subscriptions: frames buffered while the verdict is
-	// pending, flushed on match.
-	pktBuf      []pktBufEntry
-	pktBufBytes int
-
-	// Byte-stream subscriptions: chunks copied while the verdict is
-	// pending, flushed on match.
-	streamBuf      []StreamChunk
-	streamBufBytes int
-	streamOverflow bool
-}
-
-// engaged reports whether any packet of the connection has matched the
-// subscription's packet filter.
-func (s *subState) engaged() bool { return len(s.frontier) > 0 }
-
-// connState is the per-connection processing state (the Trackable of
-// Appendix A): stream machinery shared by all subscriptions plus one
-// subState per program-set slot. subs is aligned with the current
-// ProgramSet's slots (index i ↔ slot i) whenever epoch is current;
-// draining connection-record entries are appended past the slot count.
-type connState struct {
-	epoch uint64
-	subs  []subState
-
-	reasm      *reassembly.Lite
-	candidates []proto.Parser
-	active     proto.Parser
-	probeBytes int
-
-	// identified/unidentified record the probe outcome; tombstone marks
-	// a connection every subscription has rejected (kept as a zero-cost
-	// entry the normal timeouts collect).
-	identified   bool
-	unidentified bool
-	tombstone    bool
-
-	// offloaded marks that the connection's terminal verdict has been
-	// published to the flow-offload manager (one-shot per connection;
-	// expiry queues the matching removal).
-	offloaded bool
-
-	// pktBufBytes and streamBufBytes are the packet- and stream-buffer
-	// budget reserved across all subscriptions; inPending marks live
-	// membership in the core's pendingBuf shed queue.
-	pktBufBytes    int
-	streamBufBytes int
-	inPending      bool
-
-	finOrig bool
-	finResp bool
-
-	// trace is the connection's sampled lifecycle span (nil when the
-	// connection was not sampled or tracing is off).
-	trace *telemetry.ConnTrace
-}
-
-// syncMem sets the connection's ExtraMem to the bytes it holds: packet-
-// and stream-buffer bytes as charged to the overload accountant, plus
-// the reassembler's parked payload. Every path that changes one of them
-// calls it, so the table's memory figure never drifts.
-func (cs *connState) syncMem(conn *conntrack.Conn) {
-	n := cs.pktBufBytes + cs.streamBufBytes
-	if cs.reasm != nil {
-		n += cs.reasm.BufferedBytes()
-	}
-	conn.ExtraMem = n
-}
-
-// anyStreamLive reports whether any byte-stream subscription still wants
-// the connection's reconstructed bytes (matched, or engaged and verdict
-// pending).
-func (cs *connState) anyStreamLive() bool {
-	for i := range cs.subs {
-		s := &cs.subs[i]
-		if s.spec == nil || s.rejected || s.drain {
-			continue
-		}
-		if s.spec.Sub.Level != LevelStream {
-			continue
-		}
-		if s.matched || s.engaged() {
-			return true
-		}
-	}
-	return false
-}
-
-// allRejected reports whether every present subscription entry has
-// rejected the connection (dormant pending entries block, since a later
-// packet may still engage them; so do draining record entries).
-func (cs *connState) allRejected() bool {
-	any := false
-	for i := range cs.subs {
-		s := &cs.subs[i]
-		if s.spec == nil {
-			continue
-		}
-		any = true
-		if !s.rejected {
-			return false
-		}
-	}
-	return any
 }
 
 // NewCore builds a core. The parser registry is populated with the union
@@ -620,6 +497,7 @@ func (c *Core) ProcessBurst(ms []*mbuf.Mbuf) {
 	c.foldDelta(&d)
 	c.advance()
 	c.flushOffload()
+	c.recycleStates()
 	if c.lat != nil {
 		c.obsBursts++
 		if c.obsBursts&(obsFlushEvery-1) == 0 {
@@ -718,6 +596,7 @@ func (c *Core) AdvanceTime(tick uint64) {
 	}
 	c.advance()
 	c.flushOffload()
+	c.recycleStates()
 	c.publishObs()
 }
 
@@ -950,24 +829,6 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 	c.maybeTerminate(conn, cs, ft, flags)
 }
 
-// state returns the connection's subscription state, creating it if the
-// connection was made before initConn ran (defensive) and reconciling it
-// to the current program-set epoch.
-func (c *Core) state(conn *conntrack.Conn) *connState {
-	cs, ok := conn.UserData.(*connState)
-	if !ok {
-		cs = &connState{epoch: c.ps.Epoch, subs: make([]subState, len(c.ps.Slots))}
-		for i, spec := range c.ps.Slots {
-			cs.subs[i].spec = spec
-		}
-		conn.UserData = cs
-	}
-	if cs.epoch != c.ps.Epoch {
-		c.reconcileConn(conn, cs)
-	}
-	return cs
-}
-
 // reconcileConn realigns a connection's per-subscription state with the
 // current program set after an epoch swap. Entries are carried over by
 // SubSpec identity (slot indices may have been recycled); removed
@@ -979,10 +840,14 @@ func (c *Core) state(conn *conntrack.Conn) *connState {
 func (c *Core) reconcileConn(conn *conntrack.Conn, cs *connState) {
 	ps := c.ps
 	old := cs.subs
-	subs := make([]subState, len(ps.Slots))
-	for i, spec := range ps.Slots {
-		subs[i].spec = spec
+	var inline [len(cs.sub0)]subState
+	if len(old) > 0 && &old[0] == &cs.sub0[0] {
+		// The new subs may reuse the inline slot: copy out of it first.
+		copy(inline[:], old)
+		old = inline[:len(old)]
 	}
+	cs.initSubs(ps)
+	subs := cs.subs
 	for oi := range old {
 		s := &old[oi]
 		if s.spec == nil {
@@ -1015,7 +880,6 @@ func (c *Core) reconcileConn(conn *conntrack.Conn, cs *connState) {
 		c.dropSubEntry(conn, cs, s)
 	}
 	cs.subs = subs
-	cs.epoch = ps.Epoch
 
 	// Recompute the matched-subscription bitmask over the new alignment.
 	conn.SubMask = 0
@@ -1120,19 +984,6 @@ func (c *Core) activateSub(conn *conntrack.Conn, cs *connState, si int, s *subSt
 	c.rejectSub(conn, cs, s)
 }
 
-// addFrontier unions a packet-filter result's frontier nodes into the
-// subscription's viable-branch set.
-func (s *subState) addFrontier(res filter.Result) {
-	res.FrontierNodes(func(n int) {
-		for _, have := range s.frontier {
-			if have == n {
-				return
-			}
-		}
-		s.frontier = append(s.frontier, n)
-	})
-}
-
 // evalConnSub runs one subscription's connection filter from every
 // viable packet-filter frontier node, collecting all distinct matching
 // connection nodes into s.connMarks. It returns the best verdict
@@ -1141,23 +992,16 @@ func (s *subState) addFrontier(res filter.Result) {
 // another.
 func (c *Core) evalConnSub(conn *conntrack.Conn, s *subState) filter.Result {
 	best := filter.NoMatch
-	s.connMarks = s.connMarks[:0]
-	for _, pn := range s.frontier {
-		r := s.spec.Prog.Conn(conn, pn)
+	s.connMarks.reset()
+	for i := 0; i < s.frontier.len(); i++ {
+		r := s.spec.Prog.Conn(conn, s.frontier.at(i))
 		if !r.Match {
 			continue
 		}
 		// A conn result can itself carry a frontier: the identified
 		// service may match on the mark and on an ancestor branch, each
 		// with its own session continuation.
-		r.FrontierNodes(func(node int) {
-			for _, mk := range s.connMarks {
-				if mk == node {
-					return
-				}
-			}
-			s.connMarks = append(s.connMarks, node)
-		})
+		r.FrontierNodes(func(node int) { s.connMarks.add(node) })
 		if !best.Match || (r.Terminal && !best.Terminal) {
 			best = r
 		}
@@ -1172,11 +1016,8 @@ func (c *Core) evalConnSub(conn *conntrack.Conn, s *subState) filter.Result {
 // reassembles if any byte-stream subscription is in scope, and goes
 // straight to lightweight tracking only when every subscription agrees.
 func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
-	ps := c.ps
-	cs := &connState{epoch: ps.Epoch, subs: make([]subState, len(ps.Slots))}
-	for i, spec := range ps.Slots {
-		cs.subs[i].spec = spec
-	}
+	cs := c.newState()
+	cs.initSubs(c.ps)
 	conn.UserData = cs
 	rem := mr.Mask
 	for rem != 0 {
@@ -1188,7 +1029,7 @@ func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
 		cs.trace = c.tracer.Start(c.ID, conn.ID, conn.Tuple.String(), c.now)
 	}
 
-	needParse := len(c.parReg.Names()) > 0
+	needParse := c.parReg.Len() > 0
 
 	// A packet-terminal mark means a subscription's whole filter is
 	// already satisfied for this connection.
@@ -1234,7 +1075,8 @@ func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
 
 	if wantProbe && needParse {
 		conn.State = conntrack.StateProbe
-		cs.candidates = c.parReg.NewParsers()
+		cs.probeReg = c.parReg
+		cs.candidates = ^uint64(0) >> (64 - c.parReg.Len())
 	} else if wantProbe {
 		// Nothing can identify the protocol; without identification the
 		// connection filter can never pass a non-terminal mark.
@@ -1255,7 +1097,8 @@ func (c *Core) initConn(conn *conntrack.Conn, mr filter.MultiResult) {
 		(conn.State == conntrack.StateProbe || conn.State == conntrack.StateParse ||
 			cs.anyStreamLive())
 	if needReasm {
-		cs.reasm = reassembly.NewLite(reassembly.DefaultMaxOutOfOrder)
+		cs.reasmStore.Reset(reassembly.DefaultMaxOutOfOrder)
+		cs.reasm = &cs.reasmStore
 		cs.reasm.SetBudget(c.reasmHooks)
 	}
 }
@@ -1297,10 +1140,12 @@ func (c *Core) feed(conn *conntrack.Conn, cs *connState, p *layers.Parsed, m *mb
 	if len(payload) > 0 {
 		// The reassembler may park the segment; hold a buffer reference
 		// until it lets go.
-		held := m.Ref()
-		seg.Release = func() { held.Free() }
+		seg.Release = m.Ref()
 	}
-	reasm := cs.reasm // emit callbacks may release cs.reasm mid-insert
+	// Emit callbacks may release cs.reasm mid-insert (it then points at
+	// nothing while reasmStore finishes the call); the store is reset
+	// only when the whole state is recycled at the burst boundary.
+	reasm := cs.reasm
 	c.stages.Time(StageReassembly, func() {
 		err := reasm.Insert(seg, func(out reassembly.Segment) {
 			if len(out.Payload) == 0 {
@@ -1330,15 +1175,18 @@ func (c *Core) feed(conn *conntrack.Conn, cs *connState, p *layers.Parsed, m *mb
 func (c *Core) handleStreamData(conn *conntrack.Conn, cs *connState, data []byte, orig bool) {
 	if conn.State == conntrack.StateProbe && cs.active == nil {
 		cs.probeBytes += len(data)
-		kept := cs.candidates[:0]
-		for _, p := range cs.candidates {
+		// Probe on the registry's shared probers; only the matching
+		// protocol gets a parser of its own.
+		reg := cs.probeReg
+		for rem := cs.candidates; rem != 0; rem &= rem - 1 {
+			i := bits.TrailingZeros64(rem)
+			p := reg.Prober(i)
 			switch p.Probe(data, orig) {
 			case proto.ProbeMatch:
-				cs.active = p
-				conn.Service = p.Name()
-			case proto.ProbeUnsure:
-				kept = append(kept, p)
+				cs.active = reg.New(i)
+				conn.Service = cs.active.Name()
 			case proto.ProbeReject:
+				cs.candidates &^= 1 << uint(i)
 				c.ctr.probeRejects.Inc()
 				if ctr := c.protoCtr.Load().probeRejects[p.Name()]; ctr != nil {
 					ctr.Inc()
@@ -1348,18 +1196,17 @@ func (c *Core) handleStreamData(conn *conntrack.Conn, cs *connState, data []byte
 				break
 			}
 		}
-		cs.candidates = kept
 
 		if cs.active != nil {
-			cs.candidates = nil
+			cs.candidates, cs.probeReg = 0, nil
 			c.onServiceIdentified(conn, cs)
 			if cs.tombstone {
 				return
 			}
-		} else if len(cs.candidates) == 0 || cs.probeBytes > probeBudget {
+		} else if cs.candidates == 0 || cs.probeBytes > probeBudget {
 			// Unidentifiable protocol: every pending subscription's
 			// connection filter can never rule now.
-			cs.candidates = nil
+			cs.candidates, cs.probeReg = 0, nil
 			cs.unidentified = true
 			c.ctr.connsUnidentified.Inc()
 			c.abandonParsing(conn, cs)
@@ -1479,13 +1326,13 @@ func (c *Core) onServiceIdentified(conn *conntrack.Conn, cs *connState) {
 // sessionOK evaluates one subscription's session filter against a parsed
 // session.
 func (c *Core) sessionOK(s *subState, data filter.Session) bool {
-	if len(s.connMarks) == 0 {
+	if s.connMarks.len() == 0 {
 		return s.spec.Prog.Session(data, s.connMark)
 	}
 	// Every matched connection node may carry different session
 	// predicates; any of them passing delivers the session.
-	for _, mark := range s.connMarks {
-		if s.spec.Prog.Session(data, mark) {
+	for i := 0; i < s.connMarks.len(); i++ {
+		if s.spec.Prog.Session(data, s.connMarks.at(i)) {
 			return true
 		}
 	}
@@ -1994,7 +1841,7 @@ func (c *Core) releaseStreamState(conn *conntrack.Conn, cs *connState) {
 		cs.reasm.FlushAll(func(reassembly.Segment) {})
 		cs.reasm = nil
 	}
-	cs.candidates = nil
+	cs.candidates, cs.probeReg = 0, nil
 	cs.active = nil
 	cs.syncMem(conn)
 }
@@ -2024,8 +1871,9 @@ func (c *Core) onExpire(conn *conntrack.Conn, reason conntrack.ExpireReason) {
 }
 
 // finishConn delivers final records to every matched connection-level
-// subscription (including draining removed ones) and frees held
-// resources. Safe to call more than once.
+// subscription (including draining removed ones), frees held resources
+// and retires the state (recycled at the burst boundary; cs stays
+// readable until then). Safe to call more than once.
 func (c *Core) finishConn(conn *conntrack.Conn, cs *connState, reason conntrack.ExpireReason) {
 	for si := range cs.subs {
 		s := &cs.subs[si]
@@ -2099,6 +1947,7 @@ func (c *Core) finishConn(conn *conntrack.Conn, cs *connState, reason conntrack.
 	conn.SubMask = 0
 	cs.tombstone = true
 	c.releaseStreamState(conn, cs)
+	c.retireState(conn, cs)
 }
 
 // Flush delivers records for all live connections (end of run) and
@@ -2116,6 +1965,7 @@ func (c *Core) Flush() {
 		c.queueOffloadRemove(conn, cs)
 	}
 	c.flushOffload()
+	c.recycleStates()
 	// Seal all aggregation windows: input has ended for this core, so
 	// every open window's contents are final and must reach the merger.
 	for _, st := range c.aggStates {

@@ -187,9 +187,9 @@ type CoreStats struct {
 
 	// Overload-control drops: shedding under budget or resource
 	// pressure rather than hard structural bounds.
-	PktBufBudget    uint64 // packets not buffered / discarded: per-core pktbuf byte budget
-	ShedLowPool     uint64 // packets not buffered: pool/ring low-watermark pressure
-	EvictedPressure uint64 // buffered packets discarded by pressure-driven conn eviction
+	PktBufBudget     uint64 // packets not buffered / discarded: per-core pktbuf byte budget
+	ShedLowPool      uint64 // packets not buffered: pool/ring low-watermark pressure
+	EvictedPressure  uint64 // buffered packets discarded by pressure-driven conn eviction
 	ReasmBudgetDrops uint64 // segments refused or shed: reassembly byte budget
 
 	// Connection-level outcomes.

@@ -466,6 +466,17 @@ func (n *NIC) Close() {
 	}
 }
 
+// Reopen readies a closed device for another run: its rings accept and
+// hold frames again, so consumers started afterwards wait for traffic
+// instead of exiting at once. Call it from the producer goroutine before
+// the consumers start. A device that was never closed is unaffected.
+func (n *NIC) Reopen() {
+	for _, r := range n.rings {
+		r.Reopen()
+	}
+	n.closed.Store(false)
+}
+
 // Closed reports whether Close has run — the producer has finished and
 // will never touch producer-owned state again, so queued assignment
 // requests may be applied from another goroutine (ApplyAssignsClosed).

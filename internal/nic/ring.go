@@ -154,6 +154,11 @@ func (r *Ring) Close() {
 	r.wake()
 }
 
+// Reopen undoes Close so the ring carries another run's traffic. Call it
+// before the consumer starts waiting: a consumer that already saw the
+// ring closed and empty has exited.
+func (r *Ring) Reopen() { r.closed.Store(false) }
+
 // Closed reports whether Close has been called.
 func (r *Ring) Closed() bool { return r.closed.Load() }
 

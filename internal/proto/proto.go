@@ -4,10 +4,11 @@
 // session filter can match on.
 //
 // Parsers are stateful per-connection objects created from registered
-// factories. They consume in-order payload bytes as delivered by the
-// light-weight reassembler and emit Sessions — parsed application-layer
-// units (a TLS handshake, an HTTP transaction, ...) — which implement
-// filter.Session.
+// factories once a connection's protocol is identified; identification
+// itself runs on one shared, stateless prober per protocol. They
+// consume in-order payload bytes as delivered by the light-weight
+// reassembler and emit Sessions — parsed application-layer units (a TLS
+// handshake, an HTTP transaction, ...) — which implement filter.Session.
 package proto
 
 import (
@@ -63,13 +64,21 @@ type Data interface {
 
 // Parser is a per-connection protocol parser (the ConnParsable trait).
 // Implementations receive in-order stream bytes per direction.
+//
+// Probe must be a pure function of its arguments: it may not read or
+// write parser state. A Registry probes every connection with one
+// shared instance per protocol and builds the connection's own parser
+// (from the factory) only once Probe returns ProbeMatch, so an
+// unidentified or rejected connection costs no parser allocation.
 type Parser interface {
 	// Name returns the protocol name as used in filters ("tls").
 	Name() string
 	// Probe inspects an in-order payload prefix and reports whether the
 	// stream speaks this protocol. orig marks originator→responder data.
+	// It must depend on data and orig alone (see above).
 	Probe(data []byte, orig bool) ProbeResult
-	// Parse consumes in-order payload bytes.
+	// Parse consumes in-order payload bytes. data is only valid for the
+	// call; a parser that needs bytes later must copy them.
 	Parse(data []byte, orig bool) ParseResult
 	// DrainSessions removes and returns completed, undelivered sessions.
 	DrainSessions() []*Session
@@ -85,42 +94,54 @@ type Parser interface {
 // Factory creates a fresh parser for a new connection.
 type Factory func() Parser
 
+// maxProtocols bounds a registry's size: connections track their
+// remaining probe candidates as a bitmask over registry indices.
+const maxProtocols = 64
+
 // Registry maps protocol names to parser factories — the "Parser
 // Registry" box of Figure 2. The runtime populates one per subscription
 // with only the protocols its filter can match, so probing work is
 // proportional to the subscription, not the protocol ecosystem.
+// Protocols are indexed 0..Len()-1 in registration order.
 type Registry struct {
-	factories map[string]Factory
-	order     []string
+	names     []string
+	factories []Factory
+	// probers holds one instance per protocol, built at registration and
+	// shared by every connection for Probe only (Probe is pure).
+	probers []Parser
 }
 
 // NewRegistry returns an empty parser registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: make(map[string]Factory)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds a parser factory under its protocol name.
 func (r *Registry) Register(name string, f Factory) error {
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("proto: parser %q already registered", name)
+	for _, n := range r.names {
+		if n == name {
+			return fmt.Errorf("proto: parser %q already registered", name)
+		}
 	}
-	r.factories[name] = f
-	r.order = append(r.order, name)
+	if len(r.names) == maxProtocols {
+		return fmt.Errorf("proto: registry holds at most %d protocols", maxProtocols)
+	}
+	r.names = append(r.names, name)
+	r.factories = append(r.factories, f)
+	r.probers = append(r.probers, f())
 	return nil
 }
 
-// Names lists registered protocols in registration order.
-func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
+// Len reports the number of registered protocols.
+func (r *Registry) Len() int { return len(r.names) }
 
-// NewParsers instantiates one parser of each registered protocol for a
-// new connection.
-func (r *Registry) NewParsers() []Parser {
-	out := make([]Parser, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.factories[name]())
-	}
-	return out
-}
+// Names lists registered protocols in registration order.
+func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
+
+// Prober returns protocol i's shared instance. Only its Name and Probe
+// may be called: it serves every connection at once.
+func (r *Registry) Prober(i int) Parser { return r.probers[i] }
+
+// New instantiates protocol i's parser for one connection.
+func (r *Registry) New(i int) Parser { return r.factories[i]() }
 
 // DefaultFactories returns factories for all built-in protocols.
 func DefaultFactories() map[string]Factory {

@@ -16,13 +16,15 @@ func TestRegistry(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "tls" || got[1] != "http" {
 		t.Fatalf("Names = %v", got)
 	}
-	parsers := r.NewParsers()
-	if len(parsers) != 2 || parsers[0].Name() != "tls" {
-		t.Fatalf("parsers = %v", parsers)
+	if r.Len() != 2 || r.New(0).Name() != "tls" || r.Prober(1).Name() != "http" {
+		t.Fatalf("Len = %d, New(0) = %q, Prober(1) = %q", r.Len(), r.New(0).Name(), r.Prober(1).Name())
 	}
-	// Fresh instances per connection.
-	if parsers[0] == r.NewParsers()[0] {
+	// Fresh instances per connection; one shared prober per protocol.
+	if r.New(0) == r.New(0) {
 		t.Fatal("registry reuses parser instances")
+	}
+	if r.Prober(0) != r.Prober(0) || r.Prober(0) == r.New(0) {
+		t.Fatal("prober is not one shared instance apart from connection parsers")
 	}
 	if _, err := BuildRegistry([]string{"gopher"}); err == nil {
 		t.Fatal("unknown protocol accepted")

@@ -99,9 +99,18 @@ func CipherSuiteName(id uint16) string {
 // TLSParser parses TLS handshakes from reassembled streams. It stops
 // parsing once the handshake transcript is complete — by design, Retina
 // never processes the encrypted portion of the connection (§5.2).
+//
+// The handshake and its session record live inside the parser, so a
+// parsed handshake costs the parser allocation and the fields' own
+// copies, nothing per record.
 type TLSParser struct {
+	// bufs holds, per direction, only the incomplete record tail a Parse
+	// call could not finish; complete records parse straight out of the
+	// caller's bytes whenever nothing is buffered.
 	bufs   [2][]byte
-	hs     *TLSHandshake
+	hs     TLSHandshake
+	sess   Session
+	outBuf [1]*Session
 	seenCH bool
 	seenSH bool
 	done   bool
@@ -111,7 +120,7 @@ type TLSParser struct {
 }
 
 // NewTLSParser creates a parser for one connection.
-func NewTLSParser() *TLSParser { return &TLSParser{hs: &TLSHandshake{}} }
+func NewTLSParser() *TLSParser { return &TLSParser{} }
 
 // Name implements Parser.
 func (p *TLSParser) Name() string { return "tls" }
@@ -136,6 +145,15 @@ func (p *TLSParser) Probe(data []byte, orig bool) ProbeResult {
 
 // Parse implements Parser.
 func (p *TLSParser) Parse(data []byte, orig bool) ParseResult {
+	return p.parse(data, orig, len(p.bufs[dirIdx(orig)]) == 0)
+}
+
+// parse feeds data to direction orig. inPlace parses complete records
+// straight out of data and copies only an incomplete tail; it requires
+// an empty buffer for the direction. Otherwise data is appended to the
+// buffer first. Both paths see the same bytes in the same order, so
+// they parse identically (FuzzTLSInPlace checks this).
+func (p *TLSParser) parse(data []byte, orig, inPlace bool) ParseResult {
 	if p.done {
 		return ParseDone
 	}
@@ -147,9 +165,19 @@ func (p *TLSParser) Parse(data []byte, orig bool) ParseResult {
 		p.failed = true
 		return ParseError
 	}
-	p.bufs[d] = append(p.bufs[d], data...)
-	if res := p.consume(d, orig); res != ParseContinue {
+	buf := data
+	if !inPlace {
+		p.bufs[d] = append(p.bufs[d], data...)
+		buf = p.bufs[d]
+	}
+	rest, res := p.consume(buf, orig)
+	if res != ParseContinue {
 		return res
+	}
+	if inPlace {
+		p.bufs[d] = append(p.bufs[d][:0], rest...)
+	} else {
+		p.bufs[d] = rest
 	}
 	if p.seenCH && p.seenSH {
 		p.finish()
@@ -165,9 +193,9 @@ func dirIdx(orig bool) int {
 	return 1
 }
 
-// consume processes complete TLS records buffered in direction d.
-func (p *TLSParser) consume(d int, orig bool) ParseResult {
-	buf := p.bufs[d]
+// consume processes the complete TLS records at the front of buf and
+// returns the unconsumed tail (an incomplete record).
+func (p *TLSParser) consume(buf []byte, orig bool) ([]byte, ParseResult) {
 	for len(buf) >= tlsRecordHeaderLen {
 		if buf[0] != tlsRecordHandshake {
 			// Non-handshake record (e.g. ChangeCipherSpec, appdata):
@@ -175,7 +203,7 @@ func (p *TLSParser) consume(d int, orig bool) ParseResult {
 			// otherwise this stream is not a handshake we understand.
 			if p.seenCH && p.seenSH {
 				p.finish()
-				return ParseDone
+				return nil, ParseDone
 			}
 			if buf[0] == 0x14 || buf[0] == 0x17 {
 				// Skip CCS/early-data records while waiting.
@@ -187,12 +215,12 @@ func (p *TLSParser) consume(d int, orig bool) ParseResult {
 				continue
 			}
 			p.failed = true
-			return ParseError
+			return nil, ParseError
 		}
 		recLen := int(binary.BigEndian.Uint16(buf[3:5]))
 		if recLen == 0 || recLen > 1<<14+256 {
 			p.failed = true
-			return ParseError
+			return nil, ParseError
 		}
 		if len(buf) < tlsRecordHeaderLen+recLen {
 			break // incomplete record
@@ -200,12 +228,11 @@ func (p *TLSParser) consume(d int, orig bool) ParseResult {
 		rec := buf[tlsRecordHeaderLen : tlsRecordHeaderLen+recLen]
 		if err := p.parseHandshakeRecord(rec, orig); err != nil {
 			p.failed = true
-			return ParseError
+			return nil, ParseError
 		}
 		buf = buf[tlsRecordHeaderLen+recLen:]
 	}
-	p.bufs[d] = buf
-	return ParseContinue
+	return buf, ParseContinue
 }
 
 // parseHandshakeRecord walks the handshake messages inside one record.
@@ -346,7 +373,8 @@ func (p *TLSParser) finish() {
 	}
 	p.done = true
 	p.nextID++
-	p.out = append(p.out, &Session{ID: p.nextID, Proto: "tls", Data: p.hs})
+	p.sess = Session{ID: p.nextID, Proto: "tls", Data: &p.hs}
+	p.out = append(p.outBuf[:0], &p.sess)
 	p.bufs[0], p.bufs[1] = nil, nil // release handshake buffers
 }
 

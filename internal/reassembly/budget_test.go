@@ -140,7 +140,7 @@ func TestLiteBudgetShedsFartherSegment(t *testing.T) {
 	if err := r.Insert(Segment{Seq: 0, Payload: make([]byte, 10), Orig: true}, emit); err != nil {
 		t.Fatalf("in-order: %v", err)
 	}
-	far := Segment{Seq: 5000, Payload: make([]byte, 80), Orig: true, Release: func() { released++ }}
+	far := Segment{Seq: 5000, Payload: make([]byte, 80), Orig: true, Release: freeFunc(func() { released++ })}
 	if err := r.Insert(far, emit); err != nil {
 		t.Fatalf("far park: %v", err)
 	}

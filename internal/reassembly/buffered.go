@@ -84,9 +84,7 @@ func (r *BufferedReassembler) Insert(seg Segment, emit func(Segment)) error {
 			cut := -off
 			if cut >= len(payload) {
 				r.stats.Retrans++
-				if seg.Release != nil {
-					seg.Release()
-				}
+				seg.release()
 				return nil
 			}
 			payload = payload[cut:]
@@ -98,9 +96,7 @@ func (r *BufferedReassembler) Insert(seg Segment, emit func(Segment)) error {
 			// instead of allocating the offset's worth of buffer (the
 			// unbounded-grow attack this cap exists to stop).
 			r.stats.Dropped++
-			if seg.Release != nil {
-				seg.Release()
-			}
+			seg.release()
 			return ErrBufferFull
 		}
 		end := off + len(payload)
@@ -124,9 +120,7 @@ func (r *BufferedReassembler) Insert(seg Segment, emit func(Segment)) error {
 	} else {
 		r.stats.InOrder++
 	}
-	if seg.Release != nil {
-		seg.Release()
-	}
+	seg.release()
 
 	if d.contig > d.emitted {
 		out := Segment{

@@ -135,7 +135,7 @@ func FuzzLiteVsBuffered(f *testing.F) {
 				Orig:    s.dir == 0,
 				SYN:     s.syn,
 				FIN:     s.fin,
-				Release: func() { released[idx]++ },
+				Release: freeFunc(func() { released[idx]++ }),
 			}
 			err := lite.Insert(seg, func(out Segment) { record(&liteGot, "lite", out, true) })
 			if err == ErrBufferFull || err == ErrBudget {

@@ -32,8 +32,8 @@ var ErrBufferFull = errors.New("reassembly: out-of-order buffer full")
 var ErrBudget = errors.New("reassembly: buffer byte budget exhausted")
 
 // Segment is one TCP payload unit flowing through the reassembler — the
-// paper's L4 PDU. Payload aliases the packet buffer; the Release hook
-// (if set) is invoked when the reassembler is done holding the segment.
+// paper's L4 PDU. Payload aliases the packet buffer; Release (if set) is
+// freed exactly once when the reassembler is done with the segment.
 type Segment struct {
 	Seq     uint32
 	Payload []byte
@@ -42,10 +42,20 @@ type Segment struct {
 	SYN     bool
 	FIN     bool
 
-	// Release returns the underlying buffer reference held while the
-	// segment was parked out of order. Nil for in-order segments (never
-	// held) and in tests.
-	Release func()
+	// Release is the buffer reference Payload aliases. The reassembler
+	// calls its Free exactly once: right after emitting an in-order
+	// segment, or when a parked, duplicate, dropped or shed segment is
+	// let go. *mbuf.Mbuf satisfies it, so the caller hands over the
+	// reference it took itself and no per-segment closure is built. Nil
+	// means nothing to release.
+	Release interface{ Free() }
+}
+
+// release frees the segment's buffer reference, if it holds one.
+func (s *Segment) release() {
+	if s.Release != nil {
+		s.Release.Free()
+	}
 }
 
 // seqLen is the sequence-space length of the segment (SYN and FIN each
@@ -121,10 +131,20 @@ type Lite struct {
 // NewLite creates a reassembler with the given out-of-order capacity
 // (<= 0 selects DefaultMaxOutOfOrder).
 func NewLite(maxOOO int) *Lite {
+	r := &Lite{}
+	r.Reset(maxOOO)
+	return r
+}
+
+// Reset returns the reassembler to the state NewLite(maxOOO) gives, so
+// per-connection storage can be recycled. The caller must have let go of
+// every parked segment first (FlushAll), and must not call Reset while
+// Insert or FlushAll runs.
+func (r *Lite) Reset(maxOOO int) {
 	if maxOOO <= 0 {
 		maxOOO = DefaultMaxOutOfOrder
 	}
-	return &Lite{maxOOO: maxOOO}
+	*r = Lite{maxOOO: maxOOO}
 }
 
 // SetBudget installs overload-accounting hooks. Must be called before
@@ -180,9 +200,7 @@ func (r *Lite) Insert(seg Segment, emit func(Segment)) error {
 		if !seqBefore(d.nextSeq, end) {
 			// Entirely old: retransmission.
 			r.stats.Retrans++
-			if seg.Release != nil {
-				seg.Release()
-			}
+			seg.release()
 			return nil
 		}
 		// Partial overlap: trim the delivered prefix and deliver the rest.
@@ -204,9 +222,7 @@ func (r *Lite) Insert(seg Segment, emit func(Segment)) error {
 	// Future segment: a hole just opened (or widened).
 	if seg.seqLen() == 0 {
 		// Out-of-window pure ACK: nothing to park.
-		if seg.Release != nil {
-			seg.Release()
-		}
+		seg.release()
 		return nil
 	}
 	if len(d.ooo) == 0 {
@@ -215,9 +231,7 @@ func (r *Lite) Insert(seg Segment, emit func(Segment)) error {
 	}
 	if len(d.ooo) >= r.maxOOO {
 		r.stats.Dropped++
-		if seg.Release != nil {
-			seg.Release()
-		}
+		seg.release()
 		return ErrBufferFull
 	}
 	// Sorted insert; same-Seq duplicates keep the longer segment (a
@@ -233,28 +247,22 @@ func (r *Lite) Insert(seg Segment, emit func(Segment)) error {
 			oldLen, newLen := len(d.ooo[idx].Payload), len(seg.Payload)
 			if newLen > oldLen && !r.shedFarther(newLen-oldLen, seg.Seq-d.nextSeq) {
 				r.stats.Dropped++
-				if seg.Release != nil {
-					seg.Release()
-				}
+				seg.release()
 				return ErrBudget // keep the shorter original
 			}
 			if newLen < oldLen {
 				r.budget.release(oldLen - newLen)
 			}
-			if d.ooo[idx].Release != nil {
-				d.ooo[idx].Release()
-			}
+			d.ooo[idx].release()
 			d.ooo[idx] = seg
-		} else if seg.Release != nil {
-			seg.Release()
+		} else {
+			seg.release()
 		}
 		return nil
 	}
 	if !r.shedFarther(len(seg.Payload), seg.Seq-d.nextSeq) {
 		r.stats.Dropped++
-		if seg.Release != nil {
-			seg.Release()
-		}
+		seg.release()
 		return ErrBudget
 	}
 	d.ooo = append(d.ooo, Segment{})
@@ -291,9 +299,7 @@ func (r *Lite) shedFarther(n int, dist uint32) bool {
 		victim.ooo = victim.ooo[:len(victim.ooo)-1]
 		freed := len(last.Payload)
 		r.budget.release(freed)
-		if last.Release != nil {
-			last.Release()
-		}
+		last.release()
 		r.stats.Shed++
 		if r.budget.OnShed != nil {
 			r.budget.OnShed(freed)
@@ -306,9 +312,7 @@ func (r *Lite) deliver(d *direction, seg Segment, emit func(Segment)) {
 	d.nextSeq = seg.Seq + seg.seqLen()
 	r.stats.InOrder++
 	emit(seg)
-	if seg.Release != nil {
-		seg.Release()
-	}
+	seg.release()
 }
 
 // drain flushes parked segments that are now in sequence ("flushed when
@@ -324,9 +328,7 @@ func (r *Lite) drain(d *direction, emit func(Segment)) {
 		if !seqBefore(d.nextSeq, head.Seq+head.seqLen()) {
 			// Entirely superseded while parked.
 			r.stats.Retrans++
-			if head.Release != nil {
-				head.Release()
-			}
+			head.release()
 			continue
 		}
 		if trim := d.nextSeq - head.Seq; trim > 0 {
@@ -344,9 +346,7 @@ func (r *Lite) drain(d *direction, emit func(Segment)) {
 		r.stats.Flushed++
 		r.stats.InOrder++
 		emit(head)
-		if head.Release != nil {
-			head.Release()
-		}
+		head.release()
 	}
 }
 
@@ -367,9 +367,7 @@ func (r *Lite) FlushAll(emit func(Segment)) {
 				if !seqBefore(next, end) {
 					// Entirely covered by already-emitted bytes.
 					r.stats.Retrans++
-					if seg.Release != nil {
-						seg.Release()
-					}
+					seg.release()
 					continue
 				}
 				trim := next - seg.Seq
@@ -387,9 +385,7 @@ func (r *Lite) FlushAll(emit func(Segment)) {
 			r.stats.Flushed++
 			r.stats.InOrder++
 			emit(seg)
-			if seg.Release != nil {
-				seg.Release()
-			}
+			seg.release()
 		}
 		d.ooo = nil
 		if d.started && seqBefore(d.nextSeq, next) {

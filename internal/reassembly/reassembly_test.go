@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// freeFunc adapts a counting closure to Segment.Release.
+type freeFunc func()
+
+func (f freeFunc) Free() { f() }
+
 // run pushes segments through a reassembler and returns the in-order
 // byte stream it emitted for the originator direction.
 func runLite(t *testing.T, r *Lite, segs []Segment) []byte {
@@ -138,7 +143,7 @@ func TestReleaseCalledExactlyOnce(t *testing.T) {
 	counts := map[int]int{}
 	mk := func(id int, seq uint32, pl string) Segment {
 		s := seg(seq, pl)
-		s.Release = func() { counts[id]++ }
+		s.Release = freeFunc(func() { counts[id]++ })
 		return s
 	}
 	emit := func(Segment) {}
@@ -153,6 +158,30 @@ func TestReleaseCalledExactlyOnce(t *testing.T) {
 	}
 	if len(counts) != 4 {
 		t.Errorf("released %d segments, want 4", len(counts))
+	}
+}
+
+// TestLiteReset checks that a recycled reassembler behaves like a new
+// one: no stream position, no counters, and the new out-of-order bound.
+func TestLiteReset(t *testing.T) {
+	r := NewLite(0)
+	emit := func(Segment) {}
+	r.Insert(seg(100, "ab"), emit)
+	r.Insert(seg(110, "late"), emit) // parked
+	r.FlushAll(emit)
+	r.Reset(1)
+	if r.Stats() != (Stats{}) || r.Buffered() != 0 {
+		t.Fatalf("after Reset: stats %+v, %d parked", r.Stats(), r.Buffered())
+	}
+	// A new stream starts wherever its first segment says.
+	if got := runLite(t, r, []Segment{seg(5000, "xy"), seg(5002, "z")}); string(got) != "xyz" {
+		t.Fatalf("stream after Reset = %q", got)
+	}
+	if err := r.Insert(seg(5010, "p"), emit); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Insert(seg(5020, "q"), emit); err != ErrBufferFull {
+		t.Fatalf("second parked segment: err %v, want ErrBufferFull (bound 1)", err)
 	}
 }
 
@@ -337,7 +366,7 @@ func BenchmarkBufferedInOrder(b *testing.B) {
 func TestFlushAllTrimsOverlappingParked(t *testing.T) {
 	r := NewLite(0)
 	emit := func(Segment) {}
-	r.Insert(seg(0, "0123456789"), emit) // delivered, nextSeq=10
+	r.Insert(seg(0, "0123456789"), emit)  // delivered, nextSeq=10
 	r.Insert(seg(20, "ABCDEFGHIJ"), emit) // parked [20,30)
 	r.Insert(seg(25, "FGHIJKLMNO"), emit) // parked [25,35), overlaps [25,30)
 	var flushed []byte
@@ -400,7 +429,7 @@ func TestSameSeqShorterRetransmitDropped(t *testing.T) {
 	released := map[int]int{}
 	mk := func(id int, seq uint32, pl string) Segment {
 		s := seg(seq, pl)
-		s.Release = func() { released[id]++ }
+		s.Release = freeFunc(func() { released[id]++ })
 		return s
 	}
 	var out []byte
@@ -426,7 +455,7 @@ func TestSameSeqReplacementReleasesEvicted(t *testing.T) {
 	released := map[int]int{}
 	mk := func(id int, seq uint32, pl string) Segment {
 		s := seg(seq, pl)
-		s.Release = func() { released[id]++ }
+		s.Release = freeFunc(func() { released[id]++ })
 		return s
 	}
 	emit := func(Segment) {}

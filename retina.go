@@ -766,9 +766,14 @@ func (r *Runtime) elephantBucket(bucket int) bool {
 // the source is exhausted, then flushes remaining connections and
 // returns the run's statistics. Callbacks run inline on core
 // goroutines; a callback shared across cores must be safe for
-// concurrent use.
+// concurrent use. Run may be called again once it has returned: each
+// call reopens the device the previous one closed.
 func (r *Runtime) Run(src Source) Stats {
 	start := time.Now()
+	// The previous Run closed the rings; a core goroutine that found its
+	// ring closed and empty would exit at once and strand every frame
+	// the producer then enqueued.
+	r.dev.Reopen()
 	r.plane.Start()
 	defer r.plane.Stop()
 	var wg sync.WaitGroup

@@ -98,6 +98,46 @@ func TestPoolBalancedAfterRun(t *testing.T) {
 	}
 }
 
+// TestRunTwice pins Run's re-entrance: the first Run closes the device's
+// rings, and the second must reopen them before its cores start, or a
+// core finding its ring closed and empty exits while the producer keeps
+// enqueueing frames nobody processes. After each call every frame the
+// device delivered was processed by a core and every mbuf is back in
+// the pool.
+func TestRunTwice(t *testing.T) {
+	frames, ticks := collectFrames(t, 23, 300)
+	half := len(frames) / 2
+	cfg := DefaultConfig()
+	cfg.Filter = "tls"
+	cfg.Cores = 2
+	cfg.RingSize = 1 << 16
+	cfg.PoolSize = 1 << 17
+	rt, err := New(cfg, Packets(func(*Packet) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range []*tickedSource{
+		{frames: frames[:half], ticks: ticks[:half]},
+		{frames: frames[half:], ticks: ticks[half:]},
+	} {
+		st := rt.Run(src)
+		var processed uint64
+		for _, cs := range st.Cores {
+			processed += cs.Processed
+		}
+		if st.NIC.Delivered == 0 {
+			t.Fatalf("run %d: device delivered nothing; test is vacuous", i+1)
+		}
+		if processed != st.NIC.Delivered {
+			t.Fatalf("run %d: cores processed %d of %d delivered frames", i+1, processed, st.NIC.Delivered)
+		}
+		if got := rt.Pool().InUse(); got != 0 {
+			t.Fatalf("run %d: %d mbufs still out of the pool", i+1, got)
+		}
+		assertCoreConservation(t, st)
+	}
+}
+
 func TestEndToEndConnRecordsAcrossCores(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Filter = "ipv4 and tcp"
