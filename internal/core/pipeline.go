@@ -300,7 +300,7 @@ func NewCore(id int, cfg Config) (*Core, error) {
 		acct:   acct,
 	}
 	c.acked.Store(ps.Epoch)
-	c.protoCtr.Store(newProtoCounters(reg.Names()))
+	c.protoCtr.Store(extendProtoCounters(&protoCounters{}, reg.Names()))
 	if cfg.Latency {
 		c.lat = NewLatencyStats()
 		c.stages.lat = c.lat

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"time"
 
 	"retina/internal/metrics"
@@ -316,33 +317,18 @@ type protoCounters struct {
 	parseErrors  map[string]*telemetry.Counter
 }
 
-func newProtoCounters(names []string) *protoCounters {
-	pc := &protoCounters{
-		probeRejects: make(map[string]*telemetry.Counter, len(names)),
-		parseErrors:  make(map[string]*telemetry.Counter, len(names)),
-	}
-	for _, n := range names {
-		pc.probeRejects[n] = &telemetry.Counter{}
-		pc.parseErrors[n] = &telemetry.Counter{}
-	}
-	return pc
-}
-
-// extendProtoCounters builds the counter set for a new parser-name list,
-// carrying over the existing counter instances so per-protocol history
-// survives program swaps (a protocol that leaves and returns keeps its
-// totals for the runtime's lifetime).
+// extendProtoCounters builds the counter set for a new parser-name list
+// (from an empty set at construction), carrying over the existing
+// counter instances so per-protocol history survives program swaps (a
+// protocol that leaves and returns keeps its totals for the runtime's
+// lifetime).
 func extendProtoCounters(old *protoCounters, names []string) *protoCounters {
 	pc := &protoCounters{
 		probeRejects: make(map[string]*telemetry.Counter, len(names)),
 		parseErrors:  make(map[string]*telemetry.Counter, len(names)),
 	}
-	for name, ctr := range old.probeRejects {
-		pc.probeRejects[name] = ctr
-	}
-	for name, ctr := range old.parseErrors {
-		pc.parseErrors[name] = ctr
-	}
+	maps.Copy(pc.probeRejects, old.probeRejects)
+	maps.Copy(pc.parseErrors, old.parseErrors)
 	for _, n := range names {
 		if pc.probeRejects[n] == nil {
 			pc.probeRejects[n] = &telemetry.Counter{}

@@ -109,34 +109,35 @@ type Config struct {
 	IdleTimeout int64
 }
 
-// ManagerStats snapshots the manager's accounting.
+// ManagerStats snapshots the manager's accounting. The tagged fields,
+// in this order, are the runtime's /status "offload" object.
 type ManagerStats struct {
-	// Installed counts rules installed; Refreshed, re-submissions of an
-	// already installed flow (counter kept, last-hit refreshed).
-	Installed uint64
-	Refreshed uint64
-	// ByVerdict breaks installs down by verdict kind.
-	ByVerdict [NumVerdicts]uint64
-	// Removed counts conntrack-coherence removals (expired or
-	// pressure-evicted connections).
-	Removed uint64
-	// EvictedLRU and EvictedIdle count policy evictions; Flushed counts
-	// rules dropped by epoch invalidation (program swaps).
-	EvictedLRU  uint64
-	EvictedIdle uint64
-	Flushed     uint64
-	// RejectedCapacity counts installs refused because no room could be
-	// made; StaleDropped counts whole requests discarded for carrying a
-	// pre-swap epoch.
-	RejectedCapacity uint64
-	StaleDropped     uint64
-	// Invalidations counts epoch bumps (one per program swap).
-	Invalidations uint64
 	// RulesLive is the current dynamic partition size; PeakRules the
 	// highest size observed after any install (the budget assertion's
 	// witness).
-	RulesLive int
-	PeakRules int
+	RulesLive int `json:"rules"`
+	PeakRules int `json:"peak_rules"`
+	// Installed counts rules installed; Refreshed, re-submissions of an
+	// already installed flow (counter kept, last-hit refreshed).
+	Installed uint64 `json:"installed"`
+	Refreshed uint64 `json:"-"`
+	// Removed counts conntrack-coherence removals (expired or
+	// pressure-evicted connections).
+	Removed uint64 `json:"removed"`
+	// EvictedLRU and EvictedIdle count policy evictions; Flushed counts
+	// rules dropped by epoch invalidation (program swaps).
+	EvictedLRU  uint64 `json:"evicted_lru"`
+	EvictedIdle uint64 `json:"evicted_idle"`
+	Flushed     uint64 `json:"invalidated"`
+	// RejectedCapacity counts installs refused because no room could be
+	// made; StaleDropped counts whole requests discarded for carrying a
+	// pre-swap epoch.
+	RejectedCapacity uint64 `json:"rejected_capacity"`
+	StaleDropped     uint64 `json:"stale_dropped"`
+	// ByVerdict breaks installs down by verdict kind.
+	ByVerdict [NumVerdicts]uint64 `json:"-"`
+	// Invalidations counts epoch bumps (one per program swap).
+	Invalidations uint64 `json:"-"`
 }
 
 // Manager owns the dynamic flow-offload partition of one device. Cores

@@ -71,21 +71,20 @@ func (s LiveStats) LossRate() float64 {
 // cut across cores).
 func (r *Runtime) LiveStats() LiveStats {
 	ns := r.dev.Stats()
+	drops := r.DropBreakdown()
 	s := LiveStats{
 		When:      time.Now(),
 		RxFrames:  ns.RxFrames,
 		Delivered: ns.Delivered,
-		HWDropped: ns.HWDropped,
-		Sunk:      ns.Sunk,
+		HWDropped: drops[telemetry.DropHWFilter],
+		Sunk:      drops[telemetry.DropRSSSink],
 		Loss:      ns.Loss(),
 		PoolFree:  r.pool.Available(),
 		PoolTotal: r.pool.Size(),
+		Conns:     int(r.sumCores(liveConns)),
+		Callbacks: callbacks(r),
+		Drops:     drops,
 	}
-	for _, c := range r.cores {
-		s.Conns += c.Table().ConcurrentLen()
-		s.Callbacks += c.Stats().Delivered
-	}
-	s.Drops = r.DropBreakdown()
 	s.MemoryEstimate = uint64(s.Conns)*connStateEstimate +
 		uint64(r.pool.InUse())*uint64(mbuf.DefaultBufSize)
 	if r.cfg.LatencyTracking {
@@ -94,14 +93,8 @@ func (r *Runtime) LiveStats() LiveStats {
 		s.LatencyP50Ns = sum.P50Ns
 		s.LatencyP99Ns = sum.P99Ns
 		s.LatencyP999Ns = sum.P999Ns
-		var busy, total int64
-		for _, c := range r.cores {
-			if d := c.Duty(); d != nil {
-				busy += d.BusyNs()
-				total += d.BusyNs() + d.WaitNs()
-			}
-		}
-		if total > 0 {
+		busy := r.sumCores(busyNanos)
+		if total := busy + r.sumCores(waitNanos); total > 0 {
 			s.BusyFraction = float64(busy) / float64(total)
 		}
 		s.RSSSkew = r.RSSSkew()
@@ -163,6 +156,15 @@ func formatDrops(drops map[string]uint64) string {
 	return b.String()
 }
 
+// callbackLabel names LiveStats.Callbacks in the log line: the level of
+// the subscription New was given, or "all" on a NewDynamic runtime.
+func (r *Runtime) callbackLabel() string {
+	if r.sub == nil {
+		return "all"
+	}
+	return r.sub.Level.String()
+}
+
 // LogMonitor is a convenience Monitor that writes one status line per
 // interval, mirroring Retina's performance log output: throughput,
 // per-subscription callback rate, loss with full drop-reason breakdown,
@@ -185,7 +187,7 @@ func (r *Runtime) LogMonitor(w io.Writer, interval time.Duration) (stop func()) 
 		}
 		fmt.Fprintf(w, "[retina] rx=%d delivered=%d (%.0f pps) cb[%s]=%d (%.0f/s) hw_drop=%d loss=%d (%.4f%%) drops: %s conns=%d pool=%d/%d mem=%s%s\n",
 			s.RxFrames, s.Delivered, rate,
-			r.sub.Level, s.Callbacks, cbRate,
+			r.callbackLabel(), s.Callbacks, cbRate,
 			s.HWDropped, s.Loss, s.LossRate()*100,
 			formatDrops(s.Drops),
 			s.Conns, s.PoolFree, s.PoolTotal,

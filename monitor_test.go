@@ -57,21 +57,41 @@ func TestLossRate(t *testing.T) {
 	}
 }
 
+// TestLogMonitorOutput renders the log line for a runtime built with an
+// initial subscription and for a NewDynamic one, whose callback count
+// covers every subscription added later.
 func TestLogMonitorOutput(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 1
-	rt, err := New(cfg, Packets(func(*Packet) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	stop := rt.LogMonitor(&buf, time.Millisecond)
-	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 4, Flows: 1000, Gbps: 20})
-	rt.Run(src)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	out := buf.String()
-	if !strings.Contains(out, "[retina] rx=") || !strings.Contains(out, "loss=") {
-		t.Fatalf("log output missing fields:\n%s", out)
+	for _, tc := range []struct {
+		name  string
+		build func(Config) (*Runtime, error)
+		cb    string
+	}{
+		{"New", func(cfg Config) (*Runtime, error) { return New(cfg, Packets(func(*Packet) {})) }, " cb[packet]="},
+		{"NewDynamic", func(cfg Config) (*Runtime, error) {
+			rt, err := NewDynamic(cfg)
+			if err == nil {
+				_, err = rt.AddSubscription("pkts", "ipv4", Packets(func(*Packet) {}))
+			}
+			return rt, err
+		}, " cb[all]="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Cores = 1
+			rt, err := tc.build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			stop := rt.LogMonitor(&buf, time.Millisecond)
+			src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 4, Flows: 1000, Gbps: 20})
+			rt.Run(src)
+			time.Sleep(5 * time.Millisecond)
+			stop()
+			out := buf.String()
+			if !strings.Contains(out, "[retina] rx=") || !strings.Contains(out, "loss=") || !strings.Contains(out, tc.cb) {
+				t.Fatalf("log output missing fields:\n%s", out)
+			}
+		})
 	}
 }

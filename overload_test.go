@@ -228,7 +228,7 @@ func TestDropLedgerMatchesExposition(t *testing.T) {
 	}
 	var want []string
 	for _, d := range dropLedger {
-		want = append(want, d.reason)
+		want = append(want, d.labels[0].Value)
 	}
 	if strings.Join(order, " ") != strings.Join(want, " ") {
 		t.Errorf("retina_drops_total series order\n got %v\nwant %v", order, want)

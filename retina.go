@@ -595,7 +595,7 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 	rt.registerMetrics()
 	for _, info := range plane.List() {
 		if spec := plane.Spec(info.Name); spec != nil {
-			rt.registerSubscriptionMetrics(spec)
+			rt.registerSubscription(spec)
 		}
 	}
 	return rt, nil
@@ -627,10 +627,7 @@ func (r *Runtime) AddSubscriptionWithAggregate(name, filterSrc string, sub *Subs
 	info, err := r.plane.Add(name, filterSrc, sub, agg)
 	spec := r.plane.Spec(name)
 	if spec != nil {
-		r.registerSubscriptionMetrics(spec)
-		if spec.Agg != nil {
-			r.registerAggregateMetrics(spec)
-		}
+		r.registerSubscription(spec)
 	}
 	if err != nil {
 		return info, err

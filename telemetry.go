@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"retina/internal/aggregate"
 	"retina/internal/conntrack"
 	"retina/internal/core"
 	"retina/internal/nic"
+	"retina/internal/offload"
 	"retina/internal/overload"
 	"retina/internal/telemetry"
 )
@@ -25,423 +28,123 @@ func (r *Runtime) Registry() *telemetry.Registry { return r.reg }
 // was set).
 func (r *Runtime) Tracer() *telemetry.ConnTracer { return r.tracer }
 
-// sumCores folds one CoreStats field across all cores.
-func (r *Runtime) sumCores(f func(core.CoreStats) uint64) uint64 {
-	var total uint64
-	for _, c := range r.cores {
-		total += f(c.Stats())
+// metric is one row of a telemetry table: a family, the row's own
+// labels, and the reader its series scrapes from x, one instance of the
+// table's scope (the runtime, a core, a queue, ...). Exactly one reader
+// is set; it fixes the family's type. Rows sharing a name are one family.
+type metric[T any] struct {
+	name, help string
+	labels     []telemetry.Label
+	count      func(x T) uint64
+	gauge      func(x T) float64
+	hist       func(x T) *telemetry.Histogram
+}
+
+func counter[T any](name, help string, read func(T) uint64, labels ...telemetry.Label) metric[T] {
+	return metric[T]{name: name, help: help, labels: labels, count: read}
+}
+
+func gauge[T any](name, help string, read func(T) float64, labels ...telemetry.Label) metric[T] {
+	return metric[T]{name: name, help: help, labels: labels, gauge: read}
+}
+
+// at is one instance of a runtime-wide scope: a receive queue, a
+// pipeline stage or a protocol.
+type at[K any] struct {
+	r   *Runtime
+	key K
+}
+
+// register adds one series per row for instance x, labelled with the
+// instance's scope labels followed by the row's own. Registering a
+// series again rebinds it where it stands.
+func register[T any](reg *telemetry.Registry, rows []metric[T], x T, scope ...telemetry.Label) {
+	for _, m := range rows {
+		lbls := append(slices.Clip(scope), m.labels...)
+		switch {
+		case m.count != nil:
+			reg.CounterFunc(m.name, m.help, func() uint64 { return m.count(x) }, lbls...)
+		case m.gauge != nil:
+			reg.GaugeFunc(m.name, m.help, func() float64 { return m.gauge(x) }, lbls...)
+		default:
+			reg.AttachHistogram(m.name, m.help, m.hist(x), lbls...)
+		}
 	}
-	return total
 }
 
-// dropLedger maps every drop reason to the counter it is read from, in
-// retina_drops_total series order. The registry and DropBreakdown both
-// read through it.
-var dropLedger = []struct {
-	reason string
-	count  func(*Runtime) uint64
-}{
-	{telemetry.DropMalformed, nicDrops(func(s nic.Stats) uint64 { return s.Malformed })},
-	{telemetry.DropHWFilter, nicDrops(func(s nic.Stats) uint64 { return s.HWDropped })},
-	{telemetry.DropHWOffload, nicDrops(func(s nic.Stats) uint64 { return s.HWOffloadDrop })},
-	// Offline mode refuses oversize frames before they reach the device.
-	{telemetry.DropOversize, func(r *Runtime) uint64 { return r.dev.Stats().Oversize + r.offlineOversize.Load() }},
-	{telemetry.DropRSSSink, nicDrops(func(s nic.Stats) uint64 { return s.Sunk })},
-	{telemetry.DropRingOverflow, nicDrops(func(s nic.Stats) uint64 { return s.RingDrops })},
-	// Offline mode allocates from the pool directly; count every failed
-	// allocation exactly once.
-	{telemetry.DropPoolExhausted, func(r *Runtime) uint64 {
-		_, fails := r.pool.Stats()
-		return max(fails, r.dev.Stats().NoMbuf)
-	}},
-	{telemetry.DropSWFilter, coreDrops(func(s core.CoreStats) uint64 { return s.FilterDropped })},
-	{telemetry.DropNotTrackable, coreDrops(func(s core.CoreStats) uint64 { return s.NotTrackable })},
-	{telemetry.DropTableFull, coreDrops(func(s core.CoreStats) uint64 { return s.TableFull })},
-	{telemetry.DropConnRejected, coreDrops(func(s core.CoreStats) uint64 { return s.TombstonePkts })},
-	{telemetry.DropPktBufOverflow, coreDrops(func(s core.CoreStats) uint64 { return s.PktBufOverflow })},
-	{telemetry.DropPendingDiscard, coreDrops(func(s core.CoreStats) uint64 { return s.PendingDiscard })},
-	{telemetry.DropStreamBufOverflow, coreDrops(func(s core.CoreStats) uint64 { return s.StreamBufOverflow })},
-	{telemetry.DropReasmBufferFull, coreDrops(func(s core.CoreStats) uint64 { return s.ReasmDropped })},
-	{telemetry.DropReasmBudget, coreDrops(func(s core.CoreStats) uint64 { return s.ReasmBudgetDrops })},
-	{telemetry.DropPktBufBudget, coreDrops(func(s core.CoreStats) uint64 { return s.PktBufBudget })},
-	{telemetry.DropShedLowPool, coreDrops(func(s core.CoreStats) uint64 { return s.ShedLowPool })},
-	{telemetry.DropEvictedPressure, coreDrops(func(s core.CoreStats) uint64 { return s.EvictedPressure })},
+// registerCores registers a per-core table, core by core, so each
+// family lists its series in core order.
+func (r *Runtime) registerCores(rows []metric[*core.Core]) {
+	for i, c := range r.cores {
+		register(r.reg, rows, c, telemetry.L("core", strconv.Itoa(i)))
+	}
 }
 
-// nicDrops reads a device-side drop counter.
-func nicDrops(f func(nic.Stats) uint64) func(*Runtime) uint64 {
-	return func(r *Runtime) uint64 { return f(r.dev.Stats()) }
+// registerProtos registers the failure series of every protocol in the
+// published parser set, in name order. Series already registered keep
+// their place, so protocols that join the set later append.
+func (r *Runtime) registerProtos() {
+	for _, name := range slices.Sorted(slices.Values(r.plane.Current().ParserNames)) {
+		register(r.reg, protoMetrics, at[string]{r, name}, telemetry.L("proto", name))
+	}
 }
 
-// coreDrops sums a core-side drop counter across all cores.
-func coreDrops(f func(core.CoreStats) uint64) func(*Runtime) uint64 {
-	return func(r *Runtime) uint64 { return r.sumCores(f) }
-}
-
-// registerMetrics wires every layer's counters into the registry as pull
-// collectors. The layers keep their own atomics; scrapes read them
-// through closures, so nothing is double-counted and the hot paths pay
-// nothing for exposition.
+// registerMetrics registers the construction-time tables as pull
+// collectors. Series render in registration order, so this sequence is
+// the /metrics layout. The layers keep their own atomics and scrapes
+// read them through the table readers, so nothing is double-counted and
+// the hot paths pay nothing for exposition.
 func (r *Runtime) registerMetrics() {
 	reg := r.reg
-
-	// NIC / port counters.
-	reg.CounterFunc("retina_rx_frames_total", "frames offered to the simulated port",
-		func() uint64 { return r.dev.Stats().RxFrames })
-	reg.CounterFunc("retina_delivered_frames_total", "frames enqueued onto receive rings",
-		func() uint64 { return r.dev.Stats().Delivered })
-
-	// The drop-reason taxonomy: one series per reason, all under a single
-	// family so dashboards can sum and break down losses uniformly.
-	for _, d := range dropLedger {
-		count := d.count
-		reg.CounterFunc("retina_drops_total", "frames dropped, by reason",
-			func() uint64 { return count(r) }, telemetry.L("reason", d.reason))
-	}
-
-	// Buffer pool.
-	reg.GaugeFunc("retina_mbuf_pool_free", "free packet buffers",
-		func() float64 { return float64(r.pool.Available()) })
-	reg.GaugeFunc("retina_mbuf_pool_size", "total packet buffers",
-		func() float64 { return float64(r.pool.Size()) })
-	reg.CounterFunc("retina_mbuf_allocs_total", "packet buffer allocations",
-		func() uint64 { allocs, _ := r.pool.Stats(); return allocs })
-	reg.CounterFunc("retina_mbuf_alloc_fails_total", "failed packet buffer allocations (pool exhausted)",
-		func() uint64 { _, fails := r.pool.Stats(); return fails })
-
-	// Per-core pipeline counters.
-	for i, c := range r.cores {
-		c := c
-		lbl := telemetry.L("core", fmt.Sprintf("%d", i))
-		reg.CounterFunc("retina_core_processed_total", "mbufs consumed from the receive ring",
-			func() uint64 { return c.Stats().Processed }, lbl)
-		reg.CounterFunc("retina_conns_created_total", "connections created",
-			func() uint64 { return c.Stats().ConnsCreated }, lbl)
-		reg.CounterFunc("retina_conns_rejected_total", "connections that failed the filter",
-			func() uint64 { return c.Stats().ConnsRejected }, lbl)
-		reg.CounterFunc("retina_conns_unidentified_total", "connections whose protocol probing was exhausted",
-			func() uint64 { return c.Stats().ConnsUnidentified }, lbl)
-		reg.GaugeFunc("retina_conns_live", "connections currently tracked",
-			func() float64 { return float64(c.Table().ConcurrentLen()) }, lbl)
-		reg.CounterFunc("retina_timer_rearms_total", "lazy timer re-arms (stale wheel entries rescheduled)",
-			func() uint64 { return c.Table().Rearmed() }, lbl)
-		// Connection-store health (DESIGN.md §15): occupancy vs bucket
-		// capacity, worst probe distance, rebuilds, and slab footprint.
-		// All zero on the map oracle except load_factor's Live input.
-		reg.GaugeFunc("retina_conntrack_load_factor", "connection-store occupancy / bucket-slot capacity",
-			func() float64 { return c.Table().IndexStats().LoadFactor }, lbl)
-		reg.GaugeFunc("retina_conntrack_probe_len", "worst insert probe length since start (buckets)",
-			func() float64 { return float64(c.Table().IndexStats().MaxProbe) }, lbl)
-		reg.CounterFunc("retina_conntrack_rehashes_total", "connection-store bucket-array rebuilds",
-			func() uint64 { return c.Table().IndexStats().Rehashes }, lbl)
-		reg.GaugeFunc("retina_conntrack_slab_bytes", "connection slab footprint in bytes",
-			func() float64 { return float64(c.Table().IndexStats().SlabBytes) }, lbl)
-		reg.CounterFunc("retina_core_epoch_swaps_total", "program-set epochs picked up at burst boundaries",
-			func() uint64 { return c.Stats().EpochSwaps }, lbl)
-		// Overload accountant: buffered bytes vs budget per class, so an
-		// operator can see pressure building before shedding starts.
-		for _, cls := range overload.Classes() {
-			cls := cls
-			clsLbl := telemetry.L("class", cls.String())
-			reg.GaugeFunc("retina_overload_used_bytes", "bytes currently charged to a buffer class",
-				func() float64 { return float64(c.Accountant().Used(cls)) }, lbl, clsLbl)
-			reg.GaugeFunc("retina_overload_budget_bytes", "byte budget for a buffer class",
-				func() float64 { return float64(c.Accountant().Limit(cls)) }, lbl, clsLbl)
-		}
-		for reason := conntrack.ExpireEstablishTimeout; reason < conntrack.NumExpireReasons; reason++ {
-			reason := reason
-			reg.CounterFunc("retina_conns_expired_total", "connection removals, by reason",
-				func() uint64 { _, expired := c.Table().Stats(); return expired[reason] },
-				lbl, telemetry.L("reason", reason.String()))
-		}
-		for _, kind := range []struct {
-			name string
-			fn   func(core.CoreStats) uint64
-		}{
-			{"packets", func(s core.CoreStats) uint64 { return s.DeliveredPackets }},
-			{"connections", func(s core.CoreStats) uint64 { return s.DeliveredConns }},
-			{"sessions", func(s core.CoreStats) uint64 { return s.DeliveredSessions }},
-			{"chunks", func(s core.CoreStats) uint64 { return s.DeliveredChunks }},
-		} {
-			kind := kind
-			reg.CounterFunc("retina_delivered_total", "callback deliveries, by data kind",
-				func() uint64 { return kind.fn(c.Stats()) }, lbl, telemetry.L("kind", kind.name))
-		}
-		reg.CounterFunc("retina_sessions_total", "application-layer sessions parsed",
-			func() uint64 { return c.Stats().SessionsSeen }, lbl, telemetry.L("result", "seen"))
-		reg.CounterFunc("retina_sessions_total", "application-layer sessions parsed",
-			func() uint64 { return c.Stats().SessionsMatch }, lbl, telemetry.L("result", "matched"))
-		for _, k := range []struct {
-			name string
-			fn   func(core.CoreStats) uint64
-		}{
-			{"in_order", func(s core.CoreStats) uint64 { return s.ReasmInOrder }},
-			{"out_of_order", func(s core.CoreStats) uint64 { return s.ReasmOutOfOrder }},
-			{"retransmission", func(s core.CoreStats) uint64 { return s.ReasmRetrans }},
-			{"dropped", func(s core.CoreStats) uint64 { return s.ReasmDropped }},
-		} {
-			k := k
-			reg.CounterFunc("retina_reassembly_segments_total", "TCP segments by reassembly outcome",
-				func() uint64 { return k.fn(c.Stats()) }, lbl, telemetry.L("kind", k.name))
-		}
-	}
-
-	// Legacy per-level delivery series (kept for dashboards written
-	// against the single-subscription runtime; NewDynamic has no initial
-	// subscription, so nothing to label).
+	register(reg, deviceMetrics, r)
+	r.registerCores(coreMetrics)
 	if r.sub != nil {
-		reg.CounterFunc("retina_subscription_delivered_total", "callback deliveries per subscription",
-			func() uint64 { return r.sumCores(func(s core.CoreStats) uint64 { return s.Delivered }) },
-			telemetry.L("subscription", r.sub.Level.String()))
+		// Legacy per-level delivery series, kept for dashboards written
+		// against the single-subscription runtime.
+		register(reg, []metric[*Runtime]{counter("retina_subscription_delivered_total", "callback deliveries per subscription", callbacks)},
+			r, telemetry.L("subscription", r.sub.Level.String()))
 	}
-
-	// Control plane: swap epochs, the size of the live set, and hardware
-	// reconcile failures (the device has fallen back to pass-everything
-	// at least once when this is non-zero).
-	reg.GaugeFunc("retina_ctl_epoch", "current program-set epoch",
-		func() float64 { return float64(r.plane.Epoch()) })
-	reg.CounterFunc("retina_ctl_swaps_total", "program-set swaps published by the control plane",
-		r.plane.Swaps)
-	reg.GaugeFunc("retina_ctl_subscriptions", "subscriptions live or draining",
-		func() float64 { return float64(len(r.plane.List())) })
-	reg.CounterFunc("retina_nic_reconcile_errors_total", "hardware rule reconcile failures during program swaps",
-		r.plane.ReconcileErrors)
-
-	// Dynamic flow offload: rule-table occupancy and lifecycle counters.
+	register(reg, controlMetrics, r)
 	if r.offload != nil {
-		reg.GaugeFunc("retina_offload_rules", "per-flow drop rules currently installed",
-			func() float64 { return float64(r.offload.Stats().RulesLive) })
-		reg.GaugeFunc("retina_offload_rules_peak", "peak per-flow drop rules installed",
-			func() float64 { return float64(r.offload.Stats().PeakRules) })
-		reg.CounterFunc("retina_offload_installed_total", "per-flow drop rules installed",
-			func() uint64 { return r.offload.Stats().Installed })
-		reg.CounterFunc("retina_offload_removed_total", "per-flow rules removed on conntrack expiry/eviction",
-			func() uint64 { return r.offload.Stats().Removed })
-		for _, ev := range []struct {
-			kind string
-			fn   func() uint64
-		}{
-			{"lru", func() uint64 { return r.offload.Stats().EvictedLRU }},
-			{"idle", func() uint64 { return r.offload.Stats().EvictedIdle }},
-			{"invalidated", func() uint64 { return r.offload.Stats().Flushed }},
-		} {
-			ev := ev
-			reg.CounterFunc("retina_offload_evicted_total", "per-flow rules evicted, by cause",
-				ev.fn, telemetry.L("cause", ev.kind))
-		}
-		reg.CounterFunc("retina_offload_rejected_total", "offload requests refused for capacity",
-			func() uint64 { return r.offload.Stats().RejectedCapacity })
-		reg.CounterFunc("retina_offload_stale_total", "offload requests dropped for a retired epoch",
-			func() uint64 { return r.offload.Stats().StaleDropped })
+		register(reg, offloadMetrics, r)
 	}
-
-	// Per-protocol probe/parse failures, summed across cores at scrape.
-	protoNames := map[string]bool{}
-	for _, c := range r.cores {
-		for name := range c.ProtoStats() {
-			protoNames[name] = true
-		}
-	}
-	for name := range protoNames {
-		name := name
-		reg.CounterFunc("retina_proto_failures_total", "protocol probe/parse failures",
-			func() uint64 {
-				var n uint64
-				for _, c := range r.cores {
-					n += c.ProtoStats()[name].ProbeRejects
-				}
-				return n
-			}, telemetry.L("proto", name), telemetry.L("kind", "probe_reject"))
-		reg.CounterFunc("retina_proto_failures_total", "protocol probe/parse failures",
-			func() uint64 {
-				var n uint64
-				for _, c := range r.cores {
-					n += c.ProtoStats()[name].ParseErrors
-				}
-				return n
-			}, telemetry.L("proto", name), telemetry.L("kind", "parse_error"))
-	}
-
-	// Stage counters (Figure 7), summed across cores at scrape time.
+	r.registerProtos()
 	for _, st := range core.Stages() {
-		st := st
-		lbl := telemetry.L("stage", st.String())
-		reg.CounterFunc("retina_stage_invocations_total", "pipeline stage invocations",
-			func() uint64 {
-				var n uint64
-				for _, c := range r.cores {
-					n += c.StageStats().Invocations(st)
-				}
-				return n
-			}, lbl)
-		reg.CounterFunc("retina_stage_nanos_total", "pipeline stage time in nanoseconds (needs Profile)",
-			func() uint64 {
-				var n uint64
-				for _, c := range r.cores {
-					n += c.StageStats().Nanos(st)
-				}
-				return n
-			}, lbl)
+		register(reg, stageMetrics, at[core.Stage]{r, st}, telemetry.L("stage", st.String()))
 	}
-
 	if r.tracer != nil {
-		reg.CounterFunc("retina_trace_spans_total", "sampled connection trace spans",
-			func() uint64 { _, started, _ := r.tracer.Stats(); return started },
-			telemetry.L("state", "started"))
-		reg.CounterFunc("retina_trace_spans_total", "sampled connection trace spans",
-			func() uint64 { _, _, dropped := r.tracer.Stats(); return dropped },
-			telemetry.L("state", "dropped"))
+		register(reg, traceMetrics, r)
 	}
-
-	r.registerObservabilityMetrics()
-}
-
-// registerObservabilityMetrics wires the DESIGN.md §14 observability
-// layer into the registry: receive-ring occupancy and high-water marks,
-// the RSS-skew gauge, flow-offload partition occupancy, and — when
-// LatencyTracking is on — the per-core latency histograms, duty-cycle
-// ledger, and elephant-flow witness share.
-func (r *Runtime) registerObservabilityMetrics() {
-	reg := r.reg
-
-	// Ring occupancy and producer-maintained high-water marks are always
-	// available (the ring keeps them regardless of LatencyTracking).
 	for q := range r.cores {
-		q := q
-		lbl := telemetry.L("queue", fmt.Sprintf("%d", q))
-		reg.GaugeFunc("retina_ring_occupancy", "frames currently queued on a receive ring",
-			func() float64 { used, _ := r.dev.RingOccupancy(q); return float64(used) }, lbl)
-		reg.GaugeFunc("retina_ring_high_water", "peak receive-ring occupancy since start",
-			func() float64 { return float64(r.dev.RingHighWater(q)) }, lbl)
+		register(reg, queueMetrics, at[int]{r, q}, telemetry.L("queue", strconv.Itoa(q)))
 	}
-
-	// RSS skew: max/mean per-core packet share (1.0 = perfectly even).
-	// The gauge stays cumulative (whole-run) so scrapes are idempotent;
-	// the windowed RSSSkew is for callers that own their window, like
-	// the rebalancer's telemetry below.
-	reg.GaugeFunc("retina_rss_skew", "max/mean per-core packet share (1.0 = even RSS spread)",
-		r.RSSSkewCumulative)
-
-	// Bucket-migration accounting: completed moves and migrated
-	// connections from the control plane (counted whether moves came
-	// from the rebalancer or a manual MoveBucket), plus the rebalancer's
-	// last observed windowed skew and per-core conntrack handoffs.
-	reg.CounterFunc("retina_rebalance_moves_total", "completed RETA bucket migrations",
-		func() uint64 { m, _ := r.plane.RebalanceStats(); return m })
-	reg.CounterFunc("retina_rebalance_conns_migrated_total", "connections handed between cores by bucket migrations",
-		func() uint64 { _, c := r.plane.RebalanceStats(); return c })
+	register(reg, balanceMetrics, r)
 	if r.rebal != nil {
-		reg.GaugeFunc("retina_rebalance_last_skew", "windowed per-queue load skew at the last rebalancer observation",
-			r.rebal.LastSkew)
+		register(reg, []metric[*Runtime]{gauge("retina_rebalance_last_skew", "windowed per-queue load skew at the last rebalancer observation",
+			func(r *Runtime) float64 { return r.rebal.LastSkew() })}, r)
 	}
-	for i, c := range r.cores {
-		c := c
-		lbl := telemetry.L("core", fmt.Sprintf("%d", i))
-		reg.CounterFunc("retina_conntrack_migrated_in_total", "connections imported by bucket migrations",
-			func() uint64 { in, _ := c.Table().Migrations(); return in }, lbl)
-		reg.CounterFunc("retina_conntrack_migrated_out_total", "connections exported by bucket migrations",
-			func() uint64 { _, out := c.Table().Migrations(); return out }, lbl)
-	}
-
-	// Flow-offload partition occupancy and hit ratio: how full the
-	// dynamic rule partition is and what fraction of offered frames the
-	// installed rules absorbed in hardware.
+	r.registerCores(migrationMetrics)
 	if r.offload != nil {
-		reg.GaugeFunc("retina_offload_partition_used", "per-flow rules installed in the dynamic partition",
-			func() float64 { return float64(r.dev.FlowRuleCount()) })
-		reg.GaugeFunc("retina_offload_partition_capacity", "dynamic flow-rule partition capacity",
-			func() float64 { return float64(r.dev.FlowCapacity()) })
-		reg.GaugeFunc("retina_offload_hit_ratio", "fraction of offered frames dropped by per-flow hardware rules",
-			func() float64 {
-				s := r.dev.Stats()
-				if s.RxFrames == 0 {
-					return 0
-				}
-				return float64(s.HWOffloadDrop) / float64(s.RxFrames)
-			})
+		register(reg, partitionMetrics, r)
 	}
-
-	if !r.cfg.LatencyTracking {
-		return
-	}
-
-	for i, c := range r.cores {
-		c := c
-		lat, duty, wit := c.Latency(), c.Duty(), c.Witness()
-		if lat == nil || duty == nil || wit == nil {
-			continue
-		}
-		lbl := telemetry.L("core", fmt.Sprintf("%d", i))
-
-		// Latency histograms: the shared per-core histograms are attached
-		// directly — the registry reads their atomics at scrape time.
-		reg.AttachHistogram("retina_latency_rx_to_delivery_nanoseconds",
-			"NIC RX stamp to callback delivery latency", lat.RxHist(), lbl)
-		for _, st := range core.Stages() {
-			reg.AttachHistogram("retina_latency_stage_nanoseconds",
-				"per-invocation pipeline stage latency (1-in-128 sampled)",
-				lat.StageHist(st), lbl, telemetry.L("stage", st.Slug()))
-		}
-
-		// Duty-cycle ledger.
-		reg.CounterFunc("retina_core_busy_nanos_total", "nanoseconds spent dequeuing and processing",
-			func() uint64 { return uint64(duty.BusyNs()) }, lbl)
-		reg.CounterFunc("retina_core_wait_nanos_total", "nanoseconds parked in ring wait",
-			func() uint64 { return uint64(duty.WaitNs()) }, lbl)
-		reg.CounterFunc("retina_core_bursts_total", "non-empty bursts processed by the poll loop",
-			duty.Bursts, lbl)
-		reg.CounterFunc("retina_core_wakeups_total", "times the poll loop fell into ring wait",
-			duty.Wakeups, lbl)
-		reg.GaugeFunc("retina_core_busy_fraction", "busy/(busy+wait) duty cycle of the poll loop",
-			duty.BusyFraction, lbl)
-		reg.GaugeFunc("retina_core_ring_occupancy_mean", "time-weighted mean ring depth seen at dequeue",
-			duty.MeanOccupancy, lbl)
-		reg.GaugeFunc("retina_core_elephant_share", "top witnessed flow's estimated (1-in-32 sampled) share of the core's packets",
-			func() float64 { return wit.TopShare(c.Stats().Processed) }, lbl)
+	if r.cfg.LatencyTracking {
+		r.registerCores(latencyMetrics)
 	}
 }
 
-// registerSubscriptionMetrics registers one subscription's counter
-// series. Called once per SubSpec — at construction for initial
-// subscriptions and at AddSubscription for dynamic ones; the id label
-// keeps series distinct when a name is reused after a remove. The
-// registry's own locking makes this safe while /metrics is being
-// scraped.
-func (r *Runtime) registerSubscriptionMetrics(spec *core.SubSpec) {
-	lbls := []telemetry.Label{
-		telemetry.L("subscription", spec.Name),
-		telemetry.L("id", strconv.Itoa(spec.ID)),
+// registerSubscription registers one subscription's series — at
+// construction for the initial subscription and at AddSubscription for
+// dynamic ones — with its aggregation query's and those of protocols it
+// brought into the parser set. The id label keeps series distinct when
+// a name is reused after a remove. The registry's own locking makes
+// this safe while /metrics is being scraped.
+func (r *Runtime) registerSubscription(spec *core.SubSpec) {
+	id := telemetry.L("id", strconv.Itoa(spec.ID))
+	register(r.reg, subMetrics, spec, telemetry.L("subscription", spec.Name), id)
+	if spec.Agg != nil {
+		register(r.reg, aggMetrics, spec.Agg, telemetry.L("query", spec.Name), id, telemetry.L("stage", spec.Agg.Q.Stage.String()))
 	}
-	r.reg.CounterFunc("retina_sub_delivered_total", "callback deliveries per subscription",
-		spec.Delivered.Value, lbls...)
-	r.reg.CounterFunc("retina_sub_matched_conns_total", "connections fully matched per subscription",
-		spec.MatchedConns.Value, lbls...)
-	r.reg.GaugeFunc("retina_sub_live_conns", "connections currently holding a match per subscription",
-		func() float64 { return float64(spec.LiveConns.Load()) }, lbls...)
-}
-
-// registerAggregateMetrics registers one aggregation query's series.
-// Called once per SubSpec carrying an Agg instance; the query label is
-// the subscription name, id keeps series distinct across name reuse.
-func (r *Runtime) registerAggregateMetrics(spec *core.SubSpec) {
-	inst := spec.Agg
-	lbls := []telemetry.Label{
-		telemetry.L("query", spec.Name),
-		telemetry.L("id", strconv.Itoa(spec.ID)),
-		telemetry.L("stage", inst.Q.Stage.String()),
-	}
-	r.reg.CounterFunc("retina_aggregate_events_total", "events folded into the query's sketches across all cores",
-		inst.EventsTotal, lbls...)
-	r.reg.CounterFunc("retina_aggregate_windows_sealed_total", "per-core windows sealed into the merger",
-		inst.WindowsSealed, lbls...)
-	r.reg.CounterFunc("retina_aggregate_late_events_total", "events that arrived after their window sealed",
-		inst.LateTotal, lbls...)
-	r.reg.CounterFunc("retina_aggregate_group_overflow_total", "events unattributed because the per-core group table was full",
-		inst.OverflowTotal, lbls...)
-	r.reg.GaugeFunc("retina_aggregate_keys_tracked", "distinct keys across merged windows",
-		func() float64 { return float64(inst.KeysTracked()) }, lbls...)
-	r.reg.GaugeFunc("retina_aggregate_last_window_seq", "highest window sequence sealed by any participant",
-		func() float64 { return float64(inst.LastSealedSeq()) }, lbls...)
+	r.registerProtos()
 }
 
 // DropBreakdown sums every per-reason drop counter across the NIC and
@@ -451,10 +154,289 @@ func (r *Runtime) DropBreakdown() map[string]uint64 {
 	out := map[string]uint64{}
 	for _, d := range dropLedger {
 		if n := d.count(r); n > 0 {
-			out[d.reason] = n
+			out[d.labels[0].Value] = n
 		}
 	}
 	return out
+}
+
+// sumCores folds a per-core reader across all cores.
+func (r *Runtime) sumCores(f func(*core.Core) uint64) uint64 {
+	var total uint64
+	for _, c := range r.cores {
+		total += f(c)
+	}
+	return total
+}
+
+// stat reads one CoreStats field of a core.
+func stat(f func(core.CoreStats) uint64) func(*core.Core) uint64 {
+	return func(c *core.Core) uint64 { return f(c.Stats()) }
+}
+
+// allCores sums one CoreStats field across all cores.
+func allCores(f func(core.CoreStats) uint64) func(*Runtime) uint64 {
+	return func(r *Runtime) uint64 { return r.sumCores(stat(f)) }
+}
+
+// devStat reads one device counter.
+func devStat(f func(nic.Stats) uint64) func(*Runtime) uint64 {
+	return func(r *Runtime) uint64 { return f(r.dev.Stats()) }
+}
+
+// Readers LiveStats shares with the tables.
+var (
+	callbacks = allCores(func(s core.CoreStats) uint64 { return s.Delivered })
+	liveConns = func(c *core.Core) uint64 { return uint64(c.Table().ConcurrentLen()) }
+	busyNanos = func(c *core.Core) uint64 { return uint64(c.Duty().BusyNs()) }
+	waitNanos = func(c *core.Core) uint64 { return uint64(c.Duty().WaitNs()) }
+)
+
+// deviceMetrics is the simulated port, its drop-reason taxonomy (one
+// series per reason, all under a single family so dashboards can sum
+// and break down losses uniformly) and the buffer pool.
+var deviceMetrics = slices.Concat([]metric[*Runtime]{
+	counter("retina_rx_frames_total", "frames offered to the simulated port", devStat(func(s nic.Stats) uint64 { return s.RxFrames })),
+	counter("retina_delivered_frames_total", "frames enqueued onto receive rings", devStat(func(s nic.Stats) uint64 { return s.Delivered })),
+}, dropLedger, []metric[*Runtime]{
+	gauge("retina_mbuf_pool_free", "free packet buffers", func(r *Runtime) float64 { return float64(r.pool.Available()) }),
+	gauge("retina_mbuf_pool_size", "total packet buffers", func(r *Runtime) float64 { return float64(r.pool.Size()) }),
+	counter("retina_mbuf_allocs_total", "packet buffer allocations", func(r *Runtime) uint64 { allocs, _ := r.pool.Stats(); return allocs }),
+	counter("retina_mbuf_alloc_fails_total", "failed packet buffer allocations (pool exhausted)",
+		func(r *Runtime) uint64 { _, fails := r.pool.Stats(); return fails }),
+})
+
+// dropLedger maps every drop reason (each row's one label) to the
+// counter it is read from, in retina_drops_total series order.
+// DropBreakdown reads through it too.
+var dropLedger = []metric[*Runtime]{
+	drop(telemetry.DropMalformed, devStat(func(s nic.Stats) uint64 { return s.Malformed })),
+	drop(telemetry.DropHWFilter, devStat(func(s nic.Stats) uint64 { return s.HWDropped })),
+	drop(telemetry.DropHWOffload, devStat(func(s nic.Stats) uint64 { return s.HWOffloadDrop })),
+	// Offline mode refuses oversize frames before they reach the device.
+	drop(telemetry.DropOversize, func(r *Runtime) uint64 { return r.dev.Stats().Oversize + r.offlineOversize.Load() }),
+	drop(telemetry.DropRSSSink, devStat(func(s nic.Stats) uint64 { return s.Sunk })),
+	drop(telemetry.DropRingOverflow, devStat(func(s nic.Stats) uint64 { return s.RingDrops })),
+	// Offline mode allocates from the pool directly; count every failed
+	// allocation exactly once.
+	drop(telemetry.DropPoolExhausted, func(r *Runtime) uint64 { _, fails := r.pool.Stats(); return max(fails, r.dev.Stats().NoMbuf) }),
+	drop(telemetry.DropSWFilter, allCores(func(s core.CoreStats) uint64 { return s.FilterDropped })),
+	drop(telemetry.DropNotTrackable, allCores(func(s core.CoreStats) uint64 { return s.NotTrackable })),
+	drop(telemetry.DropTableFull, allCores(func(s core.CoreStats) uint64 { return s.TableFull })),
+	drop(telemetry.DropConnRejected, allCores(func(s core.CoreStats) uint64 { return s.TombstonePkts })),
+	drop(telemetry.DropPktBufOverflow, allCores(func(s core.CoreStats) uint64 { return s.PktBufOverflow })),
+	drop(telemetry.DropPendingDiscard, allCores(func(s core.CoreStats) uint64 { return s.PendingDiscard })),
+	drop(telemetry.DropStreamBufOverflow, allCores(func(s core.CoreStats) uint64 { return s.StreamBufOverflow })),
+	drop(telemetry.DropReasmBufferFull, allCores(func(s core.CoreStats) uint64 { return s.ReasmDropped })),
+	drop(telemetry.DropReasmBudget, allCores(func(s core.CoreStats) uint64 { return s.ReasmBudgetDrops })),
+	drop(telemetry.DropPktBufBudget, allCores(func(s core.CoreStats) uint64 { return s.PktBufBudget })),
+	drop(telemetry.DropShedLowPool, allCores(func(s core.CoreStats) uint64 { return s.ShedLowPool })),
+	drop(telemetry.DropEvictedPressure, allCores(func(s core.CoreStats) uint64 { return s.EvictedPressure })),
+}
+
+func drop(reason string, count func(*Runtime) uint64) metric[*Runtime] {
+	return counter("retina_drops_total", "frames dropped, by reason", count, telemetry.L("reason", reason))
+}
+
+// coreMetrics is each core's pipeline, connection store (DESIGN.md §15;
+// all zero on the map oracle except load_factor's Live input) and
+// overload accountant, whose buffered bytes vs budget per class show
+// pressure building before shedding starts.
+var coreMetrics = slices.Concat([]metric[*core.Core]{
+	counter("retina_core_processed_total", "mbufs consumed from the receive ring", stat(func(s core.CoreStats) uint64 { return s.Processed })),
+	counter("retina_conns_created_total", "connections created", stat(func(s core.CoreStats) uint64 { return s.ConnsCreated })),
+	counter("retina_conns_rejected_total", "connections that failed the filter", stat(func(s core.CoreStats) uint64 { return s.ConnsRejected })),
+	counter("retina_conns_unidentified_total", "connections whose protocol probing was exhausted",
+		stat(func(s core.CoreStats) uint64 { return s.ConnsUnidentified })),
+	gauge("retina_conns_live", "connections currently tracked", func(c *core.Core) float64 { return float64(liveConns(c)) }),
+	counter("retina_timer_rearms_total", "lazy timer re-arms (stale wheel entries rescheduled)", func(c *core.Core) uint64 { return c.Table().Rearmed() }),
+	gauge("retina_conntrack_load_factor", "connection-store occupancy / bucket-slot capacity",
+		func(c *core.Core) float64 { return c.Table().IndexStats().LoadFactor }),
+	gauge("retina_conntrack_probe_len", "worst insert probe length since start (buckets)",
+		func(c *core.Core) float64 { return float64(c.Table().IndexStats().MaxProbe) }),
+	counter("retina_conntrack_rehashes_total", "connection-store bucket-array rebuilds", func(c *core.Core) uint64 { return c.Table().IndexStats().Rehashes }),
+	gauge("retina_conntrack_slab_bytes", "connection slab footprint in bytes", func(c *core.Core) float64 { return float64(c.Table().IndexStats().SlabBytes) }),
+	counter("retina_core_epoch_swaps_total", "program-set epochs picked up at burst boundaries", stat(func(s core.CoreStats) uint64 { return s.EpochSwaps })),
+}, each(overload.Classes(), func(cls overload.Class) []metric[*core.Core] {
+	return []metric[*core.Core]{
+		gauge("retina_overload_used_bytes", "bytes currently charged to a buffer class",
+			func(c *core.Core) float64 { return float64(c.Accountant().Used(cls)) }, telemetry.L("class", cls.String())),
+		gauge("retina_overload_budget_bytes", "byte budget for a buffer class",
+			func(c *core.Core) float64 { return float64(c.Accountant().Limit(cls)) }, telemetry.L("class", cls.String())),
+	}
+}), func() (rows []metric[*core.Core]) {
+	for reason := range conntrack.NumExpireReasons {
+		rows = append(rows, counter("retina_conns_expired_total", "connection removals, by reason",
+			func(c *core.Core) uint64 { _, expired := c.Table().Stats(); return expired[reason] }, telemetry.L("reason", reason.String())))
+	}
+	return rows
+}(), []metric[*core.Core]{
+	delivered("packets", func(s core.CoreStats) uint64 { return s.DeliveredPackets }),
+	delivered("connections", func(s core.CoreStats) uint64 { return s.DeliveredConns }),
+	delivered("sessions", func(s core.CoreStats) uint64 { return s.DeliveredSessions }),
+	delivered("chunks", func(s core.CoreStats) uint64 { return s.DeliveredChunks }),
+	sessions("seen", func(s core.CoreStats) uint64 { return s.SessionsSeen }),
+	sessions("matched", func(s core.CoreStats) uint64 { return s.SessionsMatch }),
+	segments("in_order", func(s core.CoreStats) uint64 { return s.ReasmInOrder }),
+	segments("out_of_order", func(s core.CoreStats) uint64 { return s.ReasmOutOfOrder }),
+	segments("retransmission", func(s core.CoreStats) uint64 { return s.ReasmRetrans }),
+	segments("dropped", func(s core.CoreStats) uint64 { return s.ReasmDropped }),
+})
+
+func delivered(kind string, f func(core.CoreStats) uint64) metric[*core.Core] {
+	return counter("retina_delivered_total", "callback deliveries, by data kind", stat(f), telemetry.L("kind", kind))
+}
+
+func sessions(result string, f func(core.CoreStats) uint64) metric[*core.Core] {
+	return counter("retina_sessions_total", "application-layer sessions parsed", stat(f), telemetry.L("result", result))
+}
+
+func segments(kind string, f func(core.CoreStats) uint64) metric[*core.Core] {
+	return counter("retina_reassembly_segments_total", "TCP segments by reassembly outcome", stat(f), telemetry.L("kind", kind))
+}
+
+// each concatenates the rows rows(k) builds for every key, in key order.
+func each[K, T any](keys []K, rows func(K) []metric[T]) []metric[T] {
+	var out []metric[T]
+	for _, k := range keys {
+		out = append(out, rows(k)...)
+	}
+	return out
+}
+
+// controlMetrics is the control plane: swap epochs, the size of the live
+// set, and hardware reconcile failures (the device has fallen back to
+// pass-everything at least once when this is non-zero).
+var controlMetrics = []metric[*Runtime]{
+	gauge("retina_ctl_epoch", "current program-set epoch", func(r *Runtime) float64 { return float64(r.plane.Epoch()) }),
+	counter("retina_ctl_swaps_total", "program-set swaps published by the control plane", func(r *Runtime) uint64 { return r.plane.Swaps() }),
+	gauge("retina_ctl_subscriptions", "subscriptions live or draining", func(r *Runtime) float64 { return float64(len(r.plane.List())) }),
+	counter("retina_nic_reconcile_errors_total", "hardware rule reconcile failures during program swaps",
+		func(r *Runtime) uint64 { return r.plane.ReconcileErrors() }),
+}
+
+// offloadMetrics is the dynamic flow offload's rule-table occupancy and
+// lifecycle counters.
+var offloadMetrics = []metric[*Runtime]{
+	gauge("retina_offload_rules", "per-flow drop rules currently installed", func(r *Runtime) float64 { return float64(r.offload.Stats().RulesLive) }),
+	gauge("retina_offload_rules_peak", "peak per-flow drop rules installed", func(r *Runtime) float64 { return float64(r.offload.Stats().PeakRules) }),
+	counter("retina_offload_installed_total", "per-flow drop rules installed", func(r *Runtime) uint64 { return r.offload.Stats().Installed }),
+	counter("retina_offload_removed_total", "per-flow rules removed on conntrack expiry/eviction", func(r *Runtime) uint64 { return r.offload.Stats().Removed }),
+	evicted("lru", func(s offload.ManagerStats) uint64 { return s.EvictedLRU }),
+	evicted("idle", func(s offload.ManagerStats) uint64 { return s.EvictedIdle }),
+	evicted("invalidated", func(s offload.ManagerStats) uint64 { return s.Flushed }),
+	counter("retina_offload_rejected_total", "offload requests refused for capacity", func(r *Runtime) uint64 { return r.offload.Stats().RejectedCapacity }),
+	counter("retina_offload_stale_total", "offload requests dropped for a retired epoch", func(r *Runtime) uint64 { return r.offload.Stats().StaleDropped }),
+}
+
+func evicted(cause string, f func(offload.ManagerStats) uint64) metric[*Runtime] {
+	return counter("retina_offload_evicted_total", "per-flow rules evicted, by cause",
+		func(r *Runtime) uint64 { return f(r.offload.Stats()) }, telemetry.L("cause", cause))
+}
+
+// protoMetrics is one protocol's probe/parse failures, summed across
+// cores at scrape.
+var protoMetrics = []metric[at[string]]{
+	counter("retina_proto_failures_total", "protocol probe/parse failures", func(p at[string]) uint64 {
+		return p.r.sumCores(func(c *core.Core) uint64 { return c.ProtoStats()[p.key].ProbeRejects })
+	}, telemetry.L("kind", "probe_reject")),
+	counter("retina_proto_failures_total", "protocol probe/parse failures", func(p at[string]) uint64 {
+		return p.r.sumCores(func(c *core.Core) uint64 { return c.ProtoStats()[p.key].ParseErrors })
+	}, telemetry.L("kind", "parse_error")),
+}
+
+// stageMetrics is one pipeline stage's counters (Figure 7), summed
+// across cores at scrape time.
+var stageMetrics = []metric[at[core.Stage]]{
+	counter("retina_stage_invocations_total", "pipeline stage invocations", func(s at[core.Stage]) uint64 {
+		return s.r.sumCores(func(c *core.Core) uint64 { return c.StageStats().Invocations(s.key) })
+	}),
+	counter("retina_stage_nanos_total", "pipeline stage time in nanoseconds (needs Profile)", func(s at[core.Stage]) uint64 {
+		return s.r.sumCores(func(c *core.Core) uint64 { return c.StageStats().Nanos(s.key) })
+	}),
+}
+
+var traceMetrics = []metric[*Runtime]{
+	counter("retina_trace_spans_total", "sampled connection trace spans",
+		func(r *Runtime) uint64 { _, started, _ := r.tracer.Stats(); return started }, telemetry.L("state", "started")),
+	counter("retina_trace_spans_total", "sampled connection trace spans",
+		func(r *Runtime) uint64 { _, _, dropped := r.tracer.Stats(); return dropped }, telemetry.L("state", "dropped")),
+}
+
+// queueMetrics is one receive ring's occupancy and producer-maintained
+// high-water mark (DESIGN.md §14), kept regardless of LatencyTracking.
+var queueMetrics = []metric[at[int]]{
+	gauge("retina_ring_occupancy", "frames currently queued on a receive ring",
+		func(q at[int]) float64 { used, _ := q.r.dev.RingOccupancy(q.key); return float64(used) }),
+	gauge("retina_ring_high_water", "peak receive-ring occupancy since start", func(q at[int]) float64 { return float64(q.r.dev.RingHighWater(q.key)) }),
+}
+
+// balanceMetrics is the RSS skew — cumulative (whole-run) so scrapes are
+// idempotent; the windowed RSSSkew is for callers that own their window —
+// and the bucket migrations the control plane completed, whether the
+// rebalancer or a manual MoveBucket asked for them.
+var balanceMetrics = []metric[*Runtime]{
+	gauge("retina_rss_skew", "max/mean per-core packet share (1.0 = even RSS spread)", (*Runtime).RSSSkewCumulative),
+	counter("retina_rebalance_moves_total", "completed RETA bucket migrations", func(r *Runtime) uint64 { m, _ := r.plane.RebalanceStats(); return m }),
+	counter("retina_rebalance_conns_migrated_total", "connections handed between cores by bucket migrations",
+		func(r *Runtime) uint64 { _, c := r.plane.RebalanceStats(); return c }),
+}
+
+var migrationMetrics = []metric[*core.Core]{
+	counter("retina_conntrack_migrated_in_total", "connections imported by bucket migrations",
+		func(c *core.Core) uint64 { in, _ := c.Table().Migrations(); return in }),
+	counter("retina_conntrack_migrated_out_total", "connections exported by bucket migrations",
+		func(c *core.Core) uint64 { _, out := c.Table().Migrations(); return out }),
+}
+
+// partitionMetrics is how full the dynamic flow-rule partition is and
+// what fraction of offered frames the installed rules absorbed in
+// hardware.
+var partitionMetrics = []metric[*Runtime]{
+	gauge("retina_offload_partition_used", "per-flow rules installed in the dynamic partition", func(r *Runtime) float64 { return float64(r.dev.FlowRuleCount()) }),
+	gauge("retina_offload_partition_capacity", "dynamic flow-rule partition capacity", func(r *Runtime) float64 { return float64(r.dev.FlowCapacity()) }),
+	gauge("retina_offload_hit_ratio", "fraction of offered frames dropped by per-flow hardware rules", func(r *Runtime) float64 {
+		if s := r.dev.Stats(); s.RxFrames > 0 {
+			return float64(s.HWOffloadDrop) / float64(s.RxFrames)
+		}
+		return 0
+	}),
+}
+
+// latencyMetrics is each core's latency histograms (attached directly;
+// the registry reads their atomics at scrape time), duty-cycle ledger
+// and elephant-flow witness share.
+var latencyMetrics = slices.Concat([]metric[*core.Core]{
+	{name: "retina_latency_rx_to_delivery_nanoseconds", help: "NIC RX stamp to callback delivery latency",
+		hist: func(c *core.Core) *telemetry.Histogram { return c.Latency().RxHist() }},
+}, each(core.Stages(), func(st core.Stage) []metric[*core.Core] {
+	return []metric[*core.Core]{{name: "retina_latency_stage_nanoseconds", help: "per-invocation pipeline stage latency (1-in-128 sampled)",
+		labels: []telemetry.Label{telemetry.L("stage", st.Slug())}, hist: func(c *core.Core) *telemetry.Histogram { return c.Latency().StageHist(st) }}}
+}), []metric[*core.Core]{
+	counter("retina_core_busy_nanos_total", "nanoseconds spent dequeuing and processing", busyNanos),
+	counter("retina_core_wait_nanos_total", "nanoseconds parked in ring wait", waitNanos),
+	counter("retina_core_bursts_total", "non-empty bursts processed by the poll loop", func(c *core.Core) uint64 { return c.Duty().Bursts() }),
+	counter("retina_core_wakeups_total", "times the poll loop fell into ring wait", func(c *core.Core) uint64 { return c.Duty().Wakeups() }),
+	gauge("retina_core_busy_fraction", "busy/(busy+wait) duty cycle of the poll loop", func(c *core.Core) float64 { return c.Duty().BusyFraction() }),
+	gauge("retina_core_ring_occupancy_mean", "time-weighted mean ring depth seen at dequeue", func(c *core.Core) float64 { return c.Duty().MeanOccupancy() }),
+	gauge("retina_core_elephant_share", "top witnessed flow's estimated (1-in-32 sampled) share of the core's packets",
+		func(c *core.Core) float64 { return c.Witness().TopShare(c.Stats().Processed) }),
+})
+
+var subMetrics = []metric[*core.SubSpec]{
+	counter("retina_sub_delivered_total", "callback deliveries per subscription", func(s *core.SubSpec) uint64 { return s.Delivered.Value() }),
+	counter("retina_sub_matched_conns_total", "connections fully matched per subscription", func(s *core.SubSpec) uint64 { return s.MatchedConns.Value() }),
+	gauge("retina_sub_live_conns", "connections currently holding a match per subscription", func(s *core.SubSpec) float64 { return float64(s.LiveConns.Load()) }),
+}
+
+var aggMetrics = []metric[*aggregate.Instance]{
+	counter("retina_aggregate_events_total", "events folded into the query's sketches across all cores", (*aggregate.Instance).EventsTotal),
+	counter("retina_aggregate_windows_sealed_total", "per-core windows sealed into the merger", (*aggregate.Instance).WindowsSealed),
+	counter("retina_aggregate_late_events_total", "events that arrived after their window sealed", (*aggregate.Instance).LateTotal),
+	counter("retina_aggregate_group_overflow_total", "events unattributed because the per-core group table was full", (*aggregate.Instance).OverflowTotal),
+	gauge("retina_aggregate_keys_tracked", "distinct keys across merged windows", func(a *aggregate.Instance) float64 { return float64(a.KeysTracked()) }),
+	gauge("retina_aggregate_last_window_seq", "highest window sequence sealed by any participant",
+		func(a *aggregate.Instance) float64 { return float64(a.LastSealedSeq()) }),
 }
 
 // MetricsServer is a running metrics endpoint started by ServeMetrics.
@@ -596,7 +578,7 @@ type StatusReport struct {
 	ReconcileErrors    uint64 `json:"reconcile_errors"`
 	LastReconcileError string `json:"last_reconcile_error,omitempty"`
 
-	Offload *OffloadStatus `json:"offload,omitempty"`
+	Offload *offload.ManagerStats `json:"offload,omitempty"`
 
 	// RSSSkew is always reported (cumulative max/mean per-core packet
 	// share); Observability is present only when Config.LatencyTracking
@@ -666,19 +648,6 @@ type FlowShare struct {
 	Packets uint64 `json:"packets"`
 }
 
-// OffloadStatus is the flow-offload slice of StatusReport.
-type OffloadStatus struct {
-	Rules            int    `json:"rules"`
-	PeakRules        int    `json:"peak_rules"`
-	Installed        uint64 `json:"installed"`
-	Removed          uint64 `json:"removed"`
-	EvictedLRU       uint64 `json:"evicted_lru"`
-	EvictedIdle      uint64 `json:"evicted_idle"`
-	Invalidated      uint64 `json:"invalidated"`
-	RejectedCapacity uint64 `json:"rejected_capacity"`
-	StaleDropped     uint64 `json:"stale_dropped"`
-}
-
 // Status assembles the StatusReport (also used directly by tests and
 // embedding applications).
 func (r *Runtime) Status() StatusReport {
@@ -692,17 +661,7 @@ func (r *Runtime) Status() StatusReport {
 	}
 	if r.offload != nil {
 		os := r.offload.Stats()
-		st.Offload = &OffloadStatus{
-			Rules:            os.RulesLive,
-			PeakRules:        os.PeakRules,
-			Installed:        os.Installed,
-			Removed:          os.Removed,
-			EvictedLRU:       os.EvictedLRU,
-			EvictedIdle:      os.EvictedIdle,
-			Invalidated:      os.Flushed,
-			RejectedCapacity: os.RejectedCapacity,
-			StaleDropped:     os.StaleDropped,
-		}
+		st.Offload = &os
 	}
 	st.RSSSkew = r.RSSSkewCumulative()
 	if r.rebal != nil {
@@ -719,10 +678,7 @@ func (r *Runtime) Status() StatusReport {
 	if r.cfg.LatencyTracking {
 		obs := &ObservabilityStatus{Latency: r.LatencySummary()}
 		for i, c := range r.cores {
-			d, w := c.Duty(), c.Witness()
-			if d == nil || w == nil {
-				continue
-			}
+			d := c.Duty()
 			cd := CoreDuty{
 				Core:          i,
 				BusyFraction:  d.BusyFraction(),
@@ -730,39 +686,29 @@ func (r *Runtime) Status() StatusReport {
 				Bursts:        d.Bursts(),
 				Wakeups:       d.Wakeups(),
 			}
-			for _, fc := range w.Top() {
+			for _, fc := range c.Witness().Top() {
 				cd.Elephants = append(cd.Elephants, FlowShare{Flow: fc.Tuple.String(), Packets: fc.Packets})
 			}
 			obs.Cores = append(obs.Cores, cd)
 		}
 		st.Observability = obs
 	}
-	st.Aggregates = r.aggregateStatuses()
-	return st
-}
-
-// aggregateStatuses assembles the per-query health slice for /status
-// and retina-top.
-func (r *Runtime) aggregateStatuses() []AggregateStatus {
-	var out []AggregateStatus
 	for _, info := range r.plane.List() {
-		spec := r.plane.Spec(info.Name)
-		if spec == nil || spec.Agg == nil {
-			continue
+		if spec := r.plane.Spec(info.Name); spec != nil && spec.Agg != nil {
+			inst := spec.Agg
+			st.Aggregates = append(st.Aggregates, AggregateStatus{
+				Query:       spec.Name,
+				Spec:        inst.Q.String(),
+				Stage:       inst.Q.Stage.String(),
+				Events:      inst.EventsTotal(),
+				WindowSeq:   inst.LastSealedSeq(),
+				KeysTracked: inst.KeysTracked(),
+				Late:        inst.LateTotal(),
+				Draining:    info.Draining,
+			})
 		}
-		inst := spec.Agg
-		out = append(out, AggregateStatus{
-			Query:       spec.Name,
-			Spec:        inst.Q.String(),
-			Stage:       inst.Q.Stage.String(),
-			Events:      inst.EventsTotal(),
-			WindowSeq:   inst.LastSealedSeq(),
-			KeysTracked: inst.KeysTracked(),
-			Late:        inst.LateTotal(),
-			Draining:    info.Draining,
-		})
 	}
-	return out
+	return st
 }
 
 // handleAggregates serves every aggregation query's merged windowed

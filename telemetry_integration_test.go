@@ -318,3 +318,82 @@ func TestMonitorConcurrentWithRun(t *testing.T) {
 	close(stopScrape)
 	<-scrapeDone
 }
+
+// TestProtoFailureSeries checks retina_proto_failures_total lists its
+// protocols in name order, and that a protocol entering the parser set
+// after construction gets series that read the cores' counts.
+func TestProtoFailureSeries(t *testing.T) {
+	protoOrder := func(rt *Runtime) []string {
+		var order []string
+		for _, s := range rt.Registry().Samples() {
+			if s.Name == "retina_proto_failures_total" && s.Label("kind") == "probe_reject" {
+				order = append(order, s.Label("proto"))
+			}
+		}
+		return order
+	}
+
+	cfg := DefaultConfig()
+	cfg.Filter = "tls or http or dns or ssh or quic"
+	rt, err := New(cfg, Sessions(func(*SessionEvent) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(protoOrder(rt), " "), "dns http quic ssh tls"; got != want {
+		t.Errorf("proto series order %q, want %q", got, want)
+	}
+
+	cfg = DefaultConfig()
+	cfg.Cores = 2
+	rt, err = NewDynamic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scrape throughout: the protocol series register while the
+	// exposition is being read.
+	done := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = rt.Registry().WritePrometheus(io.Discard)
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		<-scraped
+	}()
+	if _, err := rt.AddSubscription("t", "tls or http", Sessions(func(*SessionEvent) {})); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: 300, Gbps: 20}))
+	if got, want := strings.Join(protoOrder(rt), " "), "http tls"; got != want {
+		t.Fatalf("proto series after AddSubscription %q, want %q", got, want)
+	}
+	for _, s := range rt.Registry().Samples() {
+		if s.Name != "retina_proto_failures_total" {
+			continue
+		}
+		proto := s.Label("proto")
+		var want uint64
+		for _, c := range rt.Cores() {
+			ps := c.ProtoStats()[proto]
+			if s.Label("kind") == "probe_reject" {
+				want += ps.ProbeRejects
+			} else {
+				want += ps.ParseErrors
+			}
+		}
+		if uint64(s.Value) != want {
+			t.Errorf("retina_proto_failures_total{proto=%q,kind=%q} = %v, cores counted %d", proto, s.Label("kind"), s.Value, want)
+		}
+		if s.Label("kind") == "probe_reject" && want == 0 {
+			t.Errorf("no %s probe rejects over a campus run; the check needs some", proto)
+		}
+	}
+}
