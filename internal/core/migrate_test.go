@@ -122,6 +122,7 @@ func TestRunMigrationHandoff(t *testing.T) {
 		if n := pool.InUse(); n != 0 {
 			t.Fatalf("latency=%v: %d mbufs still held after both cores flushed", latency, n)
 		}
+		checkInvariants(t, ps.Slots, src, dst)
 		out.src, out.dst, out.moved = src.Stats(), dst.Stats(), m.Moved()
 		return out
 	}
