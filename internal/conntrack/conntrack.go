@@ -158,17 +158,6 @@ type Conn struct {
 	// empty while probing. Implements filter.ConnView via ServiceName.
 	Service string
 
-	// PktMark is the deepest packet-filter trie node matched by the
-	// connection's packets; ConnMark the connection filter's node.
-	PktMark  uint32
-	ConnMark int
-
-	// SubMask has bit i set when the connection has fully matched the
-	// subscription in program-set slot i (multi-subscription runtimes;
-	// realigned on epoch reconcile). The control plane reads it through
-	// Table.CountMatching to observe drain progress.
-	SubMask uint64
-
 	FirstTick uint64
 	LastTick  uint64
 
@@ -392,19 +381,6 @@ func (t *Table) IndexStats() IndexStats { return t.idx.stats() }
 // Table tick discipline); CheckInvariants asserts no live connection's
 // deadline predates it.
 func (t *Table) Now() uint64 { return t.now }
-
-// CountMatching returns how many tracked connections have any of the
-// mask's subscription bits set in their SubMask. Core-goroutine only
-// (drain observation goes through the owning core's table accessor).
-func (t *Table) CountMatching(mask uint64) int {
-	n := 0
-	t.idx.each(func(c *Conn) {
-		if c.SubMask&mask != 0 {
-			n++
-		}
-	})
-	return n
-}
 
 // MemoryBytes estimates the memory held by tracked connections.
 func (t *Table) MemoryBytes() uint64 {

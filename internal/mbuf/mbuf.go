@@ -51,10 +51,6 @@ type Mbuf struct {
 	// ingress), the software stand-in for the NIC's hardware timestamp
 	// register. Zero when RX stamping is disabled.
 	RxNanos int64
-
-	// Mark carries the deepest matched predicate-trie node id, set by the
-	// software packet filter and read by the connection filter.
-	Mark uint32
 }
 
 // FromBytes wraps data in a heap-backed Mbuf (copying it). Intended for
@@ -209,7 +205,7 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 		m.off = 0
 	}
 	m.ln = 0
-	m.Port, m.Queue, m.RxTick, m.RSSHash, m.Mark, m.RxNanos = 0, 0, 0, 0, 0, 0
+	m.Port, m.Queue, m.RxTick, m.RSSHash, m.RxNanos = 0, 0, 0, 0, 0
 	m.refs.Store(1)
 	p.allocs.Add(1)
 	return m, nil
@@ -261,7 +257,7 @@ func (p *Pool) AllocBulk(out []*Mbuf) int {
 			m.off = 0
 		}
 		m.ln = 0
-		m.Port, m.Queue, m.RxTick, m.RSSHash, m.Mark, m.RxNanos = 0, 0, 0, 0, 0, 0
+		m.Port, m.Queue, m.RxTick, m.RSSHash, m.RxNanos = 0, 0, 0, 0, 0
 		m.refs.Store(1)
 	}
 	p.allocs.Add(uint64(n))

@@ -54,12 +54,12 @@ func TestPoolAllocFree(t *testing.T) {
 func TestAllocResetsMetadata(t *testing.T) {
 	p := NewPool(1, 256)
 	m, _ := p.Alloc()
-	m.Port, m.Queue, m.Mark, m.RxTick = 7, 3, 42, 1000
+	m.Port, m.Queue, m.RSSHash, m.RxTick = 7, 3, 42, 1000
 	m.SetData([]byte("hello"))
 	m.Free()
 
 	m2, _ := p.Alloc()
-	if m2.Port != 0 || m2.Queue != 0 || m2.Mark != 0 || m2.RxTick != 0 {
+	if m2.Port != 0 || m2.Queue != 0 || m2.RSSHash != 0 || m2.RxTick != 0 {
 		t.Fatal("recycled mbuf retains metadata")
 	}
 	if m2.Len() != 0 {
