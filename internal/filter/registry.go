@@ -3,7 +3,6 @@ package filter
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"retina/internal/layers"
 )
@@ -109,16 +108,6 @@ func (r *Registry) Register(p *ProtoDef) error {
 func (r *Registry) Proto(name string) (*ProtoDef, bool) {
 	p, ok := r.protos[name]
 	return p, ok
-}
-
-// Protos returns all registered protocol names, sorted.
-func (r *Registry) Protos() []string {
-	names := make([]string, 0, len(r.protos))
-	for n := range r.protos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Field resolves proto.field, returning an error naming the closest

@@ -145,12 +145,6 @@ func (b *Builder) Build(spec *PacketSpec) []byte {
 	return out
 }
 
-// BuildTo is like Build but appends into dst, returning the extended
-// slice. Used by the generator to serialize directly into mbuf storage.
-func (b *Builder) BuildTo(dst []byte, spec *PacketSpec) []byte {
-	return append(dst, b.Build(spec)...)
-}
-
 // ParseAddr4 converts a dotted-quad string to a 4-byte array, panicking
 // on malformed input. For tests and static generator configuration.
 func ParseAddr4(s string) [4]byte {

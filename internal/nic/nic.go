@@ -477,11 +477,6 @@ func (n *NIC) Reopen() {
 	n.closed.Store(false)
 }
 
-// Closed reports whether Close has run — the producer has finished and
-// will never touch producer-owned state again, so queued assignment
-// requests may be applied from another goroutine (ApplyAssignsClosed).
-func (n *NIC) Closed() bool { return n.closed.Load() }
-
 // deliver performs what the hardware does for one frame: header parse,
 // flow-rule match, RSS hash, redirection-table lookup, and staging for
 // the ring. The caller has already counted it under rx.

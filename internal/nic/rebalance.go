@@ -39,10 +39,6 @@ type AssignReq struct {
 // snapshot accessors are only meaningful afterwards.
 func (r *AssignReq) Applied() bool { return r.state.Load() == assignApplied }
 
-// Canceled reports whether the control plane withdrew the request
-// before the producer applied it.
-func (r *AssignReq) Canceled() bool { return r.state.Load() == assignCanceled }
-
 // SrcQueue reports the queue the bucket was assigned to before the
 // swap. Valid only after Applied.
 func (r *AssignReq) SrcQueue() int16 { return r.srcQueue }

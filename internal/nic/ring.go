@@ -159,9 +159,6 @@ func (r *Ring) Close() {
 // ring closed and empty has exited.
 func (r *Ring) Reopen() { r.closed.Store(false) }
 
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool { return r.closed.Load() }
-
 // Occupancy reports the current depth and usable capacity — the ring
 // high-watermark signal cores consult to shed optional work. Safe from
 // any goroutine.

@@ -83,17 +83,6 @@ type Budget struct {
 	RingHighWater   float64
 }
 
-// DefaultBudget returns the default per-core budgets.
-func DefaultBudget() Budget {
-	return Budget{
-		ReassemblyBytes: DefaultReassemblyBudget,
-		PacketBufBytes:  DefaultPacketBufBudget,
-		StreamBufBytes:  DefaultStreamBufBudget,
-		PoolLowWater:    DefaultPoolLowWater,
-		RingHighWater:   DefaultRingHighWater,
-	}
-}
-
 // unlimited marks a disabled byte bound.
 const unlimited = int64(1) << 62
 

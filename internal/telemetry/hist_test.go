@@ -292,10 +292,8 @@ func TestAttachHistogramExposition(t *testing.T) {
 
 func TestParseExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_pkts_total", "packets", L("core", "1"), L("q", `a"b\c`))
-	c.Add(42)
-	g := r.Gauge("test_depth", "ring depth")
-	g.Set(-7)
+	r.CounterFunc("test_pkts_total", "packets", func() uint64 { return 42 }, L("core", "1"), L("q", `a"b\c`))
+	r.GaugeFunc("test_depth", "ring depth", func() float64 { return -7 })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

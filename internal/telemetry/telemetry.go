@@ -1,17 +1,17 @@
 // Package telemetry is Retina's observability substrate (paper §5.3):
-// a central registry of typed, always-on atomic counters, gauges, and
-// histograms with static label support, exposed in Prometheus text
-// format and via expvar.
+// always-on atomic counters and histograms, and a central registry of
+// readers over them with static label support, exposed in Prometheus
+// text format and via expvar.
 //
 // Design constraints, in order:
 //
 //  1. Hot-path cost: instrumented code paths touch a single atomic add.
-//     No map lookups, no label rendering, no locking on update — callers
-//     resolve a *Counter/*Gauge handle once at construction and hold it.
-//  2. Pull collectors: layers that already keep their own atomic
-//     counters (the NIC, the buffer pool, per-core pipelines) are
-//     registered as CounterFunc/GaugeFunc closures so state is never
-//     duplicated and never drifts.
+//     No map lookups, no label rendering, no locking on update — each
+//     layer owns its *Counter and *Histogram values and updates them
+//     directly.
+//  2. Pull collectors: the registry only reads. Layers register their
+//     counts as CounterFunc/GaugeFunc closures and their histograms with
+//     AttachHistogram, so state is never duplicated and never drifts.
 //  3. Deterministic exposition: families and series render in
 //     registration order so scrapes diff cleanly and tests can assert on
 //     output.
@@ -141,19 +141,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value. The zero value is ready to
-// use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket histogram safe for concurrent Observe.
 // Buckets are cumulative in exposition (Prometheus semantics).
 type Histogram struct {
@@ -224,24 +211,11 @@ type series struct {
 	labels   []Label
 	rendered string // `{k="v",...}` or ""
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	// fn is a pull collector; when set the typed fields above are nil.
+	// A histogram family's series reads hist; every other series reads
+	// the pull collector fn.
+	hist  *Histogram
 	fn    func() float64
 	isInt bool // render fn results as integers
-}
-
-func (s *series) value() float64 {
-	switch {
-	case s.fn != nil:
-		return s.fn()
-	case s.counter != nil:
-		return float64(s.counter.Value())
-	case s.gauge != nil:
-		return float64(s.gauge.Value())
-	}
-	return 0
 }
 
 type family struct {
@@ -252,8 +226,7 @@ type family struct {
 }
 
 // Registry holds metric families. All methods are safe for concurrent
-// use; registration is idempotent (same name + same labels returns the
-// existing handle).
+// use; registering the same name + labels again reuses the series.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -331,48 +304,6 @@ func (r *Registry) seriesLocked(name, help string, kind metricKind, labels []Lab
 	return s
 }
 
-// Counter returns the counter for name+labels, creating it if needed.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindCounter, labels)
-	if s.counter == nil && s.fn == nil {
-		s.counter = &Counter{}
-		s.isInt = true
-	}
-	if s.counter == nil {
-		panic(fmt.Sprintf("telemetry: series %s%s already registered as a collector", name, s.rendered))
-	}
-	return s.counter
-}
-
-// Gauge returns the gauge for name+labels, creating it if needed.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindGauge, labels)
-	if s.gauge == nil && s.fn == nil {
-		s.gauge = &Gauge{}
-		s.isInt = true
-	}
-	if s.gauge == nil {
-		panic(fmt.Sprintf("telemetry: series %s%s already registered as a collector", name, s.rendered))
-	}
-	return s.gauge
-}
-
-// Histogram returns the histogram for name+labels, creating it with the
-// given bucket bounds if needed.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		s.hist = NewHistogramBuckets(bounds)
-	}
-	return s.hist
-}
-
 // CounterFunc registers a pull collector rendered as a counter — for
 // layers that already maintain their own atomic counts.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
@@ -421,7 +352,7 @@ func (r *Registry) Samples() []Sample {
 				out = append(out, Sample{Name: f.name + "_sum", Labels: s.labels, Value: s.hist.Sum()})
 				continue
 			}
-			out = append(out, Sample{Name: f.name, Labels: s.labels, Value: s.value()})
+			out = append(out, Sample{Name: f.name, Labels: s.labels, Value: s.fn()})
 		}
 	}
 	return out
@@ -457,7 +388,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(&b, f.name, s)
 				continue
 			}
-			fmt.Fprintf(&b, "%s%s %s\n", f.name, s.rendered, formatValue(s.value(), s.isInt))
+			fmt.Fprintf(&b, "%s%s %s\n", f.name, s.rendered, formatValue(s.fn(), s.isInt))
 		}
 	}
 	_, err := io.WriteString(w, b.String())

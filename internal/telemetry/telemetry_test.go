@@ -10,21 +10,24 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_events_total", "events", L("kind", "a"))
+	var c Counter
+	r.CounterFunc("test_events_total", "events", c.Value, L("kind", "a"))
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	// Same name+labels returns the same handle.
-	if again := r.Counter("test_events_total", "events", L("kind", "a")); again != c {
-		t.Fatal("duplicate registration returned a different handle")
+	// Same name+labels reuses the series.
+	r.CounterFunc("test_events_total", "events", c.Value, L("kind", "a"))
+	depth := int64(7)
+	r.GaugeFunc("test_depth", "depth", func() float64 { return float64(depth) })
+	depth -= 2
+	got := map[string]float64{}
+	for _, s := range r.Samples() {
+		got[s.Name] += s.Value
 	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
+	if len(r.Samples()) != 2 || got["test_events_total"] != 5 || got["test_depth"] != 5 {
+		t.Fatalf("samples %v, want one series each reading 5", r.Samples())
 	}
 }
 
@@ -48,13 +51,13 @@ func TestRankDropsLargestFirstNameTieBreak(t *testing.T) {
 
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_x_total", "x")
+	r.CounterFunc("test_x_total", "x", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on kind conflict")
 		}
 	}()
-	r.Gauge("test_x_total", "x")
+	r.GaugeFunc("test_x_total", "x", func() float64 { return 0 })
 }
 
 func TestHistogramBucketsAndSum(t *testing.T) {
@@ -72,11 +75,13 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_drops_total", "dropped frames", L("reason", "ring_overflow")).Add(3)
-	r.Counter("test_drops_total", "dropped frames", L("reason", `weird"value`+"\n")).Add(1)
-	r.Gauge("test_conns", "live connections").Set(42)
+	r.CounterFunc("test_drops_total", "dropped frames", func() uint64 { return 3 }, L("reason", "ring_overflow"))
+	r.CounterFunc("test_drops_total", "dropped frames", func() uint64 { return 1 }, L("reason", `weird"value`+"\n"))
+	r.GaugeFunc("test_conns", "live connections", func() float64 { return 42 })
 	r.GaugeFunc("test_pull", "pulled value", func() float64 { return 1.5 })
-	r.Histogram("test_latency", "latency", []float64{1, 2}).Observe(1.5)
+	h := NewHistogramBuckets([]float64{1, 2})
+	h.Observe(1.5)
+	r.AttachHistogram("test_latency", "latency", h)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -133,13 +138,16 @@ func TestValidateExpositionAcceptsValid(t *testing.T) {
 
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
+	var counters [4]Counter
+	h := NewHistogramBuckets([]float64{10, 100})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := r.Counter("test_par_total", "p", L("g", string(rune('a'+g%4))))
-			h := r.Histogram("test_par_hist", "p", []float64{10, 100})
+			c := &counters[g%4]
+			r.CounterFunc("test_par_total", "p", c.Value, L("g", string(rune('a'+g%4))))
+			r.AttachHistogram("test_par_hist", "p", h)
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(float64(i % 200))
@@ -158,18 +166,20 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	total := uint64(0)
+	total, histCount := uint64(0), uint64(0)
 	for _, s := range r.Samples() {
-		if s.Name == "test_par_total" {
+		switch s.Name {
+		case "test_par_total":
 			total += uint64(s.Value)
+		case "test_par_hist_count":
+			histCount += uint64(s.Value)
 		}
 	}
 	if total != 8000 {
 		t.Fatalf("concurrent counter total = %d, want 8000", total)
 	}
-	h := r.Histogram("test_par_hist", "p", nil)
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	if histCount != 8000 {
+		t.Fatalf("histogram count = %d, want 8000", histCount)
 	}
 	if math.IsNaN(h.Sum()) {
 		t.Fatal("histogram sum is NaN")
@@ -233,9 +243,9 @@ func TestConnTracerRetentionBound(t *testing.T) {
 
 func TestPublishExpvarIdempotent(t *testing.T) {
 	r1 := NewRegistry()
-	r1.Counter("test_ev_total", "x").Add(1)
+	r1.CounterFunc("test_ev_total", "x", func() uint64 { return 1 })
 	PublishExpvar("retina_test_metrics", r1)
 	r2 := NewRegistry()
-	r2.Counter("test_ev_total", "x").Add(9)
+	r2.CounterFunc("test_ev_total", "x", func() uint64 { return 9 })
 	PublishExpvar("retina_test_metrics", r2) // must not panic; r2 wins
 }
