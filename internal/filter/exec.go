@@ -76,65 +76,14 @@ type SessionFilterFunc func(s Session, connNode int) bool
 
 // CompilePredicateMatcher builds a standalone matcher for one
 // packet-layer predicate. The simulated NIC uses it to evaluate
-// installed flow rules against ingress frames.
+// installed flow rules against ingress frames; it is the same typed test
+// the compiled packet program runs.
 func CompilePredicateMatcher(reg *Registry, pred Predicate) (func(p *layers.Parsed) bool, error) {
-	return compilePacketPred(reg, pred)
-}
-
-// compilePacketPred builds a monomorphic matcher closure for one
-// packet-layer predicate. All registry lookups, operator dispatch and
-// regex compilation happen here — once, at filter build time — so the
-// per-packet path is a direct closure call, the Go analogue of the
-// paper's statically generated filter code.
-func compilePacketPred(reg *Registry, pred Predicate) (func(p *layers.Parsed) bool, error) {
-	def, ok := reg.Proto(pred.Proto)
-	if !ok {
-		return nil, fmt.Errorf("filter: unknown protocol %q", pred.Proto)
-	}
-	if pred.Unary() {
-		if def.Match == nil {
-			return nil, fmt.Errorf("filter: protocol %q is not packet-matchable", pred.Proto)
-		}
-		return def.Match, nil
-	}
-	_, f, err := reg.Field(pred.Proto, pred.Field)
+	t, err := compileTest(reg, pred)
 	if err != nil {
 		return nil, err
 	}
-	if f.Access == nil {
-		return nil, fmt.Errorf("filter: field %s.%s has no packet accessor", pred.Proto, pred.Field)
-	}
-	acc := f.Access
-	protoMatch := def.Match
-
-	var cmp func(Value) bool
-	switch f.Kind {
-	case KindInt:
-		op, val := pred.Op, pred.Val
-		cmp = func(v Value) bool { return compareInt(v.Int, op, val) }
-	case KindString:
-		op, val := pred.Op, pred.Val
-		cmp = func(v Value) bool { return compareString(v.Str, op, val) }
-	case KindIP:
-		op, val := pred.Op, pred.Val
-		cmp = func(v Value) bool { return compareIP(v.IP, op, val) }
-	default:
-		return nil, fmt.Errorf("filter: unsupported field kind %s", f.Kind)
-	}
-
-	return func(p *layers.Parsed) bool {
-		if protoMatch != nil && !protoMatch(p) {
-			return false
-		}
-		var out [2]Value
-		n := acc(p, &out)
-		for i := 0; i < n; i++ {
-			if cmp(out[i]) {
-				return true
-			}
-		}
-		return false
-	}, nil
+	return t.match, nil
 }
 
 // pktAcc accumulates the matched frontier during one packet-filter
@@ -146,11 +95,11 @@ type pktAcc struct {
 }
 
 // PacketScratch is a reusable frontier accumulator for packet-filter
-// evaluation. The accumulator is threaded through the engines' closure
-// trees by pointer, which defeats escape analysis — a fresh one heap-
-// allocates on every packet. Hot paths own one scratch per core and
-// evaluate through Program.PacketWith instead. Not safe for concurrent
-// use; the zero value is ready.
+// evaluation. The accumulator is threaded through the engines by
+// pointer, which defeats escape analysis — a fresh one would
+// heap-allocate on every packet. Hot paths own one scratch per core and
+// evaluate through Program.PacketWith or MultiProgram.PacketInto. Not
+// safe for concurrent use; the zero value is ready.
 type PacketScratch struct {
 	buf [8]int
 	acc pktAcc
@@ -161,103 +110,31 @@ func (s *PacketScratch) reset() {
 	s.acc.terminal = -1
 }
 
-// PacketEvalFunc is the software packet filter (§4.1): it evaluates
-// packet-layer predicates against a decoded packet, accumulating into a
-// caller-owned scratch (allocation-free on single-branch matches).
-type PacketEvalFunc func(p *layers.Parsed, s *PacketScratch) Result
-
-// frontierResult converts an accumulated frontier into a Result. The
-// deepest-first DFS order is stable for a given trie, so both engines
-// (and the emitted Go source) produce identical Frontier slices.
+// frontierResult converts an accumulated frontier into a Result.
 func frontierResult(acc *pktAcc) Result {
+	var r Result
+	acc.resultInto(&r)
+	return r
+}
+
+// resultInto writes the accumulated frontier into r. The deepest-first
+// DFS order is stable for a given trie, so both engines (and the emitted
+// Go source) produce identical Frontier slices.
+func (acc *pktAcc) resultInto(r *Result) {
 	if len(acc.nodes) == 0 {
-		return NoMatch
+		*r = NoMatch
+		return
 	}
-	r := Result{Match: true, Node: acc.nodes[0]}
+	*r = Result{Match: true, Node: acc.nodes[0]}
 	if acc.terminal >= 0 {
 		r.Terminal = true
 		r.Node = acc.terminal
 	}
 	if len(acc.nodes) > 1 {
-		// Copy out of the stack buffer only in the (rare) multi-branch
+		// Copy out of the scratch buffer only in the (rare) multi-branch
 		// case; single-branch matches stay allocation-free.
 		r.Frontier = append([]int(nil), acc.nodes...)
 	}
-	return r
-}
-
-// CompilePacketEval generates the software packet filter from the
-// trie. The returned closure tree mirrors the nested conditionals of the
-// paper's generated Rust (Figure 3): each packet-layer node becomes one
-// matcher; on success, packet-layer children are tried depth-first, and
-// if none match, the node itself joins the matched frontier as a
-// terminal match (pattern complete) or a non-terminal match
-// (connection/session predicates remain on a direct child). All matching
-// branches are explored — not just the first — so the connection filter
-// can resume from every still-viable pattern.
-func CompilePacketEval(reg *Registry, t *Trie) (PacketEvalFunc, error) {
-	root, err := compilePacketNode(reg, t.Root)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *layers.Parsed, s *PacketScratch) Result {
-		s.reset()
-		root(p, &s.acc)
-		return frontierResult(&s.acc)
-	}, nil
-}
-
-// compilePacketNode builds the matcher for one trie node. The returned
-// closure reports whether its subtree contributed at least one frontier
-// node; a node whose packet-layer children matched does not join the
-// frontier itself (the connection filter's ancestor walk recovers its
-// connection-layer children from the deeper mark).
-func compilePacketNode(reg *Registry, n *Node) (func(p *layers.Parsed, acc *pktAcc) bool, error) {
-	match, err := compilePacketPred(reg, n.Pred)
-	if err != nil {
-		return nil, err
-	}
-	var kids []func(p *layers.Parsed, acc *pktAcc) bool
-	hasNonPacketChild := false
-	for _, c := range n.Children {
-		if c.Layer != LayerPacket {
-			hasNonPacketChild = true
-			continue
-		}
-		k, err := compilePacketNode(reg, c)
-		if err != nil {
-			return nil, err
-		}
-		kids = append(kids, k)
-	}
-	id := n.ID
-	terminal := n.Terminal
-	return func(p *layers.Parsed, acc *pktAcc) bool {
-		if !match(p) {
-			return false
-		}
-		matched := false
-		for _, k := range kids {
-			if k(p, acc) {
-				matched = true
-			}
-		}
-		if matched {
-			return true
-		}
-		if terminal {
-			acc.nodes = append(acc.nodes, id)
-			if acc.terminal < 0 {
-				acc.terminal = id
-			}
-			return true
-		}
-		if hasNonPacketChild {
-			acc.nodes = append(acc.nodes, id)
-			return true
-		}
-		return false
-	}, nil
 }
 
 // connBranch is one connection-layer node reachable from a packet-filter
