@@ -5,10 +5,12 @@
 // the same way DPDK's mempool keeps packet memory out of the kernel:
 // buffers are allocated once at startup and recycled by reference count.
 //
-// Mbufs carry receive metadata (port, queue, arrival tick) and a filter
-// mark used by the multi-layer filter to record the deepest predicate-trie
-// node matched so far, so downstream filters never re-traverse the trie
-// (see the paper's §4.1, "non-terminating packet filter matches").
+// Mbufs carry receive metadata only (port, queue, arrival tick, RSS
+// hash, RX timestamp). The multi-layer filter's progress does not ride
+// on the buffer: the packet filter's matched frontier travels in its
+// filter.Result, and a connection keeps its own per-subscription mark,
+// so downstream filters never re-traverse the trie (the paper's §4.1,
+// "non-terminating packet filter matches").
 package mbuf
 
 import (
@@ -40,7 +42,11 @@ type Mbuf struct {
 	off  int    // start of packet data (headroom before it)
 	ln   int    // length of packet data
 	pool *Pool  // owning pool; nil for heap-backed bufs
-	refs atomic.Int32
+	// refs is the reference count. Ref and shared frees update it
+	// atomically; allocation stores it plainly, and Free/FreeBulk skip
+	// the locked decrement when a plain load reads 1 — the caller then
+	// holds the only reference, so nobody else may touch the count.
+	refs int32
 
 	// Receive metadata.
 	Port    uint16 // ingress port id
@@ -62,7 +68,7 @@ func FromBytes(data []byte) *Mbuf {
 		ln:  len(data),
 	}
 	copy(m.buf[m.off:], data)
-	m.refs.Store(1)
+	m.refs = 1
 	return m
 }
 
@@ -132,12 +138,26 @@ func (m *Mbuf) Trim(n int) error {
 
 // Ref increments the reference count. Each holder must call Free once.
 func (m *Mbuf) Ref() *Mbuf {
-	m.refs.Add(1)
+	atomic.AddInt32(&m.refs, 1)
 	return m
 }
 
 // RefCount reports the current reference count.
-func (m *Mbuf) RefCount() int { return int(m.refs.Load()) }
+func (m *Mbuf) RefCount() int { return int(atomic.LoadInt32(&m.refs)) }
+
+// release drops one reference and reports whether it was the last. The
+// sole owner (count 1) takes no locked instruction.
+func (m *Mbuf) release() bool {
+	if atomic.LoadInt32(&m.refs) == 1 {
+		m.refs = 0
+		return true
+	}
+	n := atomic.AddInt32(&m.refs, -1)
+	if n < 0 {
+		panic("mbuf: double free")
+	}
+	return n == 0
+}
 
 // Free drops one reference; when the count reaches zero the buffer is
 // returned to its pool (or released to the GC for heap-backed bufs).
@@ -145,12 +165,8 @@ func (m *Mbuf) Free() {
 	if m == nil {
 		return
 	}
-	if n := m.refs.Add(-1); n == 0 {
-		if m.pool != nil {
-			m.pool.put(m)
-		}
-	} else if n < 0 {
-		panic("mbuf: double free")
+	if m.release() && m.pool != nil {
+		m.pool.put(m)
 	}
 }
 
@@ -187,6 +203,19 @@ func NewPool(n, bufSize int) *Pool {
 	return p
 }
 
+// reset readies a buffer taken off the free list: headroom reserved,
+// no data, no metadata, one reference. The buffer is exclusively the
+// caller's, so the count is stored plainly.
+func (m *Mbuf) reset() {
+	m.off = DefaultHeadroom
+	if m.off > len(m.buf) {
+		m.off = 0
+	}
+	m.ln = 0
+	m.Port, m.Queue, m.RxTick, m.RSSHash, m.RxNanos = 0, 0, 0, 0, 0
+	m.refs = 1
+}
+
 // Alloc returns a buffer with headroom reserved and refcount 1.
 func (p *Pool) Alloc() (*Mbuf, error) {
 	p.mu.Lock()
@@ -200,13 +229,7 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 	p.free = p.free[:n-1]
 	p.mu.Unlock()
 
-	m.off = DefaultHeadroom
-	if m.off > len(m.buf) {
-		m.off = 0
-	}
-	m.ln = 0
-	m.Port, m.Queue, m.RxTick, m.RSSHash, m.RxNanos = 0, 0, 0, 0, 0
-	m.refs.Store(1)
+	m.reset()
 	p.allocs.Add(1)
 	return m, nil
 }
@@ -232,39 +255,96 @@ func (p *Pool) AllocData(data []byte) (*Mbuf, error) {
 // allocation failures, one per missing buffer) and out[n:] is left
 // untouched.
 func (p *Pool) AllocBulk(out []*Mbuf) int {
-	if len(out) == 0 {
-		return 0
-	}
-	p.mu.Lock()
-	n := len(p.free)
-	if n > len(out) {
-		n = len(out)
-	}
-	if n > 0 {
-		tail := p.free[len(p.free)-n:]
-		copy(out[:n], tail)
-		for i := range tail {
-			tail[i] = nil
-		}
-		p.free = p.free[:len(p.free)-n]
-	}
-	p.mu.Unlock()
-
+	n := p.take(out)
 	// Reset outside the lock: the buffers are exclusively ours now.
 	for _, m := range out[:n] {
-		m.off = DefaultHeadroom
-		if m.off > len(m.buf) {
-			m.off = 0
-		}
-		m.ln = 0
-		m.Port, m.Queue, m.RxTick, m.RSSHash, m.RxNanos = 0, 0, 0, 0, 0
-		m.refs.Store(1)
+		m.reset()
 	}
 	p.allocs.Add(uint64(n))
 	if short := len(out) - n; short > 0 {
 		p.fails.Add(uint64(short))
 	}
 	return n
+}
+
+// take moves up to len(out) buffers off the free list into out under
+// one lock — as many as the pool holds, never more — and returns how
+// many. It counts nothing and resets nothing.
+func (p *Pool) take(out []*Mbuf) int {
+	p.mu.Lock()
+	n := min(len(p.free), len(out))
+	if n > 0 {
+		tail := p.free[len(p.free)-n:]
+		copy(out[:n], tail)
+		clear(tail)
+		p.free = p.free[:len(p.free)-n]
+	}
+	p.mu.Unlock()
+	return n
+}
+
+// Cache hands out a pool's buffers one at a time from bulk takes, so a
+// producer locks the pool once per burst rather than once per frame
+// (DPDK's per-lcore mempool cache). A refill takes as many buffers as
+// the pool holds, up to the cache's size, in one lock round trip, so a
+// drained pool is charged one allocation failure per frame it could not
+// store, not one per cache slot. Allocations are counted as buffers are
+// handed out and published to the pool's counters at each refill and
+// Release. Not safe for concurrent use: each producer owns one.
+type Cache struct {
+	pool *Pool
+	bufs []*Mbuf // bufs[:n] are held for handing out
+	n    int
+	// handed counts buffers handed out since the last publication.
+	handed uint64
+}
+
+// NewCache returns an empty cache of size buffers (at least one) over p.
+func NewCache(p *Pool, size int) *Cache {
+	return &Cache{pool: p, bufs: make([]*Mbuf, max(size, 1))}
+}
+
+// AllocData hands out a buffer holding a copy of data, refilling the
+// cache first when it is empty. It fails with ErrPoolExhausted when the
+// pool has no buffer (one allocation failure counted) and with
+// ErrTooLarge when data does not fit a buffer (checked after a buffer
+// is found, as Pool.AllocData does; the buffer stays in the cache).
+func (c *Cache) AllocData(data []byte) (*Mbuf, error) {
+	if c.n == 0 {
+		c.publish()
+		if c.n = c.pool.take(c.bufs); c.n == 0 {
+			c.pool.fails.Add(1)
+			return nil, ErrPoolExhausted
+		}
+	}
+	m := c.bufs[c.n-1]
+	m.reset()
+	if err := m.SetData(data); err != nil {
+		return nil, err
+	}
+	c.n--
+	c.bufs[c.n] = nil
+	c.handed++
+	return m, nil
+}
+
+// Release returns every buffer the cache holds to the pool and
+// publishes the allocation count, leaving the pool exactly as if each
+// handed-out buffer had been allocated singly.
+func (c *Cache) Release() {
+	if c.n > 0 {
+		c.pool.putBulk(c.bufs[:c.n])
+		clear(c.bufs[:c.n])
+		c.n = 0
+	}
+	c.publish()
+}
+
+func (c *Cache) publish() {
+	if c.handed > 0 {
+		c.pool.allocs.Add(c.handed)
+		c.handed = 0
+	}
 }
 
 // FreeBulk drops one reference from each non-nil buffer and returns
@@ -282,11 +362,7 @@ func FreeBulk(ms []*Mbuf) {
 		if m == nil {
 			continue
 		}
-		n := m.refs.Add(-1)
-		if n < 0 {
-			panic("mbuf: double free")
-		}
-		if n != 0 || m.pool == nil {
+		if !m.release() || m.pool == nil {
 			continue
 		}
 		if pool != nil && (m.pool != pool || len(batch) == len(buf)) {

@@ -113,12 +113,11 @@ type NIC struct {
 
 	// Producer state (single-producer, like DeliverBurst itself):
 	// pending stages per-queue mbufs until a full burst is published with
-	// one EnqueueBurst; cache holds bulk-allocated buffers so the pool
+	// one EnqueueBurst; cache hands out bulk-taken buffers so the pool
 	// lock is taken once per burst, not once per packet.
 	burst   int
 	pending [][]*mbuf.Mbuf
-	cache   []*mbuf.Mbuf
-	cacheN  int
+	cache   *mbuf.Cache
 	// nowNs is the RX timestamp applied to frames of the current
 	// DeliverBurst call (producer-owned; 0 when RxStamp is off).
 	nowNs int64
@@ -222,7 +221,7 @@ func New(cfg Config) *NIC {
 		rings:      make([]*Ring, cfg.Queues),
 		burst:      cfg.Burst,
 		pending:    make([][]*mbuf.Mbuf, cfg.Queues),
-		cache:      make([]*mbuf.Mbuf, cfg.Burst),
+		cache:      mbuf.NewCache(cfg.Pool, cfg.Burst),
 		bucketPkts: make([]atomic.Uint64, cfg.RetaSize),
 	}
 	for i := range n.rings {
@@ -456,10 +455,7 @@ func (n *NIC) FlushPending() {
 // from the producer goroutine (it touches producer-owned state).
 func (n *NIC) Close() {
 	n.FlushPending()
-	if n.cacheN > 0 {
-		mbuf.FreeBulk(n.cache[:n.cacheN])
-		n.cacheN = 0
-	}
+	n.cache.Release()
 	n.closed.Store(true)
 	for _, r := range n.rings {
 		r.Close()
@@ -560,31 +556,16 @@ func (n *NIC) DeliverBurst(frames [][]byte, ticks []uint64) {
 // large for the buffer geometry (oversize — the pool had buffers, the
 // frame just cannot be stored).
 func (n *NIC) allocMbuf(frame []byte) *mbuf.Mbuf {
-	if n.cacheN == 0 {
-		// Refill with what the pool can actually supply so a drained
-		// pool is charged one failure per frame, not one per burst slot.
-		want := n.burst
-		if avail := n.cfg.Pool.Available(); avail < want {
-			want = avail
-		}
-		if want < 1 {
-			want = 1
-		}
-		n.cacheN = n.cfg.Pool.AllocBulk(n.cache[:want])
-		if n.cacheN == 0 {
-			n.noMbuf.Add(1)
-			return nil
-		}
-	}
-	n.cacheN--
-	m := n.cache[n.cacheN]
-	n.cache[n.cacheN] = nil
-	if err := m.SetData(frame); err != nil {
-		m.Free()
+	m, err := n.cache.AllocData(frame)
+	switch err {
+	case nil:
+		return m
+	case mbuf.ErrPoolExhausted:
+		n.noMbuf.Add(1)
+	default:
 		n.oversize.Add(1)
-		return nil
 	}
-	return m
+	return nil
 }
 
 // flushQueue publishes queue q's staged burst. Frames the ring cannot
