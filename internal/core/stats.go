@@ -47,10 +47,18 @@ func (s Stage) String() string {
 	return "?"
 }
 
-// StageStats accumulates per-stage counts and (optionally) time.
+// StageStats accumulates per-stage counts and (optionally) time. The
+// owning core counts invocations in plain fields and publishes them to
+// the shared timers once per burst (and at Flush/AdvanceTime), so a
+// stage invocation costs no locked instruction; readers on other
+// goroutines see counts at burst granularity, exact at end of run.
 type StageStats struct {
-	timers  [numStages]metrics.StageTimer
-	profile bool
+	timers [numStages]metrics.StageTimer
+	// counts is each stage's exact invocation count and published the
+	// part of it already added to timers (owning core only).
+	counts    [numStages]uint64
+	published [numStages]uint64
+	profile   bool
 	// lat, when non-nil, receives deterministic 1-in-128 per-stage
 	// latency samples into its burst-local histograms (observe.go). It
 	// is owned by the same core goroutine that calls Time/TimeBatch.
@@ -63,21 +71,16 @@ func NewStageStats(profile bool) *StageStats {
 	return &StageStats{profile: profile}
 }
 
-// Count bumps a stage's invocation count by n without timing.
-func (s *StageStats) Count(st Stage, n uint64) {
-	s.timers[st].Add(n, 0)
-}
-
 // Time runs fn under the stage's timer (or untimed when profiling is
 // off). With latency tracking on, 1 invocation in 128 is additionally
 // timed into the stage's latency histogram — the sampling decision
 // depends only on the invocation count, so recorded sample counts are
 // identical across burst sizes.
 func (s *StageStats) Time(st Stage, fn func()) {
-	// The sampling decision rides the invocation count the stage timer
-	// increments anyway: record when the count crosses a
-	// 2^latencySampleShift boundary. One counter, one atomic.
-	n := s.timers[st].AddCount(1)
+	// The sampling decision rides the exact invocation count: record
+	// when it crosses a 2^latencySampleShift boundary.
+	s.counts[st]++
+	n := s.counts[st]
 	var rec uint64
 	if s.lat != nil {
 		rec = n>>latencySampleShift - (n-1)>>latencySampleShift
@@ -106,7 +109,8 @@ func (s *StageStats) Time(st Stage, fn func()) {
 // Latency samples get the mean per-invocation duration, recorded once
 // per 128 invocations like Time's.
 func (s *StageStats) TimeBatch(st Stage, n uint64, fn func()) {
-	total := s.timers[st].AddCount(n)
+	s.counts[st] += n
+	total := s.counts[st]
 	var rec uint64
 	if s.lat != nil {
 		rec = total>>latencySampleShift - (total-n)>>latencySampleShift
@@ -126,7 +130,19 @@ func (s *StageStats) TimeBatch(st Stage, n uint64, fn func()) {
 	}
 }
 
-// Invocations returns how many times the stage ran.
+// publish adds the invocations counted since the last publish to the
+// shared timers (owning core only).
+func (s *StageStats) publish() {
+	for st := range s.counts {
+		if d := s.counts[st] - s.published[st]; d > 0 {
+			s.timers[st].AddCount(d)
+			s.published[st] = s.counts[st]
+		}
+	}
+}
+
+// Invocations returns how many times the stage ran, as of the owning
+// core's last publish.
 func (s *StageStats) Invocations(st Stage) uint64 { return s.timers[st].Count() }
 
 // AvgCycles returns the stage's mean cost in nominal CPU cycles

@@ -75,12 +75,9 @@ func (s *StageTimer) Add(n uint64, d time.Duration) {
 	s.nanos.Add(uint64(d))
 }
 
-// AddCount records n invocations with no duration and returns the new
-// invocation count. Returning the count lets the latency layer key its
-// deterministic sampling off the increment the stage path already pays,
-// instead of maintaining a second per-stage counter — and skips Add's
+// AddCount records n invocations with no duration — skipping Add's
 // add-of-zero on the nanos word.
-func (s *StageTimer) AddCount(n uint64) uint64 { return s.count.Add(n) }
+func (s *StageTimer) AddCount(n uint64) { s.count.Add(n) }
 
 // AddNanos attributes d to invocations already counted via AddCount.
 func (s *StageTimer) AddNanos(d time.Duration) { s.nanos.Add(uint64(d)) }
