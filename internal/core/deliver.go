@@ -98,6 +98,13 @@ func (c *Core) flushOffload() {
 // zero-copy hand-off stays safe. Frame-level delivery counting is the
 // caller's job (a frame delivered to N subscriptions counts once).
 func (c *Core) deliverPacketTo(spec *SubSpec, m *mbuf.Mbuf) {
+	c.runOnPacket(spec, m)
+	spec.Delivered.Inc()
+}
+
+// runOnPacket is deliverPacketTo without the subscription's delivery
+// count, for the per-packet fast path, which counts per burst.
+func (c *Core) runOnPacket(spec *SubSpec, m *mbuf.Mbuf) {
 	if l := c.lat; l != nil && m.RxNanos != 0 {
 		// Memo hit open-coded here: observeRx is past the inlining
 		// budget, and one compare beats a call on the per-delivery path.
@@ -111,7 +118,6 @@ func (c *Core) deliverPacketTo(spec *SubSpec, m *mbuf.Mbuf) {
 	}
 	c.pktOut = Packet{Data: m.Data(), Tick: m.RxTick, CoreID: c.ID}
 	c.stages.Time(StageCallback, func() { spec.Sub.OnPacket(&c.pktOut) })
-	spec.Delivered.Inc()
 }
 
 func (c *Core) deliverSessionTo(spec *SubSpec, conn *conntrack.Conn, s *proto.Session) {
