@@ -610,3 +610,40 @@ func TestConfigRegisterFlags(t *testing.T) {
 		}
 	}
 }
+
+// RunOffline's allocations do not grow with the trace: a Packets run
+// over 4N frames allocates exactly what a run over N frames does, so
+// nothing on the per-frame path (ingest, decode, packet filter,
+// delivery, counters) reaches the heap.
+func TestRunOfflineAllocsIndependentOfFrames(t *testing.T) {
+	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 21, Flows: 300, Gbps: 10})
+	var frames [][]byte
+	for len(frames) < 8000 {
+		f, _, ok := src.Next()
+		if !ok {
+			break
+		}
+		frames = append(frames, append([]byte(nil), f...))
+	}
+	n := len(frames) / 4
+	if n < 1000 {
+		t.Fatalf("campus mix produced only %d frames", len(frames))
+	}
+	allocs := func(frames [][]byte) float64 {
+		cfg := DefaultConfig()
+		cfg.Cores = 1
+		var delivered uint64
+		rt, err := New(cfg, Packets(func(p *Packet) { delivered += uint64(len(p.Data)) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := testing.AllocsPerRun(5, func() { rt.RunOffline(&framesSource{frames: frames}) })
+		if delivered == 0 {
+			t.Fatal("nothing delivered")
+		}
+		return a
+	}
+	if small, large := allocs(frames[:n]), allocs(frames[:4*n]); small != large {
+		t.Fatalf("RunOffline allocates %v over %d frames but %v over %d", small, n, large, 4*n)
+	}
+}
