@@ -111,7 +111,7 @@ func naiveEval(in *Interpreter, reg *Registry, pats []Pattern, p *layers.Parsed,
 }
 
 // FuzzFilterEnginesDifferential cross-checks three independent filter
-// semantics — the closure-compiled engine, the trie interpreter, and a
+// semantics — the compiled engine, the trie interpreter, and a
 // naive flat-DNF evaluator — over random filters × random packets ×
 // services × sessions, at every sub-filter stage. It also requires the
 // emitted Go source (GenerateGoSource) to stay syntactically valid for

@@ -6,10 +6,12 @@
 // possible (paper §4).
 //
 // Two execution engines are provided. The compiled engine builds the
-// sub-filters once, at subscription time, into trees of monomorphic
-// closures — the Go analogue of the paper's procedural-macro static code
-// generation. The interpreted engine evaluates the same trie generically
-// on every packet and exists as the Appendix B baseline.
+// sub-filters once, at subscription time — the packet filter into a
+// flat, typed program specialized per layer key, the connection and
+// session filters into trees of monomorphic closures — the Go analogue
+// of the paper's procedural-macro static code generation. The
+// interpreted engine evaluates the same trie generically on every
+// packet; it is the reference semantics and the Appendix B baseline.
 package filter
 
 import (
