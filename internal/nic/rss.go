@@ -9,6 +9,7 @@ package nic
 
 import (
 	"bytes"
+	"sync/atomic"
 
 	"retina/internal/layers"
 )
@@ -153,12 +154,15 @@ func RSSInput(p *layers.Parsed, buf []byte) ([]byte, bool) {
 // technique of §6.1 used to titrate the effective ingress rate without
 // breaking flow consistency.
 type Reta struct {
-	entries []int16
+	// entries and assigned hold int16 queue numbers in atomic words: the
+	// producer rewrites them on Assign while the rebalancer and the
+	// control plane read them from their own goroutines.
+	entries []atomic.Int32
 	// assigned mirrors entries minus sinking: it remembers each
 	// bucket's queue assignment even while the entry is diverted to the
 	// sink, so SetSinkFraction can restore rebalanced placements instead
 	// of clobbering them back to the round-robin default.
-	assigned []int16
+	assigned []atomic.Int32
 	queues   int
 }
 
@@ -174,17 +178,17 @@ func NewReta(size, queues int) *Reta {
 	if size <= 0 || queues <= 0 {
 		panic("nic: reta size and queues must be positive")
 	}
-	r := &Reta{entries: make([]int16, size), assigned: make([]int16, size), queues: queues}
+	r := &Reta{entries: make([]atomic.Int32, size), assigned: make([]atomic.Int32, size), queues: queues}
 	for i := range r.entries {
-		r.entries[i] = int16(i % queues)
-		r.assigned[i] = r.entries[i]
+		r.entries[i].Store(int32(i % queues))
+		r.assigned[i].Store(int32(i % queues))
 	}
 	return r
 }
 
 // Lookup maps an RSS hash to a queue, or SinkQueue.
 func (r *Reta) Lookup(hash uint32) int16 {
-	return r.entries[hash%uint32(len(r.entries))]
+	return int16(r.entries[hash%uint32(len(r.entries))].Load())
 }
 
 // Size reports the table's entry count.
@@ -194,12 +198,12 @@ func (r *Reta) Size() int { return len(r.entries) }
 func (r *Reta) Queues() int { return r.queues }
 
 // Entry reports bucket's live dispatch target (SinkQueue if sunk).
-func (r *Reta) Entry(bucket int) int16 { return r.entries[bucket] }
+func (r *Reta) Entry(bucket int) int16 { return int16(r.entries[bucket].Load()) }
 
 // Assigned reports bucket's queue assignment, looking through any sink
 // diversion: the queue the bucket dispatches to (or would, once
 // un-sunk).
-func (r *Reta) Assigned(bucket int) int16 { return r.assigned[bucket] }
+func (r *Reta) Assigned(bucket int) int16 { return int16(r.assigned[bucket].Load()) }
 
 // Assign moves bucket to queue. A sunk bucket keeps sinking — only its
 // remembered assignment changes, taking effect when the sink fraction
@@ -207,9 +211,9 @@ func (r *Reta) Assigned(bucket int) int16 { return r.assigned[bucket] }
 // must only run on the producer (see NIC.RequestAssign), which orders
 // it against in-flight ring enqueues.
 func (r *Reta) Assign(bucket int, queue int16) {
-	r.assigned[bucket] = queue
-	if r.entries[bucket] != SinkQueue {
-		r.entries[bucket] = queue
+	r.assigned[bucket].Store(int32(queue))
+	if r.Entry(bucket) != SinkQueue {
+		r.entries[bucket].Store(int32(queue))
 	}
 }
 
@@ -220,7 +224,9 @@ func (r *Reta) Snapshot(out []int16) []int16 {
 		out = make([]int16, len(r.entries))
 	}
 	out = out[:len(r.entries)]
-	copy(out, r.entries)
+	for i := range out {
+		out[i] = r.Entry(i)
+	}
 	return out
 }
 
@@ -243,9 +249,9 @@ func (r *Reta) SetSinkFraction(frac float64) {
 		// the round-robin default, so changing the sink fraction never
 		// undoes a rebalanced placement.
 		if ((i+1)*want)/n > (i*want)/n {
-			r.entries[i] = SinkQueue
+			r.entries[i].Store(int32(SinkQueue))
 		} else {
-			r.entries[i] = r.assigned[i]
+			r.entries[i].Store(r.assigned[i].Load())
 		}
 	}
 }
@@ -303,8 +309,8 @@ func BucketOf(ft layers.FiveTuple, retaSize int) (bucket int, ok bool) {
 // SinkFraction reports the fraction of entries currently sunk.
 func (r *Reta) SinkFraction() float64 {
 	n := 0
-	for _, e := range r.entries {
-		if e == SinkQueue {
+	for i := range r.entries {
+		if r.Entry(i) == SinkQueue {
 			n++
 		}
 	}
