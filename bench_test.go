@@ -303,6 +303,54 @@ func BenchmarkBurstSize(b *testing.B) {
 	}
 }
 
+// --- Offline ingest ---
+
+// burstReplay serves a replay's frames a burst at a time, as they are:
+// the BurstSource path RunOffline borrows frames from.
+type burstReplay struct{ replay }
+
+func (r *burstReplay) NextBurst(frames [][]byte, ticks []uint64) int {
+	n := copy(frames, r.frames[r.i:])
+	copy(ticks, r.ticks[r.i:r.i+n])
+	r.i += n
+	return n
+}
+
+// BenchmarkRunOffline times Runtime.RunOffline over a campus trace
+// generated before the timer starts, from a BurstSource: the host
+// pipeline alone, borrowing every frame. One op is one pass over the
+// trace on a runtime built once, so allocs/op counts what a run
+// allocates beyond setup.
+func BenchmarkRunOffline(b *testing.B) {
+	frames, ticks, bytes := materialize(
+		traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}))
+	for _, bc := range []struct {
+		name, filter string
+		sub          *retina.Subscription
+	}{
+		{"packets", "", retina.Packets(func(*retina.Packet) {})},
+		{"tls", "tls", retina.Sessions(func(*retina.SessionEvent) {})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := retina.DefaultConfig()
+			cfg.Filter = bc.filter
+			cfg.Cores = 1
+			rt, err := retina.New(cfg, bc.sub)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(bytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt.RunOffline(&burstReplay{replay{frames: frames, ticks: ticks}})
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/frame")
+		})
+	}
+}
+
 // --- Ablations ---
 
 // BenchmarkAblationHWFilterOn/Off: zero-CPU hardware winnowing.

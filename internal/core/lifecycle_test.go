@@ -32,7 +32,14 @@ func TestConnLifecycleAllocs(t *testing.T) {
 	}
 	var sessions int
 	sub := &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) { sessions++ }}
-	c := newTestCore(t, "tls", sub)
+	// The bound is the production table's: pin the flat backend, which
+	// the conntrack_map build tag would otherwise swap for the map oracle.
+	ct := conntrack.DefaultConfig()
+	ct.Backend = conntrack.BackendFlat
+	c, err := NewCore(0, Config{Set: testSet(t, "tls", sub), Conntrack: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	runtime.GC()
 	var before, after runtime.MemStats
