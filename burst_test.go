@@ -2,6 +2,7 @@ package retina_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"retina"
 	"retina/internal/traffic"
@@ -113,5 +114,31 @@ func TestBurstRingOverflowOnlineExactlyOnce(t *testing.T) {
 	}
 	if rt.Pool().InUse() != 0 {
 		t.Fatalf("pool leak after overflow run: %d mbufs in use", rt.Pool().InUse())
+	}
+}
+
+// In a packets-only offline run the callback's Packet.Data is the
+// source's frame itself: nothing copied it.
+func TestRunOfflinePacketDataAliasesSource(t *testing.T) {
+	frames, ticks, _ := materialize(traffic.NewCampusMix(traffic.CampusConfig{Seed: 33, Flows: 50, Gbps: 20}))
+	starts := make(map[*byte]bool, len(frames))
+	for _, f := range frames {
+		starts[unsafe.SliceData(f)] = true
+	}
+	cfg := retina.DefaultConfig()
+	cfg.Cores = 1
+	var delivered, aliased int
+	rt, err := retina.New(cfg, retina.Packets(func(p *retina.Packet) {
+		delivered++
+		if starts[unsafe.SliceData(p.Data)] {
+			aliased++
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.RunOffline(&burstReplay{replay{frames: frames, ticks: ticks}})
+	if delivered != len(frames) || aliased != delivered {
+		t.Fatalf("%d frames, %d delivered, %d aliasing the source", len(frames), delivered, aliased)
 	}
 }
