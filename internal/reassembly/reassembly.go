@@ -2,7 +2,9 @@
 // reassembly (paper §5.2): instead of copying payloads into stream
 // buffers, in-sequence segments pass straight through to the consumer
 // and only out-of-order segments are parked — by reference — in a
-// bounded buffer that is flushed when the hole fills.
+// bounded buffer that is flushed when the hole fills. A segment whose
+// buffer borrows its bytes (a Keeper) is detached when it is parked,
+// never when it passes through.
 //
 // The design exploits the paper's measurement that 94% of flows with at
 // least two packets arrive completely in order and the median hole fills
@@ -47,14 +49,31 @@ type Segment struct {
 	// segment, or when a parked, duplicate, dropped or shed segment is
 	// let go. *mbuf.Mbuf satisfies it, so the caller hands over the
 	// reference it took itself and no per-segment closure is built. Nil
-	// means nothing to release.
+	// means nothing to release. If Release also implements Keeper, the
+	// reassembler calls Keep before it parks the segment.
 	Release interface{ Free() }
+}
+
+// Keeper is a buffer whose bytes may only be valid for the current
+// Insert call — a borrowed view of a frame its source will reuse. Keep
+// makes them outlive the call and returns view rebased onto the kept
+// bytes.
+type Keeper interface {
+	Keep(view []byte) []byte
 }
 
 // release frees the segment's buffer reference, if it holds one.
 func (s *Segment) release() {
 	if s.Release != nil {
 		s.Release.Free()
+	}
+}
+
+// keep readies a segment for parking: its payload must outlive the
+// Insert call.
+func (s *Segment) keep() {
+	if k, ok := s.Release.(Keeper); ok {
+		s.Payload = k.Keep(s.Payload)
 	}
 }
 
@@ -254,6 +273,7 @@ func (r *Lite) Insert(seg Segment, emit func(Segment)) error {
 				r.budget.release(oldLen - newLen)
 			}
 			d.ooo[idx].release()
+			seg.keep()
 			d.ooo[idx] = seg
 		} else {
 			seg.release()
@@ -265,6 +285,7 @@ func (r *Lite) Insert(seg Segment, emit func(Segment)) error {
 		seg.release()
 		return ErrBudget
 	}
+	seg.keep()
 	d.ooo = append(d.ooo, Segment{})
 	copy(d.ooo[idx+1:], d.ooo[idx:])
 	d.ooo[idx] = seg

@@ -473,3 +473,53 @@ func TestSameSeqReplacementReleasesEvicted(t *testing.T) {
 		t.Fatalf("replacement released %d times after FlushAll, want 1", released[2])
 	}
 }
+
+// keeper is a Release whose bytes are a borrowed view: Keep copies them
+// and counts the call.
+type keeper struct{ kept *int }
+
+func (k keeper) Free() {}
+
+func (k keeper) Keep(view []byte) []byte {
+	*k.kept++
+	return bytes.Clone(view)
+}
+
+// Only a segment the reassembler parks is kept, and it parks the kept
+// bytes: in-order, retransmitted and refused segments pass through
+// uncopied, a parked segment and a longer same-Seq replacement are kept
+// once each, and the stream reads right after the borrowed bytes are
+// overwritten.
+func TestKeepOnlyParkedSegments(t *testing.T) {
+	r := NewLite(2)
+	kept := 0
+	var borrowed [][]byte
+	mk := func(seq uint32, pl string) Segment {
+		s := seg(seq, pl)
+		s.Release = keeper{&kept}
+		borrowed = append(borrowed, s.Payload)
+		return s
+	}
+	var out []byte
+	emit := func(e Segment) { out = append(out, e.Payload...) }
+	insert := func(s Segment, wantKept int) {
+		t.Helper()
+		r.Insert(s, emit)
+		if kept != wantKept {
+			t.Fatalf("Keep called %d times, want %d", kept, wantKept)
+		}
+		for _, b := range borrowed {
+			clear(b) // the source reuses its frames after each call
+		}
+	}
+	insert(mk(0, "ab"), 0)   // in order
+	insert(mk(0, "ab"), 0)   // retransmission
+	insert(mk(4, "ef"), 1)   // parked
+	insert(mk(4, "efgh"), 2) // longer same-Seq arrival replaces it
+	insert(mk(20, "zz"), 3)  // parked
+	insert(mk(30, "yy"), 3)  // buffer full: dropped
+	insert(mk(2, "cd"), 3)   // fills the hole; the kept bytes drain
+	if string(out) != "abcdefgh" {
+		t.Fatalf("stream = %q, want %q", out, "abcdefgh")
+	}
+}
