@@ -10,7 +10,7 @@ import (
 
 // tupleOf parses a built frame back into its canonical five-tuple (the
 // key the offload manager would install).
-func tupleOf(t *testing.T, frame []byte) layers.FiveTuple {
+func tupleOf(t testing.TB, frame []byte) layers.FiveTuple {
 	t.Helper()
 	var p layers.Parsed
 	if err := p.DecodeLayers(frame); err != nil {
