@@ -1,9 +1,13 @@
 // Package mbuf implements DPDK-style message buffers.
 //
-// An Mbuf is a fixed-capacity packet buffer drawn from a pre-allocated
-// pool. The pool keeps buffer memory off the garbage collector's hot path
-// the same way DPDK's mempool keeps packet memory out of the kernel:
-// buffers are allocated once at startup and recycled by reference count.
+// An Mbuf is a fixed-capacity packet buffer drawn from a bounded pool.
+// The pool keeps buffer memory off the garbage collector's hot path the
+// same way DPDK's mempool keeps packet memory out of the kernel: a buffer
+// is made once and recycled by reference count. Where DPDK reserves the
+// whole mempool in hugepages at startup, the pool's size is only a bound:
+// buffers are made in chunks, the first at construction and the rest on
+// first need, and never returned, so a run pays (in Go's zeroing of
+// every allocation) only for the buffers it holds at its peak.
 //
 // Mbufs carry receive metadata only (port, queue, arrival tick, RSS
 // hash, RX timestamp). The multi-layer filter's progress does not ride
@@ -28,6 +32,7 @@ package mbuf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -67,7 +72,7 @@ type Mbuf struct {
 	RxTick  uint64 // virtual-clock tick at reception
 	RSSHash uint32 // RSS hash computed by the (simulated) NIC
 	// slot is the buffer's index in its pool, which locates its own
-	// storage in the pool's backing array; the borrowed bit marks buf
+	// storage in the pool's chunks; the borrowed bit marks buf
 	// as a view of someone else's bytes. It sits in the padding after
 	// RSSHash, so the Mbuf stays 80 bytes.
 	slot uint32
@@ -257,14 +262,25 @@ func (m *Mbuf) Free() {
 	}
 }
 
-// Pool is a fixed-size mbuf allocator. It is safe for concurrent use; in
+// Pool is a bounded mbuf allocator. It is safe for concurrent use; in
 // the share-nothing pipeline each core typically owns its own pool, but
 // the generator and rings may hand buffers across goroutines, so the free
 // list is guarded.
+//
+// The bound is not paid for up front: buffers are made chunkBufs at a
+// time, the first chunk in NewPool and each later one the first time
+// the free list cannot serve a request, and a buffer once made is
+// recycled for the pool's lifetime, never returned to the GC. A run
+// pays for the buffers it holds at its peak, not for the bound.
 type Pool struct {
-	mu      sync.Mutex
-	free    []*Mbuf
-	backing []byte // every buffer's own storage, bufSize bytes per slot
+	mu   sync.Mutex
+	free []*Mbuf
+	// chunks holds each chunk's storage, chunkBufs buffers of bufSize
+	// bytes. The table is sized for the bound in NewPool, and an entry is
+	// written under mu before any buffer of its chunk is handed out, so
+	// storage may read it without the lock.
+	chunks  [][]byte
+	made    int // buffers made so far, at most size
 	bufSize int
 	size    int
 
@@ -272,25 +288,48 @@ type Pool struct {
 	fails  atomic.Uint64
 }
 
-// NewPool pre-allocates n buffers of bufSize bytes each. bufSize <= 0
-// selects DefaultBufSize.
+// chunkBufs is how many buffers a pool makes at a time: 1 MiB of
+// DefaultBufSize buffers, more than an offline run holds at once, so
+// an offline run allocates nothing in the pool after NewPool.
+const chunkBufs = 512
+
+// NewPool returns a pool bounded at n buffers of bufSize bytes each and
+// makes its first chunk (see Pool). bufSize <= 0 selects DefaultBufSize.
 func NewPool(n, bufSize int) *Pool {
 	if bufSize <= 0 {
 		bufSize = DefaultBufSize
 	}
-	// One backing array for the whole pool: a single allocation, stable
-	// for the process lifetime, mirroring a hugepage-backed mempool.
-	p := &Pool{bufSize: bufSize, size: n, free: make([]*Mbuf, 0, n), backing: make([]byte, n*bufSize)}
-	for i := 0; i < n; i++ {
-		p.free = append(p.free, &Mbuf{buf: p.storage(uint32(i)), pool: p, slot: uint32(i)})
-	}
+	p := &Pool{bufSize: bufSize, size: n, chunks: make([][]byte, (n+chunkBufs-1)/chunkBufs)}
+	p.grow()
 	return p
 }
 
-// storage returns slot's own bytes in the backing array.
+// grow makes the next chunk of buffers and puts them on the free list,
+// reporting false when the pool has already made all it may. The caller
+// holds p.mu or, in NewPool, the only reference to p.
+func (p *Pool) grow() bool {
+	k := min(chunkBufs, p.size-p.made)
+	if k <= 0 {
+		return false
+	}
+	// Room for every buffer made, so a free never reallocates the list.
+	p.free = slices.Grow(p.free, p.made+k-len(p.free))
+	p.chunks[p.made/chunkBufs] = make([]byte, k*p.bufSize)
+	ms := make([]Mbuf, k)
+	for i := range ms {
+		m := &ms[i]
+		m.pool, m.slot = p, uint32(p.made+i)
+		m.buf = p.storage(m.slot)
+		p.free = append(p.free, m)
+	}
+	p.made += k
+	return true
+}
+
+// storage returns slot's own bytes in its chunk.
 func (p *Pool) storage(slot uint32) []byte {
-	i := int(slot) * p.bufSize
-	return p.backing[i : i+p.bufSize : i+p.bufSize]
+	i := int(slot%chunkBufs) * p.bufSize
+	return p.chunks[slot/chunkBufs][i : i+p.bufSize : i+p.bufSize]
 }
 
 // reset readies a buffer taken off the free list: headroom reserved,
@@ -306,12 +345,12 @@ func (m *Mbuf) reset() {
 // Alloc returns a buffer with headroom reserved and refcount 1.
 func (p *Pool) Alloc() (*Mbuf, error) {
 	p.mu.Lock()
-	n := len(p.free)
-	if n == 0 {
+	if len(p.free) == 0 && !p.grow() {
 		p.mu.Unlock()
 		p.fails.Add(1)
 		return nil, ErrPoolExhausted
 	}
+	n := len(p.free)
 	m := p.free[n-1]
 	p.free = p.free[:n-1]
 	p.mu.Unlock()
@@ -355,10 +394,12 @@ func (p *Pool) AllocBulk(out []*Mbuf) int {
 }
 
 // take moves up to len(out) buffers off the free list into out under
-// one lock — as many as the pool holds, never more — and returns how
-// many. It counts nothing and resets nothing.
+// one lock — as many as the pool holds or may still make, never more —
+// and returns how many. It counts nothing and resets nothing.
 func (p *Pool) take(out []*Mbuf) int {
 	p.mu.Lock()
+	for len(p.free) < len(out) && p.grow() {
+	}
 	n := min(len(p.free), len(out))
 	if n > 0 {
 		tail := p.free[len(p.free)-n:]
@@ -506,14 +547,15 @@ func (p *Pool) putBulk(ms []*Mbuf) {
 	p.mu.Unlock()
 }
 
-// Available reports the number of free buffers.
+// Available reports the number of buffers an allocation may still get:
+// the free ones plus those not yet made.
 func (p *Pool) Available() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.free)
+	return len(p.free) + p.size - p.made
 }
 
-// Size reports the total number of buffers in the pool.
+// Size reports the pool's bound, the most buffers it ever holds.
 func (p *Pool) Size() int { return p.size }
 
 // InUse reports the number of buffers currently held by callers. A

@@ -575,3 +575,168 @@ func TestBorrowOversizeKeepsBuffer(t *testing.T) {
 		t.Fatalf("allocs %d fails %d InUse %d; want 1, 0, 0", allocs, fails, p.InUse())
 	}
 }
+
+// A fresh pool has made nothing, yet reports its whole bound as
+// available and nothing in use.
+func TestFreshPoolAvailableIsBound(t *testing.T) {
+	for _, n := range []int{0, 1, chunkBufs, 2*chunkBufs + 7} {
+		p := NewPool(n, 256)
+		if p.Available() != n || p.Size() != n || p.InUse() != 0 {
+			t.Fatalf("n=%d: Available %d Size %d InUse %d", n, p.Available(), p.Size(), p.InUse())
+		}
+	}
+}
+
+// Exactly the bound can be allocated, across chunk boundaries and a
+// short last chunk, through each allocation path; every request beyond
+// it counts one failure per missing buffer, and every buffer has its
+// own storage.
+func TestGrowingPoolAllocatesExactlyBound(t *testing.T) {
+	const n = 2*chunkBufs + 7
+	paths := map[string]func(p *Pool) (got []*Mbuf, fails uint64){
+		"alloc": func(p *Pool) ([]*Mbuf, uint64) {
+			var got []*Mbuf
+			for {
+				m, err := p.Alloc()
+				if err != nil {
+					return got, 1
+				}
+				got = append(got, m)
+			}
+		},
+		"bulk": func(p *Pool) ([]*Mbuf, uint64) {
+			var got []*Mbuf
+			out := make([]*Mbuf, 100) // straddles every chunk boundary
+			for {
+				k := p.AllocBulk(out)
+				got = append(got, out[:k]...)
+				if k < len(out) {
+					return got, uint64(len(out) - k)
+				}
+			}
+		},
+		"cache": func(p *Pool) ([]*Mbuf, uint64) {
+			var got []*Mbuf
+			c := NewCache(p, 32)
+			defer c.Release()
+			for {
+				m, err := c.AllocData([]byte{1})
+				if err != nil {
+					return got, 1
+				}
+				got = append(got, m)
+			}
+		},
+	}
+	for name, alloc := range paths {
+		t.Run(name, func(t *testing.T) {
+			p := NewPool(n, 256)
+			got, wantFails := alloc(p)
+			if len(got) != n || p.Available() != 0 || p.InUse() != n {
+				t.Fatalf("allocated %d, Available %d, InUse %d; want %d, 0, %d", len(got), p.Available(), p.InUse(), n, n)
+			}
+			if allocs, fails := p.Stats(); allocs != n || fails != wantFails {
+				t.Fatalf("allocs %d fails %d; want %d, %d", allocs, fails, n, wantFails)
+			}
+			storage := make(map[*byte]bool, n)
+			for _, m := range got {
+				if len(m.buf) != 256 || storage[&m.buf[0]] {
+					t.Fatalf("slot %d: storage of %d bytes, shared %v", m.slot, len(m.buf), storage[&m.buf[0]])
+				}
+				storage[&m.buf[0]] = true
+			}
+			FreeBulk(got)
+			if p.Available() != n || p.InUse() != 0 {
+				t.Fatalf("after free: Available %d InUse %d", p.Available(), p.InUse())
+			}
+		})
+	}
+}
+
+// A borrowed buffer made in a later chunk detaches into its own slot of
+// that chunk, next to its neighbours' slots and not over them.
+func TestBorrowDetachesIntoLaterChunk(t *testing.T) {
+	const n = chunkBufs + 3
+	p := NewPool(n, 256)
+	c := NewCache(p, n)
+	frames := make([][]byte, n)
+	ms := make([]*Mbuf, n)
+	for i := range ms {
+		frames[i] = bytes.Repeat([]byte{byte(i)}, 256-DefaultHeadroom)
+		m, err := c.Borrow(frames[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+	}
+	for _, m := range ms {
+		m.Keep(nil)
+	}
+	var later int
+	for i, m := range ms {
+		if !bytes.Equal(m.Data(), frames[i]) {
+			t.Fatalf("buffer %d (slot %d) lost its data to a neighbour", i, m.slot)
+		}
+		if m.slot < chunkBufs {
+			continue
+		}
+		later++
+		chunk := p.chunks[1]
+		at := int(m.slot-chunkBufs) * 256
+		if &m.buf[0] != &chunk[at] || cap(m.buf) != 256 {
+			t.Fatalf("slot %d detached outside its own bytes of chunk 1", m.slot)
+		}
+	}
+	if later != 3 {
+		t.Fatalf("%d buffers from the second chunk, want 3", later)
+	}
+	FreeBulk(ms)
+	c.Release()
+	if p.InUse() != 0 {
+		t.Fatalf("InUse = %d", p.InUse())
+	}
+}
+
+// FreeBulk on one goroutine runs while a cache refill on another grows
+// the pool: the consumer keeps every fourth buffer until the end, so
+// the producer keeps making chunks as buffers come back. Run under
+// -race.
+func TestFreeBulkWhileCacheGrows(t *testing.T) {
+	p := NewPool(8*chunkBufs, 256)
+	c := NewCache(p, 32)
+	handoff := make(chan *Mbuf, 64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var batch, kept []*Mbuf
+		i := 0
+		for m := range handoff {
+			if i++; i%4 == 0 {
+				kept = append(kept, m)
+				continue
+			}
+			if batch = append(batch, m); len(batch) == 32 {
+				FreeBulk(batch)
+				batch = batch[:0]
+			}
+		}
+		FreeBulk(batch)
+		FreeBulk(kept)
+	}()
+	for i := 0; i < 4*chunkBufs; i++ {
+		m, err := c.AllocData([]byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handoff <- m
+	}
+	close(handoff)
+	<-done
+	c.Release()
+	if p.made < 2*chunkBufs {
+		t.Fatalf("pool made %d buffers; the test never grew it past one chunk", p.made)
+	}
+	if p.InUse() != 0 || p.Available() != p.Size() {
+		t.Fatalf("InUse %d Available %d of %d", p.InUse(), p.Available(), p.Size())
+	}
+}

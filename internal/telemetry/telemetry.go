@@ -262,10 +262,11 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value for the exposition format. A
+// Replacer is safe for concurrent use, so one serves every label.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 // getFamily finds or creates a family, panicking on invalid names or a
 // kind conflict — both are programmer errors caught in tests.

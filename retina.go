@@ -156,7 +156,11 @@ type Config struct {
 	Cores int
 	// RingSize bounds each receive ring; overflows are packet loss.
 	RingSize int
-	// PoolSize is the packet buffer pool size.
+	// PoolSize bounds the packet buffer pool. Buffers are made in chunks,
+	// the first by New and the rest on first need, and never returned,
+	// so a run's memory follows the most buffers it holds at once, not
+	// this bound; allocation fails (packet loss, rx_nombuf) only once the
+	// bound is reached.
 	PoolSize int
 	// BurstSize is the datapath batch size: the NIC stages up to this
 	// many frames per ring enqueue and each core dequeues, decodes, and
