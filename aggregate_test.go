@@ -97,12 +97,12 @@ func runAggOnce(t *testing.T, cfg Config, src Source, driver func(rt *Runtime, d
 // frames must produce byte-identical aggregation reports — windows are
 // keyed by event tick, not batch boundaries.
 func TestAggregateBurstInvariance(t *testing.T) {
-	frames, ticks := collectFrames(t, 31, 400)
+	tr := campusTrace(31, 400)
 	var got [2]string
 	for i, burst := range []int{1, 32} {
 		cfg := aggConfig(2)
 		cfg.BurstSize = burst
-		reports, _ := runAggOnce(t, cfg, &tickedSource{frames: frames, ticks: ticks}, nil)
+		reports, _ := runAggOnce(t, cfg, tr.Replay(), nil)
 		if len(reports) != len(aggQuerySet) {
 			t.Fatalf("burst=%d: %d reports, want %d", burst, len(reports), len(aggQuerySet))
 		}
@@ -121,11 +121,11 @@ func TestAggregateBurstInvariance(t *testing.T) {
 // same pass count so the inputs are byte-identical.
 func TestAggregateRebalanceInvariance(t *testing.T) {
 	const targetMoves = 30
-	frames, ticks := collectFrames(t, 37, 400)
+	tr := campusTrace(37, 400)
 	cfg := aggConfig(2)
 
 	var moves, conns atomic.Int64
-	src := newLoopedSource(frames, ticks, func(int) bool { return moves.Load() < targetMoves })
+	src := newLoopedSource(tr, func(int) bool { return moves.Load() < targetMoves })
 	migrated, _ := runAggOnce(t, cfg, src, func(rt *Runtime, done chan struct{}) {
 		defer close(done)
 		dev := rt.NIC()
@@ -133,7 +133,7 @@ func TestAggregateRebalanceInvariance(t *testing.T) {
 		for plane.Epoch() == 0 && src.served.Load() == 0 {
 			runtime.Gosched()
 		}
-		step := int64(len(frames) / 40)
+		step := int64(len(tr.Frames) / 40)
 		if step < 1 {
 			step = 1
 		}
@@ -160,7 +160,7 @@ func TestAggregateRebalanceInvariance(t *testing.T) {
 
 	passes := src.pass
 	base, _ := runAggOnce(t, cfg,
-		newLoopedSource(frames, ticks, func(p int) bool { return p < passes }), nil)
+		newLoopedSource(tr, func(p int) bool { return p < passes }), nil)
 
 	a, b := canonicalAggReports(t, base), canonicalAggReports(t, migrated)
 	if a != b {
@@ -174,18 +174,18 @@ func TestAggregateRebalanceInvariance(t *testing.T) {
 // not perturb the aggregation reports of the surviving queries.
 func TestAggregateEpochSwapInvariance(t *testing.T) {
 	const targetSwaps = 8
-	frames, ticks := collectFrames(t, 41, 400)
+	tr := campusTrace(41, 400)
 	cfg := aggConfig(2)
 
 	var swaps atomic.Int64
-	src := newLoopedSource(frames, ticks, func(int) bool { return swaps.Load() < targetSwaps })
+	src := newLoopedSource(tr, func(int) bool { return swaps.Load() < targetSwaps })
 	swapped, _ := runAggOnce(t, cfg, src, func(rt *Runtime, done chan struct{}) {
 		defer close(done)
 		plane := rt.ControlPlane()
 		for plane.Epoch() == 0 && src.served.Load() == 0 {
 			runtime.Gosched()
 		}
-		step := int64(len(frames) / 20)
+		step := int64(len(tr.Frames) / 20)
 		if step < 1 {
 			step = 1
 		}
@@ -211,7 +211,7 @@ func TestAggregateEpochSwapInvariance(t *testing.T) {
 	})
 	passes := src.pass
 	base, _ := runAggOnce(t, cfg,
-		newLoopedSource(frames, ticks, func(p int) bool { return p < passes }), nil)
+		newLoopedSource(tr, func(p int) bool { return p < passes }), nil)
 	if swaps.Load() == 0 {
 		t.Fatal("no epoch swaps completed — invariance untested")
 	}
@@ -388,17 +388,7 @@ func TestAggregateExposition(t *testing.T) {
 // query over the same workload; the acceptance floor is topk ≥ 80% of
 // baseline throughput.
 func BenchmarkAggregate(b *testing.B) {
-	gen := traffic.NewCampusMix(traffic.CampusConfig{Seed: 71, Flows: 300, Gbps: 20})
-	var frames [][]byte
-	var ticks []uint64
-	for {
-		fr, tick, ok := gen.Next()
-		if !ok {
-			break
-		}
-		frames = append(frames, append([]byte(nil), fr...))
-		ticks = append(ticks, tick)
-	}
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 71, Flows: 300, Gbps: 20}), 0)
 	run := func(b *testing.B, agg *AggregateSpec) {
 		b.ReportAllocs()
 		var pkts int
@@ -411,7 +401,7 @@ func BenchmarkAggregate(b *testing.B) {
 			if _, err := rt.AddSubscriptionWithAggregate("bench", "ipv4", Packets(func(*Packet) {}), agg); err != nil {
 				b.Fatal(err)
 			}
-			stats := rt.Run(&tickedSource{frames: frames, ticks: ticks})
+			stats := rt.Run(tr.Replay())
 			pkts += int(stats.NIC.Delivered)
 		}
 		b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")

@@ -20,40 +20,11 @@ import (
 	"retina/internal/traffic"
 )
 
-// materialize pre-generates a workload so generation cost stays out of
-// the measured loop.
-func materialize(src retina.Source) (frames [][]byte, ticks []uint64, bytes int64) {
-	for {
-		f, tk, ok := src.Next()
-		if !ok {
-			return
-		}
-		frames = append(frames, append([]byte(nil), f...))
-		ticks = append(ticks, tk)
-		bytes += int64(len(f))
-	}
-}
-
-type replay struct {
-	frames [][]byte
-	ticks  []uint64
-	i      int
-}
-
-func (r *replay) Next() ([]byte, uint64, bool) {
-	if r.i >= len(r.frames) {
-		return nil, 0, false
-	}
-	f, t := r.frames[r.i], r.ticks[r.i]
-	r.i++
-	return f, t, true
-}
-
 // benchPipeline measures end-to-end single-core processing of a
 // pre-generated workload under a filter and subscription.
 func benchPipeline(b *testing.B, filter string, mkSub func(*atomic.Uint64) *retina.Subscription, src retina.Source) {
 	b.Helper()
-	frames, ticks, bytes := materialize(src)
+	tr := traffic.Collect(src, 0)
 	var delivered atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,9 +39,9 @@ func benchPipeline(b *testing.B, filter string, mkSub func(*atomic.Uint64) *reti
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 	b.ReportMetric(float64(delivered.Load())/float64(b.N), "deliveries/op")
 }
 
@@ -110,12 +81,12 @@ func BenchmarkFig5CallbackCost1K(b *testing.B) {
 
 // --- Figure 6: Retina vs eager monitors, single core ---
 
-func fig6Workload() ([][]byte, []uint64, int64) {
-	return materialize(traffic.NewHTTPSWorkload(1, 60, 32, 5, "bench.example.com"))
+func fig6Workload() *traffic.Trace {
+	return traffic.Collect(traffic.NewHTTPSWorkload(1, 60, 32, 5, "bench.example.com"), 0)
 }
 
 func BenchmarkFig6Retina(b *testing.B) {
-	frames, ticks, bytes := fig6Workload()
+	tr := fig6Workload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,24 +97,24 @@ func BenchmarkFig6Retina(b *testing.B) {
 		cfg.PoolSize = 8192
 		rt, _ := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
 		b.StartTimer()
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 }
 
 func benchFig6Baseline(b *testing.B, sys baseline.System) {
-	frames, ticks, bytes := fig6Workload()
+	tr := fig6Workload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m, _ := baseline.New(sys, "bench")
 		b.StartTimer()
-		for j, f := range frames {
-			m.Process(f, ticks[j])
+		for j, f := range tr.Frames {
+			m.Process(f, tr.Ticks[j])
 		}
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 }
 
 func BenchmarkFig6ZeekLike(b *testing.B)     { benchFig6Baseline(b, baseline.ZeekLike) }
@@ -163,8 +134,7 @@ func BenchmarkFig7NetflixFilter(b *testing.B) {
 // --- Figure 8: state management under timeout schemes ---
 
 func benchFig8(b *testing.B, est, inact time.Duration) {
-	frames, ticks, bytes := materialize(
-		traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: 3000, Gbps: 2, Concurrent: 192}))
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: 3000, Gbps: 2, Concurrent: 192}), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,12 +147,12 @@ func benchFig8(b *testing.B, est, inact time.Duration) {
 		cfg.InactivityTimeout = inact
 		rt, _ := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
 		b.StartTimer()
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 		b.StopTimer()
 		b.ReportMetric(float64(rt.Cores()[0].Table().Len()), "live-conns")
 		b.StartTimer()
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 }
 
 func BenchmarkFig8DefaultTimeouts(b *testing.B) { benchFig8(b, 500*time.Millisecond, 30*time.Second) }
@@ -202,7 +172,7 @@ func BenchmarkFig9VideoFeatures(b *testing.B) {
 // --- Figure 12: compiled vs interpreted filters ---
 
 func benchFig12(b *testing.B, interpreted bool) {
-	frames, ticks, bytes := materialize(traffic.NewStratosphereLike(traffic.Norm7, 300))
+	tr := traffic.Collect(traffic.NewStratosphereLike(traffic.Norm7, 300), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -214,9 +184,9 @@ func benchFig12(b *testing.B, interpreted bool) {
 		cfg.Interpreted = interpreted
 		rt, _ := retina.New(cfg, retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) {}))
 		b.StartTimer()
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 }
 
 func BenchmarkFig12Compiled(b *testing.B)    { benchFig12(b, false) }
@@ -260,7 +230,7 @@ func burstSweepWorkload() retina.Source {
 // quantifies the per-packet overhead the burst refactor amortizes;
 // burst=1 runs one-packet bursts through the same code.
 func benchBurstSize(b *testing.B, burst int) {
-	frames, ticks, bytes := materialize(burstSweepWorkload())
+	tr := traffic.Collect(burstSweepWorkload(), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,25 +245,14 @@ func benchBurstSize(b *testing.B, burst int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		done := make(chan struct{})
-		go func() {
-			rt.Cores()[0].Run(rt.NIC().Queue(0))
-			close(done)
-		}()
 		b.StartTimer()
-		// Mirror Runtime.Run's BurstSource path: frames arrive at the
-		// NIC a burst at a time.
-		for j := 0; j < len(frames); j += burst {
-			k := min(j+burst, len(frames))
-			rt.NIC().DeliverBurst(frames[j:k], ticks[j:k])
-		}
-		rt.NIC().Close()
-		<-done
+		// Run hands the device one burst of the trace per call.
+		rt.Run(tr.Replay())
 	}
 	b.StopTimer()
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(len(frames))*float64(b.N)/sec, "pkts/s")
+		b.ReportMetric(float64(len(tr.Frames))*float64(b.N)/sec, "pkts/s")
 	}
 }
 
@@ -305,25 +264,13 @@ func BenchmarkBurstSize(b *testing.B) {
 
 // --- Offline ingest ---
 
-// burstReplay serves a replay's frames a burst at a time, as they are:
-// the BurstSource path RunOffline borrows frames from.
-type burstReplay struct{ replay }
-
-func (r *burstReplay) NextBurst(frames [][]byte, ticks []uint64) int {
-	n := copy(frames, r.frames[r.i:])
-	copy(ticks, r.ticks[r.i:r.i+n])
-	r.i += n
-	return n
-}
-
 // BenchmarkRunOffline times Runtime.RunOffline over a campus trace
-// generated before the timer starts, from a BurstSource: the host
-// pipeline alone, borrowing every frame. One op is one pass over the
+// recorded before the timer starts: the host pipeline alone, borrowing
+// every frame. One op is one pass over the
 // trace on a runtime built once, so allocs/op counts what a run
 // allocates beyond setup.
 func BenchmarkRunOffline(b *testing.B) {
-	frames, ticks, bytes := materialize(
-		traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}))
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}), 0)
 	for _, bc := range []struct {
 		name, filter string
 		sub          *retina.Subscription
@@ -340,13 +287,13 @@ func BenchmarkRunOffline(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
-			b.SetBytes(bytes)
+			b.SetBytes(int64(tr.Bytes))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rt.RunOffline(&burstReplay{replay{frames: frames, ticks: ticks}})
+				rt.RunOffline(tr.Replay())
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/frame")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Frames)), "ns/frame")
 		})
 	}
 }
@@ -355,8 +302,7 @@ func BenchmarkRunOffline(b *testing.B) {
 
 // BenchmarkAblationHWFilterOn/Off: zero-CPU hardware winnowing.
 func benchHWAblation(b *testing.B, hw bool) {
-	frames, ticks, bytes := materialize(
-		traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: 400, Gbps: 40}))
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: 400, Gbps: 40}), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -368,17 +314,10 @@ func benchHWAblation(b *testing.B, hw bool) {
 		cfg.PoolSize = 1 << 17
 		cfg.HardwareFilter = hw
 		rt, _ := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
-		done := make(chan struct{})
-		go func() {
-			rt.Cores()[0].Run(rt.NIC().Queue(0))
-			close(done)
-		}()
 		b.StartTimer()
-		rt.NIC().DeliverBurst(frames, ticks)
-		rt.NIC().Close()
-		<-done
+		rt.Run(tr.Replay())
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 }
 
 func BenchmarkAblationHWFilterOn(b *testing.B)  { benchHWAblation(b, true) }

@@ -10,13 +10,13 @@ import (
 	"retina/internal/traffic"
 )
 
-// poisonSource is a BurstSource that serves frames from per-slot
-// buffers it reuses, and overwrites every slot with 0xAA at its next
-// NextBurst call, the end-of-input call included: any frame RunOffline
-// still reads after the burst it arrived in, without having copied it,
-// reads poison.
+// poisonSource is a BurstSource that serves a trace's frames from
+// per-slot buffers it reuses, and overwrites every slot with 0xAA at its
+// next NextBurst call, the end-of-input call included: any frame
+// RunOffline still reads after the burst it arrived in, without having
+// copied it, reads poison.
 type poisonSource struct {
-	tickedSource
+	*traffic.Cursor
 	slots  [][]byte
 	served int
 }
@@ -28,46 +28,48 @@ func (s *poisonSource) NextBurst(frames [][]byte, ticks []uint64) int {
 			b[i] = 0xAA
 		}
 	}
-	n := 0
-	for n < len(frames) && s.i < len(s.frames) {
-		if n == len(s.slots) {
-			s.slots = append(s.slots, nil)
-		}
-		s.slots[n] = append(s.slots[n][:0], s.frames[s.i]...)
-		frames[n], ticks[n] = s.slots[n], s.ticks[s.i]
-		s.i++
-		n++
+	n := s.Cursor.NextBurst(frames, ticks)
+	for len(s.slots) < n {
+		s.slots = append(s.slots, nil)
+	}
+	for i, f := range frames[:n] {
+		s.slots[i] = append(s.slots[i][:0], f...)
+		frames[i] = s.slots[i]
 	}
 	s.served = n
 	return n
 }
 
-// stableSource is a BurstSource over frames that are never reused or
-// changed: RunOffline reads the right bytes from it whether or not it
-// copies what it keeps, which makes it the reference run.
-type stableSource struct{ tickedSource }
-
-func (s *stableSource) NextBurst(frames [][]byte, ticks []uint64) int {
-	n := copy(frames, s.frames[s.i:])
-	copy(ticks, s.ticks[s.i:s.i+n])
-	s.i += n
-	return n
+// reusedSource is a plain Source whose Next copies each frame into one
+// buffer it reuses, so every call overwrites the frame before: a frame
+// RunOffline holds past the next Next call, without having copied it,
+// reads a later frame's bytes. It holds its cursor in a named field, so
+// the cursor's NextBurst does not bypass this Next.
+type reusedSource struct {
+	cur *traffic.Cursor
+	buf []byte
 }
 
-// mergeByTick interleaves two tick-ordered frame lists into one.
-func mergeByTick(fa [][]byte, ta []uint64, fb [][]byte, tb []uint64) ([][]byte, []uint64) {
-	frames := append(append([][]byte(nil), fa...), fb...)
-	ticks := append(append([]uint64(nil), ta...), tb...)
+func (s *reusedSource) Next() ([]byte, uint64, bool) {
+	f, tick, ok := s.cur.Next()
+	s.buf = append(s.buf[:0], f...)
+	return s.buf, tick, ok
+}
+
+// mergeByTick interleaves two tick-ordered traces into one.
+func mergeByTick(a, b *traffic.Trace) *traffic.Trace {
+	frames := append(append([][]byte(nil), a.Frames...), b.Frames...)
+	ticks := append(append([]uint64(nil), a.Ticks...), b.Ticks...)
 	idx := make([]int, len(frames))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(i, j int) bool { return ticks[idx[i]] < ticks[idx[j]] })
-	outF, outT := make([][]byte, len(idx)), make([]uint64, len(idx))
+	out := &traffic.Trace{Frames: make([][]byte, len(idx)), Ticks: make([]uint64, len(idx)), Bytes: a.Bytes + b.Bytes}
 	for i, k := range idx {
-		outF[i], outT[i] = frames[k], ticks[k]
+		out.Frames[i], out.Ticks[i] = frames[k], ticks[k]
 	}
-	return outF, outT
+	return out
 }
 
 // borrowRun is one offline run's observables.
@@ -123,17 +125,18 @@ func runBorrow(t *testing.T, cfg Config, subs []string, src Source) borrowRun {
 
 // TestOfflineBorrowDifferential pins the borrowed ingest: RunOffline
 // over a source that poisons each burst's frames once the next burst is
-// asked for, and over a plain Source whose frames slotCopy copies into
-// slots it reuses, must deliver exactly what it delivers over the same
-// frames served from slices that never change — same records, core
-// counters and drop breakdown. Only the reference reads the right bytes
-// whatever RunOffline copies. Campus traffic mixed with an out-of-order
-// flood parks reassembly segments, a packet subscription behind the tls
-// filter fills packet buffers, and tight budgets make both shed.
+// asked for, over a plain Source whose frames slotCopy copies into slots
+// it reuses, and over a plain Source that overwrites its one buffer at
+// every Next, must deliver exactly what it delivers over the trace
+// replayed as it is — same records, core counters and drop breakdown.
+// Only the reference reads the right bytes whatever RunOffline copies;
+// the overwriting source fails unless slotCopy copies each frame.
+// Campus traffic mixed with an out-of-order flood parks reassembly
+// segments, a packet subscription behind the tls filter fills packet
+// buffers, and tight budgets make both shed.
 func TestOfflineBorrowDifferential(t *testing.T) {
-	cf, ct := collectFrames(t, 31, 600)
-	ff, ft := collectAdversarial(t, traffic.AdvOOOFlood, 32, 60)
-	frames, ticks := mergeByTick(cf, ct, ff, ft)
+	tr := mergeByTick(campusTrace(31, 600),
+		traffic.Collect(traffic.NewAdversarialWorkload(traffic.AdvOOOFlood, 32, 60, 20), 0))
 	for _, budgets := range []struct {
 		name         string
 		pktBuf, reas int64
@@ -142,7 +145,7 @@ func TestOfflineBorrowDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", budgets.name, subs), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.PacketBufBudget, cfg.ReassemblyBudget = budgets.pktBuf, budgets.reas
-				ref := runBorrow(t, cfg, subs, &stableSource{tickedSource{frames: frames, ticks: ticks}})
+				ref := runBorrow(t, cfg, subs, tr.Replay())
 				if ref.records == 0 {
 					t.Fatal("nothing delivered: the differential is vacuous")
 				}
@@ -150,8 +153,9 @@ func TestOfflineBorrowDifferential(t *testing.T) {
 					name string
 					src  Source
 				}{
-					{"poisoned", &poisonSource{tickedSource: tickedSource{frames: frames, ticks: ticks}}},
-					{"slot-copied", &tickedSource{frames: frames, ticks: ticks}},
+					{"poisoned", &poisonSource{Cursor: tr.Replay()}},
+					{"slot-copied", struct{ Source }{tr.Replay()}},
+					{"overwritten", &reusedSource{cur: tr.Replay()}},
 				} {
 					got := runBorrow(t, cfg, subs, side.src)
 					if got.records != ref.records || got.hash != ref.hash {

@@ -120,9 +120,9 @@ func TestBurstRingOverflowOnlineExactlyOnce(t *testing.T) {
 // In a packets-only offline run the callback's Packet.Data is the
 // source's frame itself: nothing copied it.
 func TestRunOfflinePacketDataAliasesSource(t *testing.T) {
-	frames, ticks, _ := materialize(traffic.NewCampusMix(traffic.CampusConfig{Seed: 33, Flows: 50, Gbps: 20}))
-	starts := make(map[*byte]bool, len(frames))
-	for _, f := range frames {
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 33, Flows: 50, Gbps: 20}), 0)
+	starts := make(map[*byte]bool, len(tr.Frames))
+	for _, f := range tr.Frames {
 		starts[unsafe.SliceData(f)] = true
 	}
 	cfg := retina.DefaultConfig()
@@ -137,8 +137,8 @@ func TestRunOfflinePacketDataAliasesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RunOffline(&burstReplay{replay{frames: frames, ticks: ticks}})
-	if delivered != len(frames) || aliased != delivered {
-		t.Fatalf("%d frames, %d delivered, %d aliasing the source", len(frames), delivered, aliased)
+	rt.RunOffline(tr.Replay())
+	if delivered != len(tr.Frames) || aliased != delivered {
+		t.Fatalf("%d frames, %d delivered, %d aliasing the source", len(tr.Frames), delivered, aliased)
 	}
 }

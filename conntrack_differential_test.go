@@ -28,7 +28,7 @@ type conntrackRun struct {
 // record stream is then a pure function of the workload and the table's
 // eviction decisions, and must be byte-identical across backends
 // (DESIGN.md §15).
-func runConntrackDifferential(t *testing.T, frames [][]byte, ticks []uint64, backend string, maxConns int) conntrackRun {
+func runConntrackDifferential(t *testing.T, tr *traffic.Trace, backend string, maxConns int) conntrackRun {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 2
@@ -55,7 +55,7 @@ func runConntrackDifferential(t *testing.T, frames [][]byte, ticks []uint64, bac
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.stats = rt.Run(&tickedSource{frames: frames, ticks: ticks})
+	run.stats = rt.Run(tr.Replay())
 	if run.stats.Loss() != 0 {
 		t.Fatalf("backend=%s: unexpected NIC loss %d (rings/pool undersized for differential run)", backend, run.stats.Loss())
 	}
@@ -92,64 +92,25 @@ func assertConntrackRunsMatch(t *testing.T, flat, oracle conntrackRun) {
 	}
 }
 
-// collectAdversarial materializes one adversarial workload as an
-// in-memory frame list so both backends see byte-identical input.
-func collectAdversarial(t *testing.T, kind traffic.AdversarialKind, seed int64, flows int) ([][]byte, []uint64) {
-	t.Helper()
-	gen := traffic.NewAdversarialWorkload(kind, seed, flows, 20)
-	var frames [][]byte
-	var ticks []uint64
-	for {
-		fr, tick, ok := gen.Next()
-		if !ok {
-			break
-		}
-		frames = append(frames, append([]byte(nil), fr...))
-		ticks = append(ticks, tick)
-	}
-	if len(frames) == 0 {
-		t.Fatal("workload produced no frames")
-	}
-	return frames, ticks
-}
-
 // TestConntrackBackendDifferential is the flat table's end-to-end
 // correctness pin: the full runtime, driven by adversarial workloads
 // (sequence jumps, out-of-order floods, SYN churn) plus the campus mix,
 // must deliver a byte-identical connection-record stream whether the
 // per-core table is the flat open-addressing index or the map oracle.
 func TestConntrackBackendDifferential(t *testing.T) {
-	workloads := []struct {
-		name   string
-		frames [][]byte
-		ticks  []uint64
-	}{}
-	for _, w := range []struct {
-		name string
-		kind traffic.AdversarialKind
-	}{
-		{"seq-jump", traffic.AdvSeqJump},
-		{"ooo-flood", traffic.AdvOOOFlood},
-		{"conn-churn", traffic.AdvChurn},
+	workloads := map[string]*traffic.Trace{"campus-mix": campusTrace(19, 400)}
+	for name, kind := range map[string]traffic.AdversarialKind{
+		"seq-jump":   traffic.AdvSeqJump,
+		"ooo-flood":  traffic.AdvOOOFlood,
+		"conn-churn": traffic.AdvChurn,
 	} {
-		frames, ticks := collectAdversarial(t, w.kind, 7, 400)
-		workloads = append(workloads, struct {
-			name   string
-			frames [][]byte
-			ticks  []uint64
-		}{w.name, frames, ticks})
+		workloads[name] = traffic.Collect(traffic.NewAdversarialWorkload(kind, 7, 400, 20), 0)
 	}
-	campus, campusTicks := collectFrames(t, 19, 400)
-	workloads = append(workloads, struct {
-		name   string
-		frames [][]byte
-		ticks  []uint64
-	}{"campus-mix", campus, campusTicks})
 
-	for _, w := range workloads {
-		t.Run(w.name, func(t *testing.T) {
-			flat := runConntrackDifferential(t, w.frames, w.ticks, conntrack.BackendFlat, 0)
-			oracle := runConntrackDifferential(t, w.frames, w.ticks, conntrack.BackendMap, 0)
+	for name, tr := range workloads {
+		t.Run(name, func(t *testing.T) {
+			flat := runConntrackDifferential(t, tr, conntrack.BackendFlat, 0)
+			oracle := runConntrackDifferential(t, tr, conntrack.BackendMap, 0)
 			assertConntrackRunsMatch(t, flat, oracle)
 		})
 	}
@@ -160,9 +121,9 @@ func TestConntrackBackendDifferential(t *testing.T) {
 // victim selection (longest-idle unestablished, ID tie-break) must pick
 // identical victims on both backends, or the record streams diverge.
 func TestConntrackBackendDifferentialBounded(t *testing.T) {
-	frames, ticks := collectAdversarial(t, traffic.AdvChurn, 11, 500)
-	flat := runConntrackDifferential(t, frames, ticks, conntrack.BackendFlat, 48)
-	oracle := runConntrackDifferential(t, frames, ticks, conntrack.BackendMap, 48)
+	tr := traffic.Collect(traffic.NewAdversarialWorkload(traffic.AdvChurn, 11, 500, 20), 0)
+	flat := runConntrackDifferential(t, tr, conntrack.BackendFlat, 48)
+	oracle := runConntrackDifferential(t, tr, conntrack.BackendMap, 48)
 	assertConntrackRunsMatch(t, flat, oracle)
 	if flat.pressure == 0 {
 		t.Fatal("bounded churn run evicted nothing — pressure path untested")

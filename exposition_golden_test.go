@@ -42,8 +42,7 @@ func goldenRuntime(t *testing.T) *Runtime {
 	if _, err := rt.AddSubscription("ssh", "ssh", Connections(func(*ConnRecord) {})); err != nil {
 		t.Fatal(err)
 	}
-	frames, ticks := collectFrames(t, 5, 200)
-	rt.RunOffline(&tickedSource{frames: frames, ticks: ticks})
+	rt.RunOffline(campusTrace(5, 200).Replay())
 	return rt
 }
 

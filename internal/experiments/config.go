@@ -9,6 +9,10 @@ import "retina"
 // across batch sizes.
 var BurstSize int
 
+// repeats is how many runs the best-of measurements take, to shed
+// cold-cache and GC noise.
+const repeats = 3
+
 // baseConfig is what experiments use in place of retina.DefaultConfig:
 // the paper defaults with the package-level burst override applied.
 func baseConfig() retina.Config {

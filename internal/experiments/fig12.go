@@ -63,20 +63,10 @@ func RunFig12(cfg Fig12Config, scale float64) []Fig12Point {
 	var out []Fig12Point
 	for _, prof := range []traffic.StratosphereProfile{traffic.Norm7, traffic.Norm12, traffic.Norm20, traffic.Norm30} {
 		// Materialize the trace once.
-		var frames [][]byte
-		var ticks []uint64
-		src := traffic.NewStratosphereLike(prof, flows)
-		for {
-			f, tk, ok := src.Next()
-			if !ok {
-				break
-			}
-			frames = append(frames, append([]byte(nil), f...))
-			ticks = append(ticks, tk)
-		}
+		tr := traffic.Collect(traffic.NewStratosphereLike(prof, flows), 0)
 		for _, fl := range Fig12Filters {
-			comp := fig12Run(fl.Filter, false, frames, ticks, cfg.Repeats)
-			interp := fig12Run(fl.Filter, true, frames, ticks, cfg.Repeats)
+			comp := fig12Run(fl.Filter, false, tr, cfg.Repeats)
+			interp := fig12Run(fl.Filter, true, tr, cfg.Repeats)
 			sp := 0.0
 			if comp > 0 {
 				sp = interp / comp
@@ -90,7 +80,7 @@ func RunFig12(cfg Fig12Config, scale float64) []Fig12Point {
 	return out
 }
 
-func fig12Run(filterSrc string, interpreted bool, frames [][]byte, ticks []uint64, repeats int) float64 {
+func fig12Run(filterSrc string, interpreted bool, tr *traffic.Trace, repeats int) float64 {
 	best := 0.0
 	for r := 0; r < repeats; r++ {
 		cfg := baseConfig()
@@ -103,7 +93,7 @@ func fig12Run(filterSrc string, interpreted bool, frames [][]byte, ticks []uint6
 		if err != nil {
 			panic(fmt.Sprintf("fig12 filter %q: %v", filterSrc, err))
 		}
-		el := offlineCPUSeconds(rt, &sliceSource{frames: frames, ticks: ticks})
+		el := offlineCPUSeconds(rt, tr.Replay())
 		if best == 0 || el < best {
 			best = el
 		}

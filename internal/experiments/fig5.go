@@ -120,33 +120,17 @@ func runFig5Point(cfg Fig5Config, sub Fig5SubType, cores int, cyc uint64, scale 
 		flows = 50
 	}
 
-	// Pre-generate one frame stream per core so generation cost is off
-	// the measured path (the paper's traffic arrives from the wire).
-	type stream struct {
-		frames [][]byte
-		ticks  []uint64
-		bytes  uint64
-	}
-	streams := make([]stream, cores)
+	// Pre-generate one trace per core so generation cost is off the
+	// measured path (the paper's traffic arrives from the wire).
+	traces := make([]*traffic.Trace, cores)
 	var genWG sync.WaitGroup
-	for i := range streams {
+	for i := range traces {
 		genWG.Add(1)
 		go func(i int) {
 			defer genWG.Done()
-			mix := traffic.NewCampusMix(traffic.CampusConfig{
+			traces[i] = traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{
 				Seed: cfg.Seed + int64(i)*101, Flows: flows, Gbps: 40,
-			})
-			s := &streams[i]
-			for {
-				f, tk, ok := mix.Next()
-				if !ok {
-					break
-				}
-				cp := append([]byte(nil), f...)
-				s.frames = append(s.frames, cp)
-				s.ticks = append(s.ticks, tk)
-				s.bytes += uint64(len(cp))
-			}
+			}), 0)
 		}(i)
 	}
 	genWG.Wait()
@@ -171,8 +155,7 @@ func runFig5Point(cfg Fig5Config, sub Fig5SubType, cores int, cyc uint64, scale 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			src := &sliceSource{frames: streams[i].frames, ticks: streams[i].ticks}
-			runtimes[i].RunOffline(src)
+			runtimes[i].RunOffline(traces[i].Replay())
 		}(i)
 	}
 	wg.Wait()
@@ -180,9 +163,9 @@ func runFig5Point(cfg Fig5Config, sub Fig5SubType, cores int, cyc uint64, scale 
 
 	var totalBytes uint64
 	var totalFrames int
-	for _, s := range streams {
-		totalBytes += s.bytes
-		totalFrames += len(s.frames)
+	for _, tr := range traces {
+		totalBytes += tr.Bytes
+		totalFrames += len(tr.Frames)
 	}
 	return Fig5Point{
 		Sub:       sub,
@@ -192,23 +175,6 @@ func runFig5Point(cfg Fig5Config, sub Fig5SubType, cores int, cyc uint64, scale 
 		Mpps:      float64(totalFrames) / elapsed.Seconds() / 1e6,
 		Delivered: delivered.Load(),
 	}
-}
-
-// sliceSource replays pre-generated frames.
-type sliceSource struct {
-	frames [][]byte
-	ticks  []uint64
-	i      int
-}
-
-// Next implements retina.Source.
-func (s *sliceSource) Next() ([]byte, uint64, bool) {
-	if s.i >= len(s.frames) {
-		return nil, 0, false
-	}
-	f, t := s.frames[s.i], s.ticks[s.i]
-	s.i++
-	return f, t, true
 }
 
 // PrintFig5 renders the grid with the paper's qualitative expectations.

@@ -47,23 +47,8 @@ func RunFig6(cfg Fig6Config, scale float64) []Fig6Result {
 	}
 
 	// Pre-generate the workload once; all systems replay it.
-	src := traffic.NewHTTPSWorkload(cfg.Seed, reqs, 128, 10, cfg.SNI)
-	var frames [][]byte
-	var ticks []uint64
-	var bytes uint64
-	for {
-		f, tk, ok := src.Next()
-		if !ok {
-			break
-		}
-		cp := append([]byte(nil), f...)
-		frames = append(frames, cp)
-		ticks = append(ticks, tk)
-		bytes += uint64(len(cp))
-	}
-
+	tr := traffic.Collect(traffic.NewHTTPSWorkload(cfg.Seed, reqs, 128, 10, cfg.SNI), 0)
 	var out []Fig6Result
-	const repeats = 3 // best-of to shed cold-cache and GC noise
 
 	// Retina, single core, offline (no hardware filter), matching the
 	// paper's configuration.
@@ -81,8 +66,8 @@ func RunFig6(cfg Fig6Config, scale float64) []Fig6Result {
 				panic(err)
 			}
 			start := time.Now()
-			rt.RunOffline(&sliceSource{frames: frames, ticks: ticks})
-			if g := metrics.GbpsOver(bytes, time.Since(start)); g > best {
+			rt.RunOffline(tr.Replay())
+			if g := metrics.GbpsOver(tr.Bytes, time.Since(start)); g > best {
 				best = g
 			}
 		}
@@ -107,10 +92,10 @@ func RunFig6(cfg Fig6Config, scale float64) []Fig6Result {
 				panic(err)
 			}
 			start := time.Now()
-			for i, f := range frames {
-				m.Process(f, ticks[i])
+			for i, f := range tr.Frames {
+				m.Process(f, tr.Ticks[i])
 			}
-			if g := metrics.GbpsOver(bytes, time.Since(start)); g > best {
+			if g := metrics.GbpsOver(tr.Bytes, time.Since(start)); g > best {
 				best = g
 			}
 			matches = m.Results().Matches

@@ -38,17 +38,7 @@ func RunZeroLossSearch(filterSrc string, cores int, flows int) ZeroLossResult {
 	res := ZeroLossResult{Label: fmt.Sprintf("filter=%q cores=%d", filterSrc, cores)}
 
 	// Materialize the workload once; each trial replays it.
-	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: flows, Gbps: 40})
-	var frames [][]byte
-	var ticks []uint64
-	for {
-		f, tk, ok := src.Next()
-		if !ok {
-			break
-		}
-		frames = append(frames, append([]byte(nil), f...))
-		ticks = append(ticks, tk)
-	}
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 1, Flows: flows, Gbps: 40}), 0)
 
 	for _, sink := range []float64{0, 0.25, 0.5, 0.75, 0.9} {
 		cfg := baseConfig()
@@ -62,15 +52,11 @@ func RunZeroLossSearch(filterSrc string, cores int, flows int) ZeroLossResult {
 			panic(err)
 		}
 		start := time.Now()
-		stats := rt.Run(&sliceSource{frames: frames, ticks: ticks})
+		stats := rt.Run(tr.Replay())
 		el := time.Since(start)
 
-		deliveredBytes := uint64(0)
-		for _, f := range frames {
-			deliveredBytes += uint64(len(f))
-		}
 		// Effective rate: bytes that reached the cores over wall time.
-		eff := metrics.GbpsOver(deliveredBytes*stats.NIC.Delivered/maxU64(stats.NIC.RxFrames, 1), el)
+		eff := metrics.GbpsOver(tr.Bytes*stats.NIC.Delivered/maxU64(stats.NIC.RxFrames, 1), el)
 		pt := ZeroLossPoint{SinkFraction: sink, EffectiveGbps: eff, Loss: stats.Loss()}
 		res.Points = append(res.Points, pt)
 		if pt.Loss == 0 {

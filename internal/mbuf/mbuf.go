@@ -24,14 +24,13 @@
 // copied into the buffer's own pool storage and the view is dropped.
 // The reassembler calls Keep only on a segment it parks, so a segment
 // that passes straight through is never copied.
-// Append, Prepend and SetData detach first too, so nothing ever writes
+// SetData drops the view before it writes, so nothing ever writes
 // through a borrowed view, and a buffer rejoins its pool pointing at its
 // own storage again.
 package mbuf
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -114,17 +113,6 @@ func (m *Mbuf) Headroom() int { return m.off }
 // Tailroom returns the number of free bytes after the packet data.
 func (m *Mbuf) Tailroom() int { return len(m.buf) - m.off - m.ln }
 
-// Append grows the packet by copying data at its tail.
-func (m *Mbuf) Append(data []byte) error {
-	m.writable()
-	if len(data) > m.Tailroom() {
-		return ErrTooLarge
-	}
-	copy(m.buf[m.off+m.ln:], data)
-	m.ln += len(data)
-	return nil
-}
-
 // SetData replaces the packet contents, honoring headroom.
 func (m *Mbuf) SetData(data []byte) error {
 	m.home()
@@ -133,37 +121,6 @@ func (m *Mbuf) SetData(data []byte) error {
 	}
 	copy(m.buf[m.off:], data)
 	m.ln = len(data)
-	return nil
-}
-
-// Prepend opens room bytes of space at the front of the packet (consuming
-// headroom) and returns the slice covering the new region.
-func (m *Mbuf) Prepend(room int) ([]byte, error) {
-	m.writable()
-	if room > m.off {
-		return nil, ErrTooLarge
-	}
-	m.off -= room
-	m.ln += room
-	return m.buf[m.off : m.off+room], nil
-}
-
-// Adj trims n bytes from the front of the packet (rte_pktmbuf_adj).
-func (m *Mbuf) Adj(n int) error {
-	if n > m.ln {
-		return fmt.Errorf("mbuf: adj %d beyond length %d", n, m.ln)
-	}
-	m.off += n
-	m.ln -= n
-	return nil
-}
-
-// Trim removes n bytes from the tail of the packet.
-func (m *Mbuf) Trim(n int) error {
-	if n > m.ln {
-		return fmt.Errorf("mbuf: trim %d beyond length %d", n, m.ln)
-	}
-	m.ln -= n
 	return nil
 }
 
@@ -197,13 +154,6 @@ func (m *Mbuf) Keep(view []byte) []byte {
 		}
 	}
 	return view
-}
-
-// writable detaches a borrowed buffer before a write.
-func (m *Mbuf) writable() {
-	if m.slot&borrowed != 0 {
-		m.detach()
-	}
 }
 
 // detach copies a borrowed buffer's data into its own storage, behind

@@ -97,47 +97,17 @@ func TestDoubleFreePanics(t *testing.T) {
 	m.Free()
 }
 
-func TestAdjTrimPrepend(t *testing.T) {
-	m := FromBytes([]byte("abcdefgh"))
-	if err := m.Adj(2); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(m.Data()); got != "cdefgh" {
-		t.Fatalf("after Adj: %q", got)
-	}
-	if err := m.Trim(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(m.Data()); got != "cde" {
-		t.Fatalf("after Trim: %q", got)
-	}
-	hdr, err := m.Prepend(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(hdr, "XY")
-	if got := string(m.Data()); got != "XYcde" {
-		t.Fatalf("after Prepend: %q", got)
-	}
-	if err := m.Adj(100); err == nil {
-		t.Fatal("Adj beyond length did not error")
-	}
-	if err := m.Trim(100); err == nil {
-		t.Fatal("Trim beyond length did not error")
-	}
-}
-
-func TestAppendAndTailroom(t *testing.T) {
+func TestSetDataTailroom(t *testing.T) {
 	p := NewPool(1, 300)
 	m, _ := p.Alloc()
-	if err := m.Append(bytes.Repeat([]byte{0xAA}, 100)); err != nil {
+	if err := m.SetData(bytes.Repeat([]byte{0xAA}, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 100 {
-		t.Fatalf("Len = %d", m.Len())
+	if m.Len() != 100 || m.Headroom()+m.Len()+m.Tailroom() != 300 {
+		t.Fatalf("Len = %d, Headroom = %d, Tailroom = %d in a 300-byte buffer", m.Len(), m.Headroom(), m.Tailroom())
 	}
-	if err := m.Append(bytes.Repeat([]byte{0xBB}, 1000)); err != ErrTooLarge {
-		t.Fatalf("oversized Append err = %v, want ErrTooLarge", err)
+	if err := m.SetData(bytes.Repeat([]byte{0xBB}, 1000)); err != ErrTooLarge {
+		t.Fatalf("oversized SetData err = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -476,43 +446,26 @@ func TestBorrowAliasesFrame(t *testing.T) {
 	m2.Free()
 }
 
-// Append, Prepend and SetData on a borrowed buffer detach it first:
-// the frame is never written.
+// SetData on a borrowed buffer drops the view first: the frame is never
+// written.
 func TestBorrowedWritesDetach(t *testing.T) {
-	for name, write := range map[string]func(*Mbuf) ([]byte, error){
-		"append": func(m *Mbuf) ([]byte, error) {
-			return []byte("headtail"), m.Append([]byte("tail"))
-		},
-		"prepend": func(m *Mbuf) ([]byte, error) {
-			b, err := m.Prepend(2)
-			if err == nil {
-				copy(b, "xx")
-			}
-			return []byte("xxhead"), err
-		},
-		"setdata": func(m *Mbuf) ([]byte, error) {
-			return []byte("new"), m.SetData([]byte("new"))
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			frame := []byte("head")
-			p, m := borrowOne(t, frame)
-			want, err := write(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(frame) != "head" {
-				t.Fatalf("frame overwritten: %q", frame)
-			}
-			if !bytes.Equal(m.Data(), want) {
-				t.Fatalf("Data = %q, want %q", m.Data(), want)
-			}
-			m.Free()
-			if p.InUse() != 0 {
-				t.Fatalf("InUse = %d", p.InUse())
-			}
-		})
-	}
+	t.Run("setdata", func(t *testing.T) {
+		frame := []byte("head")
+		p, m := borrowOne(t, frame)
+		if err := m.SetData([]byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		if string(frame) != "head" {
+			t.Fatalf("frame overwritten: %q", frame)
+		}
+		if string(m.Data()) != "new" {
+			t.Fatalf("Data = %q, want %q", m.Data(), "new")
+		}
+		m.Free()
+		if p.InUse() != 0 {
+			t.Fatalf("InUse = %d", p.InUse())
+		}
+	})
 }
 
 // Keep detaches a borrowed buffer: the kept bytes are a copy in the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"retina/internal/layers"
@@ -253,26 +254,18 @@ func TestStratosphereProfilesDiffer(t *testing.T) {
 	}
 }
 
+// TestPcapRoundTrip writes a trace to a pcap file and collects it back.
+// The reader's Next reuses one buffer, so the collected trace equals
+// the written one only if Collect copies each frame.
 func TestPcapRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.pcap")
-	m := NewCampusMix(CampusConfig{Seed: 4, Flows: 30, Gbps: 10})
-
-	var orig [][]byte
-	var ticks []uint64
+	path := filepath.Join(t.TempDir(), "t.pcap")
+	orig := Collect(NewCampusMix(CampusConfig{Seed: 4, Flows: 30, Gbps: 10}), 0)
 	w, err := NewPcapWriter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		frame, tick, ok := m.Next()
-		if !ok {
-			break
-		}
-		cp := append([]byte(nil), frame...)
-		orig = append(orig, cp)
-		ticks = append(ticks, tick)
-		if err := w.Write(frame, tick); err != nil {
+	for i, frame := range orig.Frames {
+		if err := w.Write(frame, orig.Ticks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,23 +278,45 @@ func TestPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for i := range orig {
-		frame, tick, ok := r.Next()
-		if !ok {
-			t.Fatalf("short read at frame %d: %v", i, r.Err())
-		}
-		if string(frame) != string(orig[i]) || tick != ticks[i] {
-			t.Fatalf("frame %d mismatch", i)
-		}
-	}
-	if _, _, ok := r.Next(); ok {
-		t.Fatal("extra frames after end")
-	}
+	got := Collect(r, 0)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if r.Frames() != uint64(len(orig)) {
-		t.Fatalf("Frames() = %d, want %d", r.Frames(), len(orig))
+	if !reflect.DeepEqual(got, orig) {
+		t.Fatalf("read back %d frames (%d bytes), wrote %d (%d bytes), or their contents differ",
+			len(got.Frames), got.Bytes, len(orig.Frames), orig.Bytes)
+	}
+	if r.Frames() != uint64(len(orig.Frames)) {
+		t.Fatalf("Frames() = %d, want %d", r.Frames(), len(orig.Frames))
+	}
+}
+
+// TestTraceReplay: Next and NextBurst replay the same frames in the same
+// order, and hand out the trace's own frames rather than copies; Collect
+// stops at its limit and Slice counts its own bytes.
+func TestTraceReplay(t *testing.T) {
+	tr := Collect(NewCampusMix(CampusConfig{Seed: 3, Flows: 100, Gbps: 10}), 500)
+	if len(tr.Frames) != 500 || len(tr.Ticks) != 500 {
+		t.Fatalf("collected %d frames, %d ticks, want 500 at the limit", len(tr.Frames), len(tr.Ticks))
+	}
+	half := tr.Slice(0, 250)
+	if rest := tr.Slice(250, 500); half.Bytes+rest.Bytes != tr.Bytes || half.Bytes == 0 {
+		t.Fatalf("slices hold %d + %d bytes, trace %d", half.Bytes, rest.Bytes, tr.Bytes)
+	}
+	one, burst := tr.Replay(), tr.Replay()
+	frames, ticks := make([][]byte, 7), make([]uint64, 7)
+	i := 0
+	for n := burst.NextBurst(frames, ticks); n > 0; n = burst.NextBurst(frames, ticks) {
+		for k := range frames[:n] {
+			f, tick, ok := one.Next()
+			if !ok || &f[0] != &tr.Frames[i][0] || &frames[k][0] != &tr.Frames[i][0] || tick != ticks[k] || tick != tr.Ticks[i] {
+				t.Fatalf("frame %d: Next and NextBurst disagree with the trace", i)
+			}
+			i++
+		}
+	}
+	if _, _, ok := one.Next(); ok || i != len(tr.Frames) {
+		t.Fatalf("replayed %d of %d frames", i, len(tr.Frames))
 	}
 }
 

@@ -15,42 +15,11 @@ import (
 	"retina/internal/traffic"
 )
 
-// collectFrames materializes a deterministic campus-mix workload as an
-// in-memory frame list so it can be replayed in slices, byte-identically,
-// against multiple runtimes.
-func collectFrames(t *testing.T, seed int64, flows int) ([][]byte, []uint64) {
-	t.Helper()
-	gen := traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 20})
-	var frames [][]byte
-	var ticks []uint64
-	for {
-		fr, tick, ok := gen.Next()
-		if !ok {
-			break
-		}
-		frames = append(frames, append([]byte(nil), fr...))
-		ticks = append(ticks, tick)
-	}
-	if len(frames) == 0 {
-		t.Fatal("workload produced no frames")
-	}
-	return frames, ticks
-}
-
-// tickedSource replays frames with their original ticks.
-type tickedSource struct {
-	frames [][]byte
-	ticks  []uint64
-	i      int
-}
-
-func (s *tickedSource) Next() ([]byte, uint64, bool) {
-	if s.i >= len(s.frames) {
-		return nil, 0, false
-	}
-	fr, tick := s.frames[s.i], s.ticks[s.i]
-	s.i++
-	return fr, tick, true
+// campusTrace records a deterministic campus-mix workload so it can be
+// replayed, whole or in slices, byte-identically against several
+// runtimes.
+func campusTrace(seed int64, flows int) *traffic.Trace {
+	return traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 20}), 0)
 }
 
 func assertCoreConservation(t *testing.T, stats Stats) {
@@ -73,13 +42,14 @@ func assertCoreConservation(t *testing.T, stats Stats) {
 // subscription was live for — no packet dropped or double-delivered
 // across the swaps.
 func TestSwapDifferentialVsStaticOracle(t *testing.T) {
-	frames, ticks := collectFrames(t, 42, 300)
-	third := len(frames) / 3
-	sliceA := &tickedSource{frames: frames[:third], ticks: ticks[:third]}
-	sliceB := &tickedSource{frames: frames[third : 2*third], ticks: ticks[third : 2*third]}
-	sliceC := &tickedSource{frames: frames[2*third:], ticks: ticks[2*third:]}
-	sliceAB := &tickedSource{frames: frames[:2*third], ticks: ticks[:2*third]}
-	sliceBC := &tickedSource{frames: frames[third:], ticks: ticks[third:]}
+	tr := campusTrace(42, 300)
+	n := len(tr.Frames)
+	third := n / 3
+	sliceA := tr.Slice(0, third).Replay()
+	sliceB := tr.Slice(third, 2*third).Replay()
+	sliceC := tr.Slice(2*third, n).Replay()
+	sliceAB := tr.Slice(0, 2*third).Replay()
+	sliceBC := tr.Slice(third, n).Replay()
 
 	cfg := DefaultConfig()
 	cfg.Cores = 1
@@ -292,9 +262,9 @@ func TestAdminSubscriptionAPI(t *testing.T) {
 	resp.Body.Close()
 
 	// Deliver some traffic, then read the counters back over the API.
-	frames, ticks := collectFrames(t, 9, 40)
-	half := len(frames) / 2
-	rt.RunOffline(&tickedSource{frames: frames[:half], ticks: ticks[:half]})
+	tr := campusTrace(9, 40)
+	half := len(tr.Frames) / 2
+	rt.RunOffline(tr.Slice(0, half).Replay())
 	resp, err = http.Get(base + "/subscriptions/api")
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +317,7 @@ func TestAdminSubscriptionAPI(t *testing.T) {
 	// Until the core acks the removal epoch the subscription is still
 	// listed as draining; more traffic forces a pickup, after which it
 	// retires.
-	rt.RunOffline(&tickedSource{frames: frames[half:], ticks: ticks[half:]})
+	rt.RunOffline(tr.Slice(half, len(tr.Frames)).Replay())
 	resp, err = http.Get(base + "/subscriptions")
 	if err != nil {
 		t.Fatal(err)

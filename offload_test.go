@@ -15,29 +15,36 @@ import (
 	"retina/internal/traffic"
 )
 
-// gatedSource pauses the feed at frame index gateAt until ready()
-// reports true (or a deadline passes). Differential runs use it to
-// guarantee the offload manager has installed at least one rule before
-// the second half of the trace reaches the device — otherwise, on a
-// loaded machine, the whole trace can be enqueued before the first
+// gatedSource pauses a trace's replay at frame index gateAt until
+// ready() reports true (or a deadline passes). Differential runs use it
+// to guarantee the offload manager has installed at least one rule
+// before the second half of the trace reaches the device — otherwise,
+// on a loaded machine, the whole trace can be enqueued before the first
 // verdict lands and the fastpath never engages. Pausing changes only
 // wall-clock timing, never frame order or ticks, so deliveries remain
-// a pure function of the workload.
+// a pure function of the workload. Run reads a BurstSource only through
+// NextBurst, so the gate sits there: a burst ends at gateAt, and the
+// next one waits.
 type gatedSource struct {
-	tickedSource
-	gateAt int
-	ready  func() bool
+	*traffic.Cursor
+	served, gateAt int
+	ready          func() bool
 }
 
-func (s *gatedSource) Next() ([]byte, uint64, bool) {
-	if s.i == s.gateAt && s.ready != nil {
+func (s *gatedSource) NextBurst(frames [][]byte, ticks []uint64) int {
+	if s.ready != nil && s.served == s.gateAt {
 		deadline := time.Now().Add(10 * time.Second)
 		for !s.ready() && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		s.ready = nil
 	}
-	return s.tickedSource.Next()
+	if s.ready != nil {
+		frames = frames[:min(len(frames), s.gateAt-s.served)]
+	}
+	n := s.Cursor.NextBurst(frames, ticks)
+	s.served += n
+	return n
 }
 
 // offloadRun holds one differential run's observables: what the
@@ -55,7 +62,7 @@ type offloadRun struct {
 // and pool are sized so the NIC never sheds load: deliveries are then a
 // pure function of the workload, and must not change when decided flows
 // are cut off at the device.
-func runOffloadDifferential(t *testing.T, frames [][]byte, ticks []uint64, enable bool, budget int) offloadRun {
+func runOffloadDifferential(t *testing.T, tr *traffic.Trace, enable bool, budget int) offloadRun {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Filter = "tls.sni matches 'nflxvideo'"
@@ -77,9 +84,9 @@ func runOffloadDifferential(t *testing.T, frames [][]byte, ticks []uint64, enabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &gatedSource{tickedSource: tickedSource{frames: frames, ticks: ticks}}
+	src := &gatedSource{Cursor: tr.Replay()}
 	if enable {
-		src.gateAt = len(frames) / 2
+		src.gateAt = len(tr.Frames) / 2
 		src.ready = func() bool { return rt.Offload().Stats().RulesLive > 0 }
 	}
 	st := rt.Run(src)
@@ -97,11 +104,11 @@ func runOffloadDifferential(t *testing.T, frames [][]byte, ticks []uint64, enabl
 // device drops) — while frame conservation holds exactly in both modes
 // and the rule table never exceeds its budget.
 func TestFlowOffloadDifferential(t *testing.T) {
-	frames, ticks := collectFrames(t, 11, 500)
+	tr := campusTrace(11, 500)
 	const budget = 32
 
-	off := runOffloadDifferential(t, frames, ticks, false, budget)
-	on := runOffloadDifferential(t, frames, ticks, true, budget)
+	off := runOffloadDifferential(t, tr, false, budget)
+	on := runOffloadDifferential(t, tr, true, budget)
 
 	if off.delivered == 0 {
 		t.Fatal("workload produced no matching deliveries — differential is vacuous")
@@ -160,7 +167,7 @@ func TestFlowOffloadDifferential(t *testing.T) {
 // counts — are identical, along with the per-subscription counters and
 // the NIC-level conservation identity.
 func TestFlowOffloadMultiSubscription(t *testing.T) {
-	frames, ticks := collectFrames(t, 23, 500)
+	tr := campusTrace(23, 500)
 
 	run := func(enable bool) (snis, uris []string, subs map[string]uint64, st Stats) {
 		cfg := DefaultConfig()
@@ -189,9 +196,9 @@ func TestFlowOffloadMultiSubscription(t *testing.T) {
 			})); err != nil {
 			t.Fatal(err)
 		}
-		src := &gatedSource{tickedSource: tickedSource{frames: frames, ticks: ticks}}
+		src := &gatedSource{Cursor: tr.Replay()}
 		if enable {
-			src.gateAt = len(frames) / 2
+			src.gateAt = len(tr.Frames) / 2
 			src.ready = func() bool { return rt.Offload().Stats().RulesLive > 0 }
 		}
 		st = rt.Run(src)
@@ -250,8 +257,8 @@ func equalStrings(a, b []string) bool {
 // leave stale per-flow verdicts installed — frames a new subscription
 // wants cannot be eaten by rules justified under the old program.
 func TestFlowOffloadInvalidatedBySwap(t *testing.T) {
-	frames, ticks := collectFrames(t, 31, 300)
-	half := len(frames) / 2
+	tr := campusTrace(31, 300)
+	half := len(tr.Frames) / 2
 
 	cfg := DefaultConfig()
 	cfg.Cores = 1
@@ -267,7 +274,7 @@ func TestFlowOffloadInvalidatedBySwap(t *testing.T) {
 		Packets(func(*Packet) { nTLS.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
-	rt.Run(&tickedSource{frames: frames[:half], ticks: ticks[:half]})
+	rt.Run(tr.Slice(0, half).Replay())
 	pre := rt.Offload().Stats()
 	if pre.Installed == 0 {
 		t.Skip("first half produced no offloaded flows — workload too small to exercise invalidation")
@@ -286,7 +293,7 @@ func TestFlowOffloadInvalidatedBySwap(t *testing.T) {
 		t.Fatalf("%d stale rules survived the swap", ms.RulesLive)
 	}
 
-	st := rt.Run(&tickedSource{frames: frames[half:], ticks: ticks[half:]})
+	st := rt.Run(tr.Slice(half, len(tr.Frames)).Replay())
 	if nAll.Load() == 0 {
 		t.Fatal("new catch-all subscription received nothing after the swap")
 	}
@@ -337,7 +344,6 @@ func BenchmarkFlowOffload(b *testing.B) {
 // TestStatusEndpoint drives the admin status API: epoch, hardware
 // state, reconcile error surface, and the offload table snapshot.
 func TestStatusEndpoint(t *testing.T) {
-	frames, ticks := collectFrames(t, 5, 200)
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.FlowOffload = FlowOffloadConfig{Enable: true}
@@ -354,7 +360,7 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rt.Run(&tickedSource{frames: frames, ticks: ticks})
+	rt.Run(campusTrace(5, 200).Replay())
 
 	resp, err := http.Get("http://" + srv.Addr() + "/status")
 	if err != nil {

@@ -19,7 +19,7 @@ func nicBucketOf(ft layers.FiveTuple) (int, bool) {
 	return nic.BucketOf(ft, nic.DefaultRetaSize)
 }
 
-// loopedSource replays a frame list for a controlled number of passes.
+// loopedSource replays a trace for a controlled number of passes.
 // The migrated differential run loops until the migration driver hits
 // its move target (checked only at pass boundaries, so the frame
 // sequence stays a whole number of passes); the baseline run then
@@ -35,10 +35,9 @@ func nicBucketOf(ft layers.FiveTuple) (int, bool) {
 // ring of dev has room (see waitForRoom), so the replay runs at the
 // cores' pace and no frame is lost however fast the producer is.
 type loopedSource struct {
-	frames [][]byte
-	ticks  []uint64
-	more   func(pass int) bool
-	dev    *nic.NIC
+	tr   *traffic.Trace
+	more func(pass int) bool
+	dev  *nic.NIC
 
 	i      int
 	pass   int
@@ -46,18 +45,18 @@ type loopedSource struct {
 	served atomic.Int64
 }
 
-func newLoopedSource(frames [][]byte, ticks []uint64, more func(pass int) bool) *loopedSource {
+func newLoopedSource(tr *traffic.Trace, more func(pass int) bool) *loopedSource {
 	var span uint64
-	for _, tk := range ticks {
+	for _, tk := range tr.Ticks {
 		if tk >= span {
 			span = tk + 1
 		}
 	}
-	return &loopedSource{frames: frames, ticks: ticks, more: more, span: span}
+	return &loopedSource{tr: tr, more: more, span: span}
 }
 
 func (s *loopedSource) Next() ([]byte, uint64, bool) {
-	if s.i >= len(s.frames) {
+	if s.i >= len(s.tr.Frames) {
 		s.pass++
 		if s.more == nil || !s.more(s.pass) {
 			return nil, 0, false
@@ -67,7 +66,7 @@ func (s *loopedSource) Next() ([]byte, uint64, bool) {
 	if s.dev != nil {
 		s.waitForRoom()
 	}
-	f, tk := s.frames[s.i], s.ticks[s.i]+uint64(s.pass)*s.span
+	f, tk := s.tr.Frames[s.i], s.tr.Ticks[s.i]+uint64(s.pass)*s.span
 	s.i++
 	s.served.Add(1)
 	return f, tk, true
@@ -178,7 +177,7 @@ func checkMigrationCensus(t *testing.T, rt *Runtime) (in, out uint64) {
 // duplicated.
 func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 	const targetMoves = 120
-	frames, ticks := collectFrames(t, 23, 500)
+	tr := campusTrace(23, 500)
 	cfg := rebalanceConfig(2)
 
 	var run func(passes int, migrate bool) (rebalanceRun, int64, int64)
@@ -206,10 +205,10 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 		var src *loopedSource
 		done := make(chan struct{})
 		if !migrate {
-			src = newLoopedSource(frames, ticks, func(p int) bool { return p < passes })
+			src = newLoopedSource(tr, func(p int) bool { return p < passes })
 			close(done)
 		} else {
-			src = newLoopedSource(frames, ticks, func(int) bool { return moves.Load() < targetMoves })
+			src = newLoopedSource(tr, func(int) bool { return moves.Load() < targetMoves })
 			go func() {
 				defer close(done)
 				dev := rt.NIC()
@@ -221,7 +220,7 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 				// A move every `step` delivered frames, buckets walked in a
 				// coprime stride so the whole table gets exercised; half the
 				// moves run concurrently with a subscription epoch swap.
-				step := int64(len(frames) / 50)
+				step := int64(len(tr.Frames) / 50)
 				if step < 1 {
 					step = 1
 				}
@@ -324,7 +323,7 @@ func TestRebalanceAdaptiveEndToEnd(t *testing.T) {
 		MaxMovesPerRound: 8,
 		Hysteresis:       1.05,
 	}
-	frames, ticks := skewedFrames(t, cfg.Cores, 0, 300)
+	tr := skewedTrace(t, cfg.Cores, 0, 300)
 
 	var delivered atomic.Uint64
 	rt, err := New(cfg, Connections(func(*ConnRecord) { delivered.Add(1) }))
@@ -339,7 +338,7 @@ func TestRebalanceAdaptiveEndToEnd(t *testing.T) {
 	// while the background rounds observe and act, since a bucket move
 	// needs the producer running to apply the RETA swap.
 	deadline := time.Now().Add(60 * time.Second)
-	src := newLoopedSource(frames, ticks, func(int) bool {
+	src := newLoopedSource(tr, func(int) bool {
 		mv, _ := rt.ControlPlane().RebalanceStats()
 		return mv < 3 && time.Now().Before(deadline)
 	})
@@ -371,22 +370,17 @@ func TestRebalanceAdaptiveEndToEnd(t *testing.T) {
 	}
 }
 
-// skewedFrames materializes a campus-mix workload filtered down to the
-// flows whose RSS bucket is initially assigned to queue `hot` on a
+// skewedTrace records a campus-mix workload filtered down to the flows
+// whose RSS bucket is initially assigned to queue `hot` on a
 // `cores`-queue device — a synthetic elephant skew that parks the
 // entire load on one core until the rebalancer spreads it.
-func skewedFrames(t testing.TB, cores, hot, minFlows int) ([][]byte, []uint64) {
+func skewedTrace(t testing.TB, cores, hot, minFlows int) *traffic.Trace {
 	t.Helper()
 	seen := map[layers.FiveTuple]bool{}
-	var frames [][]byte
-	var ticks []uint64
+	out := &traffic.Trace{}
 	for seed := int64(1); len(seen) < minFlows && seed < 40; seed++ {
-		gen := traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: 400, Gbps: 20})
-		for {
-			fr, tick, ok := gen.Next()
-			if !ok {
-				break
-			}
+		tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: 400, Gbps: 20}), 0)
+		for i, fr := range tr.Frames {
 			var p layers.Parsed
 			if p.DecodeLayers(fr) != nil {
 				continue
@@ -401,14 +395,15 @@ func skewedFrames(t testing.TB, cores, hot, minFlows int) ([][]byte, []uint64) {
 			}
 			key, _ := ft.Canonical()
 			seen[key] = true
-			frames = append(frames, append([]byte(nil), fr...))
-			ticks = append(ticks, tick)
+			out.Frames = append(out.Frames, fr)
+			out.Ticks = append(out.Ticks, tr.Ticks[i])
+			out.Bytes += uint64(len(fr))
 		}
 	}
 	if len(seen) < minFlows {
 		t.Fatalf("only %d hot-bucket flows materialized, want %d", len(seen), minFlows)
 	}
-	return frames, ticks
+	return out
 }
 
 // TestRSSSkewWindowed pins the windowed RSSSkew semantics: the first
@@ -416,7 +411,6 @@ func skewedFrames(t testing.TB, cores, hot, minFlows int) ([][]byte, []uint64) {
 // second call with no traffic in between reports a neutral 1.0, and
 // RSSSkewCumulative keeps the whole-run figure.
 func TestRSSSkewWindowed(t *testing.T) {
-	frames, ticks := collectFrames(t, 5, 200)
 	cfg := DefaultConfig()
 	cfg.Cores = 2
 	cfg.RingSize = 1 << 15
@@ -425,7 +419,7 @@ func TestRSSSkewWindowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Run(&tickedSource{frames: frames, ticks: ticks})
+	rt.Run(campusTrace(5, 200).Replay())
 
 	first := rt.RSSSkew()
 	cum := rt.RSSSkewCumulative()
@@ -458,9 +452,8 @@ func TestMoveBucketValidation(t *testing.T) {
 	}
 
 	// Against a live runtime: bad ranges fail, same-queue is a no-op.
-	frames, ticks := collectFrames(t, 3, 100)
 	done := make(chan struct{})
-	src := &loopedSource{frames: frames, ticks: ticks, more: func(int) bool {
+	src := &loopedSource{tr: campusTrace(3, 100), more: func(int) bool {
 		select {
 		case <-done:
 			return false
@@ -508,7 +501,7 @@ func TestMoveBucketValidation(t *testing.T) {
 // delivered fraction (delivered / offered).
 func BenchmarkRebalance(b *testing.B) {
 	const cores = 8
-	frames, ticks := skewedFrames(b, cores, 0, 300)
+	tr := skewedTrace(b, cores, 0, 300)
 	for _, adaptive := range []bool{false, true} {
 		name := "static"
 		if adaptive {
@@ -536,7 +529,7 @@ func BenchmarkRebalance(b *testing.B) {
 			// and act within the measured window.
 			const passesPerOp = 30
 			b.ResetTimer()
-			src := newLoopedSource(frames, ticks, func(p int) bool { return p < passesPerOp*b.N })
+			src := newLoopedSource(tr, func(p int) bool { return p < passesPerOp*b.N })
 			stats := rt.Run(src)
 			b.StopTimer()
 			var processed uint64

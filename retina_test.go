@@ -105,8 +105,8 @@ func TestPoolBalancedAfterRun(t *testing.T) {
 // device delivered was processed by a core and every mbuf is back in
 // the pool.
 func TestRunTwice(t *testing.T) {
-	frames, ticks := collectFrames(t, 23, 300)
-	half := len(frames) / 2
+	tr := campusTrace(23, 300)
+	half := len(tr.Frames) / 2
 	cfg := DefaultConfig()
 	cfg.Filter = "tls"
 	cfg.Cores = 2
@@ -116,10 +116,7 @@ func TestRunTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, src := range []*tickedSource{
-		{frames: frames[:half], ticks: ticks[:half]},
-		{frames: frames[half:], ticks: ticks[half:]},
-	} {
+	for i, src := range []Source{tr.Slice(0, half).Replay(), tr.Slice(half, len(tr.Frames)).Replay()} {
 		st := rt.Run(src)
 		var processed uint64
 		for _, cs := range st.Cores {
@@ -289,7 +286,7 @@ func TestOfflineUnbufferableFramesAccounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.RunOffline(&framesSource{frames: tc.frames})
+			rt.RunOffline(struct{ Source }{(&traffic.Trace{Frames: tc.frames, Ticks: make([]uint64, len(tc.frames))}).Replay()})
 			drops := rt.DropBreakdown()
 			if delivered != 1 || drops[tc.reason] != 1 {
 				t.Fatalf("delivered %d, %s %d; want 1 each (breakdown %v)", delivered, tc.reason, drops[tc.reason], drops)
@@ -464,25 +461,11 @@ func TestUserProtocolModule(t *testing.T) {
 	var frames [][]byte
 	frames = append(frames, mk(4001, "hello", 100)...)
 	frames = append(frames, mk(4002, "world", 500)...)
-	rt.RunOffline(&framesSource{frames: frames})
+	rt.RunOffline(struct{ Source }{(&traffic.Trace{Frames: frames, Ticks: []uint64{1000, 2000, 3000, 4000}}).Replay()})
 
 	if len(words) != 1 || words[0] != "hello" {
 		t.Fatalf("words = %v, want [hello]", words)
 	}
-}
-
-type framesSource struct {
-	frames [][]byte
-	i      int
-}
-
-func (f *framesSource) Next() ([]byte, uint64, bool) {
-	if f.i >= len(f.frames) {
-		return nil, 0, false
-	}
-	fr := f.frames[f.i]
-	f.i++
-	return fr, uint64(f.i) * 1000, true
 }
 
 func TestQUICSessionsEndToEnd(t *testing.T) {
@@ -616,20 +599,12 @@ func TestConfigRegisterFlags(t *testing.T) {
 // nothing on the per-frame path (ingest, decode, packet filter,
 // delivery, counters) reaches the heap.
 func TestRunOfflineAllocsIndependentOfFrames(t *testing.T) {
-	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 21, Flows: 300, Gbps: 10})
-	var frames [][]byte
-	for len(frames) < 8000 {
-		f, _, ok := src.Next()
-		if !ok {
-			break
-		}
-		frames = append(frames, append([]byte(nil), f...))
-	}
-	n := len(frames) / 4
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 21, Flows: 300, Gbps: 10}), 8000)
+	n := len(tr.Frames) / 4
 	if n < 1000 {
-		t.Fatalf("campus mix produced only %d frames", len(frames))
+		t.Fatalf("campus mix produced only %d frames", len(tr.Frames))
 	}
-	allocs := func(frames [][]byte) float64 {
+	allocs := func(tr *traffic.Trace) float64 {
 		cfg := DefaultConfig()
 		cfg.Cores = 1
 		var delivered uint64
@@ -637,13 +612,13 @@ func TestRunOfflineAllocsIndependentOfFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := testing.AllocsPerRun(5, func() { rt.RunOffline(&framesSource{frames: frames}) })
+		a := testing.AllocsPerRun(5, func() { rt.RunOffline(struct{ Source }{tr.Replay()}) })
 		if delivered == 0 {
 			t.Fatal("nothing delivered")
 		}
 		return a
 	}
-	if small, large := allocs(frames[:n]), allocs(frames[:4*n]); small != large {
+	if small, large := allocs(tr.Slice(0, n)), allocs(tr.Slice(0, 4*n)); small != large {
 		t.Fatalf("RunOffline allocates %v over %d frames but %v over %d", small, n, large, 4*n)
 	}
 }

@@ -63,7 +63,6 @@ func BenchmarkNew(b *testing.B) {
 // goroutine behind.
 func TestNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	frames, ticks := collectFrames(t, 31, 200)
 
 	cfg := rebalanceConfig(2)
 	cfg.Rebalance = RebalanceConfig{Enable: true, Interval: time.Millisecond}
@@ -72,7 +71,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := rt.Run(&tickedSource{frames: frames, ticks: ticks}); st.NIC.Delivered == 0 {
+	if st := rt.Run(campusTrace(31, 200).Replay()); st.NIC.Delivered == 0 {
 		t.Fatal("Run delivered nothing; test is vacuous")
 	}
 

@@ -18,8 +18,7 @@ import (
 )
 
 func benchObservability(b *testing.B, mut func(*retina.Config)) {
-	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 11, Flows: 400, Gbps: 20})
-	frames, ticks, bytes := materialize(src)
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 11, Flows: 400, Gbps: 20}), 0)
 	// Untimed warm-up: the first replay in a fresh process runs tens of
 	// percent slower (page faults, branch predictors, CPU governor), and
 	// whichever sub-benchmark runs first would eat that — poisoning an
@@ -33,10 +32,10 @@ func benchObservability(b *testing.B, mut func(*retina.Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 	}
 	b.ReportAllocs()
-	b.SetBytes(bytes)
+	b.SetBytes(int64(tr.Bytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -53,7 +52,7 @@ func benchObservability(b *testing.B, mut func(*retina.Config)) {
 		// they dwarf the per-packet costs this guard exists to compare.
 		runtime.GC()
 		b.StartTimer()
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 	}
 }
 
@@ -104,8 +103,7 @@ func BenchmarkLatencyTracking(b *testing.B) {
 // Long-lived runtimes also keep the live heap large, so the small
 // per-replay allocations never trip a mid-replay GC cycle.
 func benchLatencyOverheadPaired(b *testing.B) {
-	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 11, Flows: 400, Gbps: 20})
-	frames, ticks, _ := materialize(src)
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 11, Flows: 400, Gbps: 20}), 0)
 	newRT := func(latency bool) *retina.Runtime {
 		cfg := retina.DefaultConfig()
 		cfg.Filter = "tls"
@@ -122,7 +120,7 @@ func benchLatencyOverheadPaired(b *testing.B) {
 		// Collect the previous replay's garbage outside the timed window.
 		runtime.GC()
 		start := time.Now()
-		rt.RunOffline(&replay{frames: frames, ticks: ticks})
+		rt.RunOffline(tr.Replay())
 		return time.Since(start)
 	}
 	// Warm-up replays of both runtimes, untimed (first-replay page
