@@ -1,10 +1,9 @@
-package retina_test
+package retina
 
 import (
 	"testing"
 	"unsafe"
 
-	"retina"
 	"retina/internal/traffic"
 )
 
@@ -13,15 +12,15 @@ import (
 // the NIC never sheds load: with zero nondeterministic loss, every
 // counter in the run is a pure function of the workload and the RSS
 // hash, and must be identical across burst sizes.
-func runDifferential(t *testing.T, burst int) retina.Stats {
+func runDifferential(t *testing.T, burst int, sub *Subscription) (*Runtime, Stats) {
 	t.Helper()
-	cfg := retina.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Filter = "ipv4 and tcp"
 	cfg.Cores = 2
 	cfg.RingSize = 1 << 16
 	cfg.PoolSize = 1 << 17
 	cfg.BurstSize = burst
-	rt, err := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
+	rt, err := New(cfg, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func runDifferential(t *testing.T, burst int) retina.Stats {
 	if st.Loss() != 0 {
 		t.Fatalf("burst=%d: unexpected NIC loss %d (rings/pool undersized for differential run)", burst, st.Loss())
 	}
-	return st
+	return rt, st
 }
 
 // TestBurstDifferentialCounts is the end-to-end differential for the
@@ -38,8 +37,8 @@ func runDifferential(t *testing.T, burst int) retina.Stats {
 // bursts) and burst=32 must produce identical NIC stats and
 // identical per-core delivery, drop, and expiry accounting.
 func TestBurstDifferentialCounts(t *testing.T) {
-	legacy := runDifferential(t, 1)
-	burst := runDifferential(t, 32)
+	_, legacy := runDifferential(t, 1, Connections(func(*ConnRecord) {}))
+	_, burst := runDifferential(t, 32, Connections(func(*ConnRecord) {}))
 
 	if legacy.NIC != burst.NIC {
 		t.Errorf("NIC stats diverge:\nburst=1:  %+v\nburst=32: %+v", legacy.NIC, burst.NIC)
@@ -60,26 +59,42 @@ func TestBurstDifferentialCounts(t *testing.T) {
 // TestBurstConservation checks the packet-conservation invariant on the
 // burst datapath: every frame the NIC accepted is either delivered to a
 // ring or attributed to exactly one drop reason, and every mbuf a core
-// consumed is accounted for by its per-reason counters.
+// consumed is accounted for by its per-reason counters: exactly, for a
+// packet subscription. A connection subscription absorbs the packets of
+// its tracked connections into connection state, which no per-core
+// counter records, so there the counters only bound Processed.
 func TestBurstConservation(t *testing.T) {
-	st := runDifferential(t, 32)
-
-	n := st.NIC
-	if n.RxFrames != n.HWDropped+n.HWOffloadDrop+n.Sunk+n.Delivered+n.RingDrops+n.NoMbuf+n.Oversize+n.Malformed {
-		t.Fatalf("NIC conservation violated: %+v", n)
-	}
-	var processed uint64
-	for i, c := range st.Cores {
-		accounted := c.FilterDropped + c.TombstonePkts + c.DeliveredPackets +
-			c.NotTrackable + c.TableFull + c.PktBufOverflow + c.PendingDiscard +
-			c.PktBufBudget + c.ShedLowPool + c.EvictedPressure
-		if accounted > c.Processed {
-			t.Fatalf("core %d: drop reasons (%d) exceed processed (%d): %+v", i, accounted, c.Processed, c)
-		}
-		processed += c.Processed
-	}
-	if processed != n.Delivered {
-		t.Fatalf("cores processed %d of %d delivered frames", processed, n.Delivered)
+	for _, tc := range []struct {
+		name  string
+		sub   *Subscription
+		exact bool
+	}{
+		{"packets", Packets(func(*Packet) {}), true},
+		{"conns", Connections(func(*ConnRecord) {}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, st := runDifferential(t, 32, tc.sub)
+			n := st.NIC
+			if n.RxFrames != n.HWDropped+n.HWOffloadDrop+n.Sunk+n.Delivered+n.RingDrops+n.NoMbuf+n.Oversize+n.Malformed {
+				t.Fatalf("NIC conservation violated: %+v", n)
+			}
+			var processed uint64
+			for i, c := range st.Cores {
+				accounted := c.FilterDropped + c.TombstonePkts + c.DeliveredPackets +
+					c.NotTrackable + c.TableFull + c.PktBufOverflow + c.PendingDiscard +
+					c.PktBufBudget + c.ShedLowPool + c.EvictedPressure
+				if accounted > c.Processed {
+					t.Fatalf("core %d: drop reasons (%d) exceed processed (%d): %+v", i, accounted, c.Processed, c)
+				}
+				processed += c.Processed
+			}
+			if processed != n.Delivered {
+				t.Fatalf("cores processed %d of %d delivered frames", processed, n.Delivered)
+			}
+			if tc.exact {
+				assertFrameConservation(t, rt, st)
+			}
+		})
 	}
 }
 
@@ -88,13 +103,13 @@ func TestBurstConservation(t *testing.T) {
 // lost frame lands in RingDrops exactly once, keeping conservation
 // intact even when the staged burst only partially fits.
 func TestBurstRingOverflowOnlineExactlyOnce(t *testing.T) {
-	cfg := retina.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Filter = "ipv4 and tcp"
 	cfg.Cores = 1
 	cfg.RingSize = 8 // far below a burst's worth of backlog
 	cfg.PoolSize = 1 << 14
 	cfg.BurstSize = 32
-	rt, err := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
+	rt, err := New(cfg, Connections(func(*ConnRecord) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +140,10 @@ func TestRunOfflinePacketDataAliasesSource(t *testing.T) {
 	for _, f := range tr.Frames {
 		starts[unsafe.SliceData(f)] = true
 	}
-	cfg := retina.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Cores = 1
 	var delivered, aliased int
-	rt, err := retina.New(cfg, retina.Packets(func(p *retina.Packet) {
+	rt, err := New(cfg, Packets(func(p *Packet) {
 		delivered++
 		if starts[unsafe.SliceData(p.Data)] {
 			aliased++

@@ -53,10 +53,7 @@ func main() {
 		case "fig6":
 			experiments.PrintFig6(w, experiments.RunFig6(experiments.DefaultFig6(), *scale))
 		case "fig7":
-			flows := int(3000 * *scale)
-			if flows < 300 {
-				flows = 300
-			}
+			flows := max(int(*scale*3000), 300)
 			experiments.PrintFig7(w, experiments.RunFig7(*seed, flows))
 		case "fig8":
 			experiments.PrintFig8(w, experiments.RunFig8(experiments.DefaultFig8(), *scale))
@@ -65,22 +62,13 @@ func main() {
 		case "fig12":
 			experiments.PrintFig12(w, experiments.RunFig12(experiments.DefaultFig12(), *scale))
 		case "table2":
-			flows := int(6000 * *scale)
-			if flows < 500 {
-				flows = 500
-			}
+			flows := max(int(*scale*6000), 500)
 			experiments.PrintTable2(w, experiments.RunTable2(*seed, flows))
 		case "zeroloss":
-			flows := int(2000 * *scale)
-			if flows < 200 {
-				flows = 200
-			}
+			flows := max(int(*scale*2000), 200)
 			experiments.PrintZeroLoss(w, experiments.RunZeroLossSearch("ipv4 and tcp", 2, flows))
 		case "ablations":
-			flows := int(1500 * *scale)
-			if flows < 150 {
-				flows = 150
-			}
+			flows := max(int(*scale*1500), 150)
 			experiments.PrintAblations(w, []experiments.AblationResult{
 				experiments.RunHWFilterAblation(*seed, flows),
 				experiments.RunLazyParsingAblation(*seed, flows),
@@ -126,10 +114,7 @@ func benchSubs(cfg retina.Config, subsFile, aggSrc string, scale float64, seed i
 			}
 		}
 	}
-	flows := int(6000 * scale)
-	if flows < 500 {
-		flows = 500
-	}
+	flows := max(int(6000*scale), 500)
 	rt, err := retina.NewDynamic(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -141,9 +126,7 @@ func benchSubs(cfg retina.Config, subsFile, aggSrc string, scale float64, seed i
 	}
 
 	gen := traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 100})
-	start := time.Now()
 	stats := rt.Run(gen)
-	elapsed := time.Since(start)
 
 	var processed uint64
 	for _, cs := range stats.Cores {
@@ -153,7 +136,7 @@ func benchSubs(cfg retina.Config, subsFile, aggSrc string, scale float64, seed i
 		len(specs), cfg.Cores, flows)
 	fmt.Printf("rx %d frames, processed %d, %.2f Mpps sustained, %v elapsed\n\n",
 		stats.NIC.RxFrames, processed,
-		float64(processed)/elapsed.Seconds()/1e6, elapsed.Round(time.Millisecond))
+		float64(processed)/stats.Elapsed.Seconds()/1e6, stats.Elapsed.Round(time.Millisecond))
 	retina.WriteSubscriptionTable(os.Stdout, rt.ListSubscriptions())
 	if mgr := rt.Offload(); mgr != nil {
 		ms := mgr.Stats()

@@ -9,14 +9,20 @@ import "retina"
 // across batch sizes.
 var BurstSize int
 
-// repeats is how many runs the best-of measurements take, to shed
-// cold-cache and GC noise.
-const repeats = 3
-
 // baseConfig is what experiments use in place of retina.DefaultConfig:
 // the paper defaults with the package-level burst override applied.
 func baseConfig() retina.Config {
 	cfg := retina.DefaultConfig()
 	cfg.BurstSize = BurstSize
 	return cfg
+}
+
+// newRuntime builds an experiment's runtime. Experiments run fixed,
+// known-good configurations, so an error is a bug.
+func newRuntime(cfg retina.Config, sub *retina.Subscription) *retina.Runtime {
+	rt, err := retina.New(cfg, sub)
+	if err != nil {
+		panic(err)
+	}
+	return rt
 }

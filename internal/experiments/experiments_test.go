@@ -172,7 +172,7 @@ func TestFig9Small(t *testing.T) {
 }
 
 func TestFig12Small(t *testing.T) {
-	cfg := Fig12Config{FlowsPerTrace: 250, Repeats: 1}
+	cfg := Fig12Config{FlowsPerTrace: 250}
 	pts := RunFig12(cfg, 1)
 	if len(pts) != 20 { // 4 traces × 5 filters
 		t.Fatalf("points = %d, want 20", len(pts))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"retina"
 	"retina/internal/traffic"
@@ -34,84 +33,65 @@ var Fig12Filters = []struct {
 	{"Netflix traffic", NetflixFilter32},
 }
 
-// Fig12Point is one (trace, filter) speedup measurement.
+// Fig12Point is one (trace, filter) speedup measurement. The times are
+// medians of the rounds, and Speedup is their ratio.
 type Fig12Point struct {
-	Trace       string
-	Filter      string
-	CompiledSec float64
-	InterpSec   float64
-	Speedup     float64
+	Trace          string
+	Filter         string
+	CompiledSec    float64
+	InterpSec      float64
+	CompiledSpread Spread
+	InterpSpread   Spread
+	Speedup        float64
 }
 
 // Fig12Config parameterizes the compiled-vs-interpreted comparison.
 type Fig12Config struct {
 	FlowsPerTrace int
-	Repeats       int
 }
 
 // DefaultFig12 mirrors Appendix B: four traces, five filters, offline
 // single-core processing, TLS handshake logging.
-func DefaultFig12() Fig12Config { return Fig12Config{FlowsPerTrace: 800, Repeats: 3} }
+func DefaultFig12() Fig12Config { return Fig12Config{FlowsPerTrace: 800} }
 
 // RunFig12 measures the CPU-time speedup of natively compiled filters
 // over runtime-interpreted filters per trace and filter.
 func RunFig12(cfg Fig12Config, scale float64) []Fig12Point {
-	flows := int(float64(cfg.FlowsPerTrace) * scale)
-	if flows < 100 {
-		flows = 100
-	}
+	flows := max(int(float64(cfg.FlowsPerTrace)*scale), 100)
 	var out []Fig12Point
 	for _, prof := range []traffic.StratosphereProfile{traffic.Norm7, traffic.Norm12, traffic.Norm20, traffic.Norm30} {
 		// Materialize the trace once.
 		tr := traffic.Collect(traffic.NewStratosphereLike(prof, flows), 0)
 		for _, fl := range Fig12Filters {
-			comp := fig12Run(fl.Filter, false, tr, cfg.Repeats)
-			interp := fig12Run(fl.Filter, true, tr, cfg.Repeats)
-			sp := 0.0
-			if comp > 0 {
-				sp = interp / comp
+			sp := measure(fig12Run(fl.Filter, false, tr), fig12Run(fl.Filter, true, tr))
+			comp, interp := sp[0], sp[1]
+			speedup := 0.0
+			if comp.Median > 0 {
+				speedup = interp.Median / comp.Median
 			}
 			out = append(out, Fig12Point{
 				Trace: prof.Name(), Filter: fl.Label,
-				CompiledSec: comp, InterpSec: interp, Speedup: sp,
+				CompiledSec: comp.Median, InterpSec: interp.Median,
+				CompiledSpread: comp, InterpSpread: interp, Speedup: speedup,
 			})
 		}
 	}
 	return out
 }
 
-func fig12Run(filterSrc string, interpreted bool, tr *traffic.Trace, repeats int) float64 {
-	best := 0.0
-	for r := 0; r < repeats; r++ {
+// fig12Run returns one side of a cell: a fresh runtime for the filter
+// and engine, run offline over tr, in CPU seconds.
+func fig12Run(filterSrc string, interpreted bool, tr *traffic.Trace) func() float64 {
+	return func() float64 {
 		cfg := baseConfig()
 		cfg.Filter = filterSrc
 		cfg.Cores = 1
 		cfg.Interpreted = interpreted
 		cfg.PoolSize = 8192
 		// The Appendix B task: log TLS handshakes matching the filter.
-		rt, err := retina.New(cfg, retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) {}))
-		if err != nil {
-			panic(fmt.Sprintf("fig12 filter %q: %v", filterSrc, err))
-		}
-		el := offlineCPUSeconds(rt, tr.Replay())
-		if best == 0 || el < best {
-			best = el
-		}
+		rt := newRuntime(cfg, retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) {}))
+		return cpuTime(func() { rt.RunOffline(tr.Replay()) }).Seconds()
 	}
-	return best
-}
-
-// offlineCPUSeconds runs src through rt offline and returns the CPU time
-// the run took. RunOffline works entirely on the calling goroutine, so
-// the goroutine is held on its OS thread and timed by that thread's CPU
-// clock: time another process takes from the CPU is not charged to the
-// run, as the wall clock would charge it.
-func offlineCPUSeconds(rt *retina.Runtime, src retina.Source) float64 {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	t0 := threadTime()
-	rt.RunOffline(src)
-	return (threadTime() - t0).Seconds()
 }
 
 // PrintFig12 renders the speedup grid.
@@ -119,10 +99,10 @@ func PrintFig12(w io.Writer, pts []Fig12Point) {
 	fmt.Fprintln(w, "Figure 12 (Appendix B): speedup of compiled over interpreted filters")
 	fmt.Fprintln(w, "Paper: 5.4%-300.4% speedup; larger for complex filters (Netflix 32-predicate).")
 	fmt.Fprintln(w)
-	tbl := &Table{Header: []string{"trace", "filter", "compiled s", "interpreted s", "speedup"}}
+	tbl := &Table{Header: []string{"trace", "filter", "compiled s", "compiled IQR", "interpreted s", "interpreted IQR", "speedup"}}
 	for _, p := range pts {
-		tbl.Add(p.Trace, p.Filter, fmt.Sprintf("%.4f", p.CompiledSec),
-			fmt.Sprintf("%.4f", p.InterpSec), fmt.Sprintf("%.2fx", p.Speedup))
+		tbl.Add(p.Trace, p.Filter, fmt.Sprintf("%.4f", p.CompiledSec), quartiles(p.CompiledSpread),
+			fmt.Sprintf("%.4f", p.InterpSec), quartiles(p.InterpSpread), ratio(p.InterpSpread, p.CompiledSpread))
 	}
 	tbl.Write(w)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,34 +47,29 @@ func (t Fig5SubType) filter() string {
 }
 
 func (t Fig5SubType) subscription(spin uint64, delivered *atomic.Uint64) *retina.Subscription {
+	cb := func() {
+		metrics.SpinCycles(spin)
+		delivered.Add(1)
+	}
 	switch t {
 	case Fig5ConnRecords:
-		return retina.Connections(func(*retina.ConnRecord) {
-			metrics.SpinCycles(spin)
-			delivered.Add(1)
-		})
+		return retina.Connections(func(*retina.ConnRecord) { cb() })
 	case Fig5TLSHandshakes:
-		return retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) {
-			metrics.SpinCycles(spin)
-			delivered.Add(1)
-		})
-	default:
-		return retina.Packets(func(*retina.Packet) {
-			metrics.SpinCycles(spin)
-			delivered.Add(1)
-		})
+		return retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) { cb() })
 	}
+	return retina.Packets(func(*retina.Packet) { cb() })
 }
 
 // Fig5Point is one bar of Figure 5: the maximum zero-loss processing
 // throughput for a core count and per-callback cycle cost.
 type Fig5Point struct {
-	Sub       Fig5SubType
-	Cores     int
-	Cycles    uint64
-	Gbps      float64 // measured processing capacity
-	Mpps      float64
-	Delivered uint64
+	Sub        Fig5SubType
+	Cores      int
+	Cycles     uint64
+	Gbps       float64 // measured processing capacity, median of the rounds
+	GbpsSpread Spread
+	Mpps       float64
+	Delivered  uint64
 }
 
 // Fig5Config parameterizes the experiment.
@@ -102,79 +98,76 @@ func DefaultFig5() Fig5Config {
 // it can (the paper finds the maximum ingress rate with zero loss; on a
 // simulated NIC the equivalent observable is aggregate processing
 // capacity — offered load beyond it is exactly what produces loss).
+// The cycle values of one (subscription, cores) cell are the sides of
+// one measurement over the same traces.
 func RunFig5(cfg Fig5Config, scale float64) []Fig5Point {
 	var out []Fig5Point
 	for _, sub := range cfg.Subs {
 		for _, cores := range cfg.Cores {
-			for _, cyc := range cfg.Cycles {
-				out = append(out, runFig5Point(cfg, sub, cores, cyc, scale))
-			}
+			out = append(out, runFig5Cell(cfg, sub, cores, scale)...)
 		}
 	}
 	return out
 }
 
-func runFig5Point(cfg Fig5Config, sub Fig5SubType, cores int, cyc uint64, scale float64) Fig5Point {
-	flows := int(float64(cfg.FlowsBase) * scale)
-	if flows < 50 {
-		flows = 50
-	}
-
+func runFig5Cell(cfg Fig5Config, sub Fig5SubType, cores int, scale float64) []Fig5Point {
+	flows := max(int(float64(cfg.FlowsBase)*scale), 50)
 	// Pre-generate one trace per core so generation cost is off the
 	// measured path (the paper's traffic arrives from the wire).
 	traces := make([]*traffic.Trace, cores)
-	var genWG sync.WaitGroup
-	for i := range traces {
-		genWG.Add(1)
-		go func(i int) {
-			defer genWG.Done()
-			traces[i] = traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{
-				Seed: cfg.Seed + int64(i)*101, Flows: flows, Gbps: 40,
-			}), 0)
-		}(i)
-	}
-	genWG.Wait()
-
-	var delivered atomic.Uint64
-	runtimes := make([]*retina.Runtime, cores)
-	for i := range runtimes {
-		rcfg := baseConfig()
-		rcfg.Filter = sub.filter()
-		rcfg.Cores = 1
-		rcfg.PoolSize = 8192
-		rt, err := retina.New(rcfg, sub.subscription(cyc, &delivered))
-		if err != nil {
-			panic(err)
-		}
-		runtimes[i] = rt
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < cores; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runtimes[i].RunOffline(traces[i].Replay())
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
 	var totalBytes uint64
 	var totalFrames int
-	for _, tr := range traces {
-		totalBytes += tr.Bytes
-		totalFrames += len(tr.Frames)
+	for i := range traces {
+		traces[i] = traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{
+			Seed: cfg.Seed + int64(i)*101, Flows: flows, Gbps: 40,
+		}), 0)
+		totalBytes += traces[i].Bytes
+		totalFrames += len(traces[i].Frames)
 	}
-	return Fig5Point{
-		Sub:       sub,
-		Cores:     cores,
-		Cycles:    cyc,
-		Gbps:      metrics.GbpsOver(totalBytes, elapsed),
-		Mpps:      float64(totalFrames) / elapsed.Seconds() / 1e6,
-		Delivered: delivered.Load(),
+
+	delivered := make([]atomic.Uint64, len(cfg.Cycles))
+	sides := make([]func() float64, len(cfg.Cycles))
+	for k, cyc := range cfg.Cycles {
+		sides[k] = func() float64 {
+			delivered[k].Store(0)
+			runtimes := make([]*retina.Runtime, cores)
+			for i := range runtimes {
+				rcfg := baseConfig()
+				rcfg.Filter = sub.filter()
+				rcfg.Cores = 1
+				rcfg.PoolSize = 8192
+				runtimes[i] = newRuntime(rcfg, sub.subscription(cyc, &delivered[k]))
+			}
+			// Each core's run is timed by its own thread's CPU clock,
+			// and the point is scored by the makespan: the slowest
+			// core bounds what the cores sustain together.
+			cpu := make([]time.Duration, cores)
+			var wg sync.WaitGroup
+			for i := range runtimes {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					cpu[i] = cpuTime(func() { runtimes[i].RunOffline(traces[i].Replay()) })
+				}(i)
+			}
+			wg.Wait()
+			return metrics.GbpsOver(totalBytes, slices.Max(cpu))
+		}
 	}
+
+	out := make([]Fig5Point, len(cfg.Cycles))
+	for k, sp := range measure(sides...) {
+		out[k] = Fig5Point{
+			Sub:        sub,
+			Cores:      cores,
+			Cycles:     cfg.Cycles[k],
+			Gbps:       sp.Median,
+			GbpsSpread: sp,
+			Mpps:       sp.Median * 1e9 / 8 / float64(totalBytes) * float64(totalFrames) / 1e6,
+			Delivered:  delivered[k].Load(),
+		}
+	}
+	return out
 }
 
 // PrintFig5 renders the grid with the paper's qualitative expectations.
@@ -196,9 +189,9 @@ func PrintFig5(w io.Writer, pts []Fig5Point) {
 			flush()
 			cur = p.Sub
 			fmt.Fprintf(w, "(%s)\n", p.Sub.Name())
-			tbl = &Table{Header: []string{"cores", "callback cycles", "Gbps", "Mpps", "callbacks"}}
+			tbl = &Table{Header: []string{"cores", "callback cycles", "Gbps", "Gbps IQR", "Mpps", "callbacks"}}
 		}
-		tbl.Add(fmt.Sprint(p.Cores), fmt.Sprint(p.Cycles), F(p.Gbps), F(p.Mpps), fmt.Sprint(p.Delivered))
+		tbl.Add(fmt.Sprint(p.Cores), fmt.Sprint(p.Cycles), F(p.Gbps), quartiles(p.GbpsSpread), F(p.Mpps), fmt.Sprint(p.Delivered))
 	}
 	flush()
 }

@@ -37,10 +37,7 @@ func RunFig7(seed int64, flows int) Fig7Result {
 	cfg.Profile = true
 	cfg.PoolSize = 1 << 16
 
-	rt, err := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
-	if err != nil {
-		panic(err)
-	}
+	rt := newRuntime(cfg, retina.Connections(func(*retina.ConnRecord) {}))
 	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 40})
 	stats := rt.Run(src)
 

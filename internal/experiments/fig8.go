@@ -76,10 +76,7 @@ func Fig8Schemes(timeScale float64) []Fig8Scheme {
 // scheme and samples connections-in-memory and memory bytes over
 // virtual time.
 func RunFig8(cfg Fig8Config, scale float64) []Fig8Result {
-	flows := int(float64(cfg.Flows) * scale)
-	if flows < 2000 {
-		flows = 2000
-	}
+	flows := max(int(float64(cfg.Flows)*scale), 2000)
 	var out []Fig8Result
 	for _, scheme := range Fig8Schemes(cfg.TimeScale) {
 		out = append(out, runFig8Scheme(cfg, scheme, flows))
@@ -95,10 +92,7 @@ func runFig8Scheme(cfg Fig8Config, scheme Fig8Scheme, flows int) Fig8Result {
 	rcfg.EstablishTimeout = scheme.EstablishTimeout
 	rcfg.InactivityTimeout = scheme.InactivityTimeout
 
-	rt, err := retina.New(rcfg, retina.Connections(func(*retina.ConnRecord) {}))
-	if err != nil {
-		panic(err)
-	}
+	rt := newRuntime(rcfg, retina.Connections(func(*retina.ConnRecord) {}))
 	corePipe := rt.Cores()[0]
 
 	src := traffic.NewCampusMix(traffic.CampusConfig{

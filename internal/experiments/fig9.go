@@ -42,10 +42,7 @@ var Fig9Filters = map[string]string{
 // aggregates per-session bytes up/down (a session is the set of flows
 // from one client to the service, as in Bronzino et al.).
 func RunFig9(cfg Fig9Config, scale float64) []Fig9Result {
-	sessions := int(float64(cfg.Sessions) * scale)
-	if sessions < 10 {
-		sessions = 10
-	}
+	sessions := max(int(float64(cfg.Sessions)*scale), 10)
 	var out []Fig9Result
 	for _, svc := range []struct {
 		name string
@@ -66,7 +63,7 @@ func RunFig9(cfg Fig9Config, scale float64) []Fig9Result {
 		rcfg.Filter = res.Filter
 		rcfg.Cores = 2
 		rcfg.PoolSize = 1 << 15
-		rt, err := retina.New(rcfg, retina.Connections(func(r *retina.ConnRecord) {
+		rt := newRuntime(rcfg, retina.Connections(func(r *retina.ConnRecord) {
 			mu.Lock()
 			a := perClient[r.Tuple.SrcIP]
 			if a == nil {
@@ -77,9 +74,6 @@ func RunFig9(cfg Fig9Config, scale float64) []Fig9Result {
 			a.down += r.BytesResp
 			mu.Unlock()
 		}))
-		if err != nil {
-			panic(err)
-		}
 		src := traffic.NewVideoWorkload(cfg.Seed+int64(svc.kind), sessions, svc.kind, cfg.Gbps)
 		rt.Run(src)
 

@@ -46,16 +46,13 @@ func RunTable2(seed int64, flows int) Table2Result {
 	{
 		cfg := baseConfig()
 		cfg.Cores = 2
-		rt, err := retina.New(cfg, retina.Packets(func(p *retina.Packet) {
+		rt := newRuntime(cfg, retina.Packets(func(p *retina.Packet) {
 			mu.Lock()
 			hist.Observe(float64(len(p.Data)))
 			sizeSum += uint64(len(p.Data))
 			sizeN++
 			mu.Unlock()
 		}))
-		if err != nil {
-			panic(err)
-		}
 		rt.Run(traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 40}))
 	}
 	res.SizeHist = hist
@@ -70,7 +67,7 @@ func RunTable2(seed int64, flows int) Table2Result {
 	{
 		cfg := baseConfig()
 		cfg.Cores = 2
-		rt, err := retina.New(cfg, retina.Connections(func(r *retina.ConnRecord) {
+		rt := newRuntime(cfg, retina.Connections(func(r *retina.ConnRecord) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch r.Tuple.Proto {
@@ -96,9 +93,6 @@ func RunTable2(seed int64, flows int) Table2Result {
 			pkts += r.PktsOrig + r.PktsResp
 			allBytes += r.BytesOrig + r.BytesResp
 		}))
-		if err != nil {
-			panic(err)
-		}
 		rt.Run(traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 40}))
 	}
 

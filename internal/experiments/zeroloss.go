@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"retina"
 	"retina/internal/metrics"
@@ -47,22 +46,17 @@ func RunZeroLossSearch(filterSrc string, cores int, flows int) ZeroLossResult {
 		cfg.RingSize = 512 // small rings make overload visible quickly
 		cfg.PoolSize = 1 << 15
 		cfg.SinkFraction = sink
-		rt, err := retina.New(cfg, retina.Connections(func(*retina.ConnRecord) {}))
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
+		rt := newRuntime(cfg, retina.Connections(func(*retina.ConnRecord) {}))
 		stats := rt.Run(tr.Replay())
-		el := time.Since(start)
 
 		// Effective rate: bytes that reached the cores over wall time.
-		eff := metrics.GbpsOver(tr.Bytes*stats.NIC.Delivered/maxU64(stats.NIC.RxFrames, 1), el)
+		// The producer races the cores here, so the wall clock is the
+		// measure: a thread's CPU time would not see the rings fill.
+		eff := metrics.GbpsOver(tr.Bytes*stats.NIC.Delivered/max(stats.NIC.RxFrames, 1), stats.Elapsed)
 		pt := ZeroLossPoint{SinkFraction: sink, EffectiveGbps: eff, Loss: stats.Loss()}
 		res.Points = append(res.Points, pt)
 		if pt.Loss == 0 {
-			if pt.EffectiveGbps > res.MaxZeroLoss {
-				res.MaxZeroLoss = pt.EffectiveGbps
-			}
+			res.MaxZeroLoss = max(res.MaxZeroLoss, pt.EffectiveGbps)
 			if sink == 0 {
 				res.ExhaustedAt0 = true
 			}
@@ -73,13 +67,6 @@ func RunZeroLossSearch(filterSrc string, cores int, flows int) ZeroLossResult {
 		}
 	}
 	return res
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PrintZeroLoss renders the titration trace.

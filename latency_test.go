@@ -153,28 +153,13 @@ func TestConservationWithLatencyTracking(t *testing.T) {
 			}
 			stats := rt.Run(openWorkload(t, path))
 
-			var delivered uint64
-			for i, cs := range stats.Cores {
-				delivered += cs.DeliveredPackets
-				disposed := cs.FilterDropped + cs.TombstonePkts + cs.NotTrackable +
-					cs.TableFull + cs.PktBufOverflow + cs.PendingDiscard +
-					cs.PktBufBudget + cs.ShedLowPool + cs.EvictedPressure +
-					cs.DeliveredPackets
-				if disposed != cs.Processed {
-					t.Errorf("core %d: disposed %d != processed %d", i, disposed, cs.Processed)
-				}
-			}
-			drops := rt.DropBreakdown()
-			var dropSum uint64
-			for _, reason := range telemetry.FrameDropReasons() {
-				dropSum += drops[reason]
-			}
-			if got := delivered + dropSum; got != stats.NIC.RxFrames {
-				t.Fatalf("conservation violated with latency tracking: delivered %d + drops %d = %d, rx %d\nbreakdown: %v",
-					delivered, dropSum, got, stats.NIC.RxFrames, drops)
-			}
+			assertFrameConservation(t, rt, stats)
 			// Every delivered packet must have been observed into the
 			// rx→delivery histogram.
+			var delivered uint64
+			for _, cs := range stats.Cores {
+				delivered += cs.DeliveredPackets
+			}
 			if sum := rt.LatencySummary(); sum.Count != delivered {
 				t.Fatalf("rx→delivery count %d != delivered %d", sum.Count, delivered)
 			}

@@ -11,7 +11,6 @@ import (
 
 	"retina/internal/filter"
 	"retina/internal/proto"
-	"retina/internal/telemetry"
 	"retina/internal/traffic"
 )
 
@@ -20,19 +19,6 @@ import (
 // runtimes.
 func campusTrace(seed int64, flows int) *traffic.Trace {
 	return traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: seed, Flows: flows, Gbps: 20}), 0)
-}
-
-func assertCoreConservation(t *testing.T, stats Stats) {
-	t.Helper()
-	for i, cs := range stats.Cores {
-		disposed := cs.FilterDropped + cs.TombstonePkts + cs.NotTrackable +
-			cs.TableFull + cs.PktBufOverflow + cs.PendingDiscard +
-			cs.PktBufBudget + cs.ShedLowPool + cs.EvictedPressure +
-			cs.DeliveredPackets
-		if disposed != cs.Processed {
-			t.Errorf("core %d: disposed %d != processed %d (%+v)", i, disposed, cs.Processed, cs)
-		}
-	}
 }
 
 // TestSwapDifferentialVsStaticOracle is the swap-correctness pin: a
@@ -65,13 +51,13 @@ func TestSwapDifferentialVsStaticOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := rt.RunOffline(sliceA)
-	assertCoreConservation(t, stats)
+	assertFrameConservation(t, nil, stats)
 
 	if _, err := rt.AddSubscription("s2", "udp", Packets(func(*Packet) { c2.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
 	stats = rt.RunOffline(sliceB)
-	assertCoreConservation(t, stats)
+	assertFrameConservation(t, nil, stats)
 
 	// Counter snapshot before removing s1: the per-subscription counter
 	// must agree with the callback count.
@@ -89,7 +75,7 @@ func TestSwapDifferentialVsStaticOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats = rt.RunOffline(sliceC)
-	assertCoreConservation(t, stats)
+	assertFrameConservation(t, nil, stats)
 
 	if got := c1.Load(); got != s1Info.Delivered {
 		t.Fatalf("s1 delivered %d packets after its removal (had %d at removal)", got-s1Info.Delivered, s1Info.Delivered)
@@ -191,23 +177,7 @@ func TestLiveChurnConservation(t *testing.T) {
 		t.Fatal("no churn happened during the run")
 	}
 
-	assertCoreConservation(t, stats)
-	var total uint64
-	for _, cs := range stats.Cores {
-		total += cs.DeliveredPackets
-	}
-	drops := rt.DropBreakdown()
-	var dropSum uint64
-	for _, reason := range telemetry.FrameDropReasons() {
-		dropSum += drops[reason]
-	}
-	if got := total + dropSum; got != stats.NIC.RxFrames {
-		t.Fatalf("conservation violated across %d swaps: delivered %d + drops %d = %d, rx %d\nbreakdown: %v",
-			rt.ControlPlane().Swaps(), total, dropSum, got, stats.NIC.RxFrames, drops)
-	}
-	if stats.NIC.RxFrames == 0 {
-		t.Fatal("workload produced no traffic")
-	}
+	assertFrameConservation(t, rt, stats)
 	if rt.ControlPlane().Swaps() < uint64(n) {
 		t.Errorf("swaps %d < churn cycles %d", rt.ControlPlane().Swaps(), n)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"retina/internal/nic"
-	"retina/internal/telemetry"
 	"retina/internal/traffic"
 )
 
@@ -140,24 +139,8 @@ func TestFlowOffloadDifferential(t *testing.T) {
 	// Frame conservation, strictly, in both modes: every frame the port
 	// accepted is a delivery or exactly one taxonomy reason — with the
 	// device's offload drops part of the same ledger.
-	for _, run := range []struct {
-		name string
-		r    offloadRun
-	}{{"off", off}, {"on", on}} {
-		assertCoreConservation(t, run.r.stats)
-		var delivered uint64
-		for _, cs := range run.r.stats.Cores {
-			delivered += cs.DeliveredPackets
-		}
-		drops := run.r.rt.DropBreakdown()
-		var dropSum uint64
-		for _, reason := range telemetry.FrameDropReasons() {
-			dropSum += drops[reason]
-		}
-		if got := delivered + dropSum; got != run.r.stats.NIC.RxFrames {
-			t.Fatalf("offload=%s: conservation violated: delivered %d + drops %d = %d, rx %d\nbreakdown: %v",
-				run.name, delivered, dropSum, got, run.r.stats.NIC.RxFrames, drops)
-		}
+	for _, r := range []offloadRun{off, on} {
+		assertFrameConservation(t, r.rt, r.stats)
 	}
 }
 

@@ -12,16 +12,20 @@ import (
 	"retina/internal/traffic"
 )
 
-// assertFrameConservation checks the overload-control contract: even
-// while shedding, rx == delivered + Σ(frame-level drops), per core and
-// globally. Payload-level reasons (reasm_budget and the stream-buffer
-// reasons) count TCP segments whose frames already have a frame-level
-// disposition, so they are excluded from the frame sum.
+// assertFrameConservation checks the packet-conservation identities
+// after a run, which hold even while overload control sheds. Per core,
+// every processed packet has exactly one disposition. Globally, rx ==
+// delivered + Σ(frame-level drops): payload-level reasons (reasm_budget
+// and the stream-buffer reasons) count TCP segments whose frames
+// already have a frame-level disposition, so they are excluded from the
+// frame sum. rt is nil for a RunOffline run, which bypasses the device:
+// only the per-core identity applies there.
 func assertFrameConservation(t *testing.T, rt *Runtime, stats Stats) {
 	t.Helper()
-	var delivered uint64
+	var delivered, processed uint64
 	for i, cs := range stats.Cores {
 		delivered += cs.DeliveredPackets
+		processed += cs.Processed
 		disposed := cs.FilterDropped + cs.TombstonePkts + cs.NotTrackable +
 			cs.TableFull + cs.PktBufOverflow + cs.PendingDiscard +
 			cs.PktBufBudget + cs.ShedLowPool + cs.EvictedPressure +
@@ -29,6 +33,12 @@ func assertFrameConservation(t *testing.T, rt *Runtime, stats Stats) {
 		if disposed != cs.Processed {
 			t.Errorf("core %d: disposed %d != processed %d (%+v)", i, disposed, cs.Processed, cs)
 		}
+	}
+	if processed == 0 {
+		t.Error("no core processed a frame")
+	}
+	if rt == nil {
+		return
 	}
 	drops := rt.DropBreakdown()
 	var dropSum uint64

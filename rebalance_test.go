@@ -133,7 +133,7 @@ func rebalanceConfig(cores int) Config {
 
 // assertRingConservation asserts conservation at the NIC boundary:
 // every frame enqueued onto a ring was consumed by some core. (The
-// per-core disposition breakdown of assertCoreConservation only applies
+// per-core disposition breakdown of assertFrameConservation only applies
 // to packet-subscription runs; connection-subscription runs park
 // tracked frames outside those counters.)
 func assertRingConservation(t *testing.T, stats Stats) {

@@ -131,7 +131,7 @@ func TestRunTwice(t *testing.T) {
 		if got := rt.Pool().InUse(); got != 0 {
 			t.Fatalf("run %d: %d mbufs still out of the pool", i+1, got)
 		}
-		assertCoreConservation(t, st)
+		assertFrameConservation(t, rt, st)
 	}
 }
 

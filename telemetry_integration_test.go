@@ -62,34 +62,7 @@ func TestPacketConservation(t *testing.T) {
 			}
 			stats := rt.Run(openWorkload(t, path))
 
-			var delivered, processed uint64
-			for i, cs := range stats.Cores {
-				delivered += cs.DeliveredPackets
-				processed += cs.Processed
-				// Per-core packet disposition must itself balance.
-				disposed := cs.FilterDropped + cs.TombstonePkts + cs.NotTrackable +
-					cs.TableFull + cs.PktBufOverflow + cs.PendingDiscard +
-					cs.PktBufBudget + cs.ShedLowPool + cs.EvictedPressure +
-					cs.DeliveredPackets
-				if disposed != cs.Processed {
-					t.Errorf("core %d: disposed %d != processed %d (%+v)", i, disposed, cs.Processed, cs)
-				}
-			}
-			// Sum only the frame-level reasons: payload-level reasons
-			// (reassembly/stream-buffer shedding) count TCP segments whose
-			// frames already have a frame-level disposition.
-			drops := rt.DropBreakdown()
-			var dropSum uint64
-			for _, reason := range telemetry.FrameDropReasons() {
-				dropSum += drops[reason]
-			}
-			if got := delivered + dropSum; got != stats.NIC.RxFrames {
-				t.Fatalf("conservation violated: delivered %d + drops %d = %d, rx %d\nbreakdown: %v",
-					delivered, dropSum, got, stats.NIC.RxFrames, drops)
-			}
-			if stats.NIC.RxFrames == 0 || processed == 0 {
-				t.Fatal("workload produced no traffic")
-			}
+			assertFrameConservation(t, rt, stats)
 		})
 	}
 }
