@@ -90,6 +90,7 @@ func runAggOnce(t *testing.T, cfg Config, src Source, driver func(rt *Runtime, d
 	if stats.Loss() != 0 {
 		t.Fatalf("NIC loss %d — differential not comparable", stats.Loss())
 	}
+	assertFrameConservation(t, rt, stats)
 	return rt.Aggregates(), stats
 }
 
@@ -251,7 +252,7 @@ func TestAggregatePushDownWitness(t *testing.T) {
 		t.Fatalf("aggregate missing from SubscriptionInfo: %+v", info)
 	}
 	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 53, Flows: 400, Gbps: 20})
-	rt.Run(src)
+	assertFrameConservation(t, rt, rt.Run(src))
 
 	var connTrackCalls uint64
 	for _, c := range rt.Cores() {
@@ -301,6 +302,7 @@ func TestAggregateNICStageMatchesPacketStage(t *testing.T) {
 	if stats.Loss() != 0 {
 		t.Fatalf("NIC loss %d — counts not comparable", stats.Loss())
 	}
+	assertFrameConservation(t, rt, stats)
 	counts := map[string]uint64{}
 	for _, rep := range rt.Aggregates() {
 		if len(rep.Windows) != 1 {

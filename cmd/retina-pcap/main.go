@@ -124,13 +124,12 @@ func main() {
 			r.Frames(), len(specs), stats.Elapsed)
 		retina.WriteSubscriptionTable(os.Stdout, rt.ListSubscriptions())
 	} else {
-		var processed, filterDropped uint64
+		var processed uint64
 		for _, cs := range stats.Cores {
 			processed += cs.Processed
-			filterDropped += cs.FilterDropped
 		}
 		fmt.Printf("\n%d frames read, %d matched the filter, %d deliveries, %v elapsed\n",
-			r.Frames(), processed-filterDropped, count, stats.Elapsed)
+			r.Frames(), processed-rt.DropBreakdown()[telemetry.DropSWFilter], count, stats.Elapsed)
 	}
 	if reb := rt.Status().Rebalance; reb != nil {
 		fmt.Println(reb)
@@ -142,13 +141,11 @@ func main() {
 		fmt.Println(rt.LatencySummary())
 	}
 	if *metricsAddr != "" {
-		// Offline mode bypasses the simulated NIC, so frames read from
-		// the pcap is the denominator.
-		rx := stats.NIC.RxFrames
-		if rx == 0 {
-			rx = r.Frames()
-		}
-		printDropTable(rt, rx)
+		printDropTable(rt, stats.Frames)
+	}
+	if err := rt.Check(stats); err != nil {
+		fmt.Fprintf(os.Stderr, "frame accounting does not close: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -59,6 +59,7 @@ func runConntrackDifferential(t *testing.T, tr *traffic.Trace, backend string, m
 	if run.stats.Loss() != 0 {
 		t.Fatalf("backend=%s: unexpected NIC loss %d (rings/pool undersized for differential run)", backend, run.stats.Loss())
 	}
+	assertFrameConservation(t, rt, run.stats)
 	for _, core := range rt.Cores() {
 		run.pressure += core.Table().PressureEvictions()
 	}

@@ -173,12 +173,8 @@ func TestRecycledStateIgnoresStaleShedEntry(t *testing.T) {
 	if got := pool.InUse(); got != 0 {
 		t.Fatalf("%d mbufs still out of the pool after Flush", got)
 	}
-	st := c.Stats()
-	disposed := st.FilterDropped + st.TombstonePkts + st.NotTrackable + st.TableFull +
-		st.PktBufOverflow + st.PendingDiscard + st.PktBufBudget + st.ShedLowPool +
-		st.EvictedPressure + st.DeliveredPackets
-	if disposed != st.Processed {
-		t.Fatalf("disposed %d != processed %d (%+v)", disposed, st.Processed, st)
+	if st := c.Stats(); st.Disposed() != st.Processed {
+		t.Fatalf("disposed %d != processed %d (%+v)", st.Disposed(), st.Processed, st)
 	}
 }
 

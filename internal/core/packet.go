@@ -67,9 +67,10 @@ type Config struct {
 	// (DESIGN.md §13).
 	Offload OffloadSink
 	// Latency enables the observability layer (DESIGN.md §14):
-	// rx→delivery and sampled per-stage latency histograms, poll-loop
-	// duty-cycle accounting, and the elephant-flow witness. Off by
-	// default; the hot path then pays nothing beyond nil checks.
+	// rx→delivery and sampled per-stage latency histograms and
+	// poll-loop duty-cycle accounting. Off by default; the hot path then
+	// pays nothing beyond nil checks. The elephant-flow witness is kept
+	// either way.
 	Latency bool
 }
 
@@ -171,13 +172,14 @@ type Core struct {
 	// boundaries (core goroutine only).
 	offloadReqs []offload.Request
 
-	// Observability state (all nil when Config.Latency is off). nowNs is
-	// the wall clock read once at the top of each burst; rx→delivery
-	// observations subtract mbuf RX stamps from it so delivery costs no
-	// clock read per packet.
+	// Observability state (lat and duty nil when Config.Latency is off).
+	// nowNs is the wall clock read once at the top of each burst;
+	// rx→delivery observations subtract mbuf RX stamps from it so
+	// delivery costs no clock read per packet. The elephant witness is
+	// always kept: the rebalancer's guard reads it.
 	lat   *LatencyStats
 	duty  *DutyStats
-	wit   *FlowWitness
+	wit   FlowWitness
 	nowNs int64
 	// obsBursts throttles folding the burst-local observability state
 	// into the shared structures to every obsFlushEvery-th burst:
@@ -216,12 +218,13 @@ const obsFlushEvery = 64
 // burstDelta accumulates the per-packet hot counters of one burst in
 // plain (non-atomic) fields; ProcessBurst folds it into the shared
 // atomic counters once per burst. Monitoring sees counts at burst
-// granularity, and the conservation identity rx == delivered + Σdrops
+// granularity, and the conservation identity Processed == Disposed
 // holds exactly whenever no burst is mid-flight (always at end of run).
 type burstDelta struct {
 	processed        uint64
 	filterDropped    uint64
 	deliveredPackets uint64
+	tracked          uint64
 	// slotDelivered counts the fast path's deliveries per slot of the
 	// burst's program set; slots marks the slots it touched.
 	slotDelivered [filter.MaxSubscriptions]uint64
@@ -241,6 +244,9 @@ func (c *Core) foldDelta(d *burstDelta) {
 	}
 	if d.deliveredPackets > 0 {
 		c.ctr.deliveredPackets.Add(d.deliveredPackets)
+	}
+	if d.tracked > 0 {
+		c.ctr.tracked.Add(d.tracked)
 	}
 }
 
@@ -285,7 +291,6 @@ func NewCore(id int, cfg Config) (*Core, error) {
 		c.lat = NewLatencyStats()
 		c.stages.lat = c.lat
 		c.duty = &DutyStats{}
-		c.wit = &FlowWitness{}
 	}
 	// Shared budget hooks for every connection's reassembler: reserve
 	// consults the low-watermark signals first (under pool/ring pressure
@@ -421,9 +426,8 @@ func (c *Core) Latency() *LatencyStats { return c.lat }
 // Config.Latency is off).
 func (c *Core) Duty() *DutyStats { return c.duty }
 
-// Witness returns the core's elephant-flow witness (nil when
-// Config.Latency is off).
-func (c *Core) Witness() *FlowWitness { return c.wit }
+// Witness returns the core's elephant-flow witness.
+func (c *Core) Witness() *FlowWitness { return &c.wit }
 
 // ProcessBurst consumes a burst of packet buffers in two passes: decode
 // + software packet filter over the whole batch (one stage-timer entry,
@@ -490,11 +494,9 @@ func (c *Core) ProcessBurst(ms []*mbuf.Mbuf) {
 	c.flushOffload()
 	c.recycleStates()
 	c.stages.publish()
-	if c.lat != nil {
-		c.obsBursts++
-		if c.obsBursts&(obsFlushEvery-1) == 0 {
-			c.publishObs()
-		}
+	c.obsBursts++
+	if c.obsBursts&(obsFlushEvery-1) == 0 {
+		c.publishObs()
 	}
 	mbuf.FreeBulk(ms)
 }
@@ -550,7 +552,7 @@ func (c *Core) processFiltered(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 		}
 	}
 
-	c.processStateful(p, m, mr)
+	c.processStateful(p, m, mr, d)
 }
 
 // advance moves the connection table's clock, firing expirations, and
@@ -592,20 +594,22 @@ func (c *Core) AdvanceTime(tick uint64) {
 	c.publishObs()
 }
 
-// publishObs folds the burst-local latency histograms and the elephant
-// witness into their shared, scrapeable forms (no-op with Latency off).
+// publishObs folds the elephant witness and the burst-local latency
+// histograms (with Latency on) into their shared, scrapeable forms.
 func (c *Core) publishObs() {
+	c.wit.publish()
 	if c.lat != nil {
 		c.lat.flush()
-		c.wit.publish()
 	}
 }
 
-// Frame dispositions, in ascending precedence: one frame of a
-// packet-level subscription set takes exactly one disposition, the most
-// useful outcome any subscription gave it — delivery beats buffering
-// beats any drop — so rx == delivered + Σdrops + still-buffered holds in
-// frame units no matter how many subscriptions touched the frame.
+// Frame dispositions, in ascending precedence: one frame takes exactly
+// one disposition, the most useful outcome any packet-level
+// subscription gave it — delivery beats buffering beats any drop — so
+// CoreStats.Disposed counts it once no matter how many subscriptions
+// touched it. A frame no packet-level subscription disposed of
+// (dispNone) counts as tracked: its only outcome is the connection
+// state it updated.
 const (
 	dispNone = iota
 	dispTombstone
@@ -616,7 +620,7 @@ const (
 	dispDelivered
 )
 
-func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiResult) {
+func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiResult, d *burstDelta) {
 	ft, ok := layers.FiveTupleFrom(p)
 	if !ok {
 		// Not a trackable flow (no L4 ports). A terminal match can
@@ -663,9 +667,7 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 		c.ctr.tableFull.Inc() // table full: connection-level loss
 		return
 	}
-	if c.wit != nil {
-		c.wit.Note(&conn.Tuple)
-	}
+	c.wit.Note(&conn.Tuple)
 
 	var cs *connState
 	if created {
@@ -712,13 +714,13 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 		c.feed(conn, cs, p, m, ft, payload, flags)
 	}
 
-	// Packet-level delivery/buffering. Each frame matched by at least
-	// one packet-level subscription takes exactly one disposition here
-	// (or one of the earlier drop paths), so the per-reason counters sum
-	// back to Processed — the conservation invariant the telemetry tests
-	// assert. Per-subscription callback counts live on the SubSpecs.
+	// Packet-level delivery/buffering. Each frame takes exactly one
+	// disposition here (or one of the earlier drop paths), so the
+	// per-reason counters sum back to Processed — the conservation
+	// identity Runtime.Check asserts. Per-subscription callback counts
+	// live on the SubSpecs.
+	disp := dispNone
 	if c.ps.hasPacket {
-		disp := dispNone
 		deliveredAny := false
 		rem := mr.Mask
 		for rem != 0 {
@@ -804,6 +806,9 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 		case dispTombstone:
 			c.ctr.tombstonePkts.Inc()
 		}
+	}
+	if disp == dispNone {
+		d.tracked++
 	}
 
 	c.maybeTerminate(conn, cs, ft, flags)

@@ -189,13 +189,13 @@ type CoreStats struct {
 	SessionsMatch uint64
 	TombstonePkts uint64 // packets landing on rejected connections
 	BufferedPkts  uint64 // packets buffered awaiting a filter verdict
+	// Tracked counts frames whose only outcome was being folded into a
+	// tracked connection: no packet-level subscription delivered,
+	// buffered or dropped them. Zero on packet-subscription runs.
+	Tracked uint64
 
-	// Per-reason drop accounting (the §5.3 taxonomy). Together with
-	// FilterDropped, TombstonePkts, and DeliveredPackets these satisfy
-	// the packet-conservation invariant for packet-level subscriptions:
-	// Processed == FilterDropped + TombstonePkts + DeliveredPackets +
-	// NotTrackable + TableFull + PktBufOverflow + PendingDiscard +
-	// PktBufBudget + ShedLowPool + EvictedPressure + still-buffered.
+	// Per-reason drop accounting (the §5.3 taxonomy); Disposed sums
+	// the frame-level reasons with the frame outcomes.
 	NotTrackable      uint64 // no L4 flow and no terminal packet match
 	TableFull         uint64 // connection table at MaxConns
 	PktBufOverflow    uint64 // per-connection packet buffer full
@@ -235,6 +235,18 @@ type CoreStats struct {
 	EpochSwaps uint64
 }
 
+// Disposed sums the frames the core gave exactly one outcome: delivered
+// to a packet callback, folded into a tracked connection, or dropped
+// under one frame-level reason. Once no frame is buffered awaiting a
+// verdict (always after Flush) it equals Processed. Payload-level
+// counts (StreamBufOverflow, ReasmBudgetDrops, ReasmDropped) are not in
+// it: their frames already have an outcome.
+func (s CoreStats) Disposed() uint64 {
+	return s.DeliveredPackets + s.Tracked + s.FilterDropped + s.TombstonePkts +
+		s.NotTrackable + s.TableFull + s.PktBufOverflow + s.PendingDiscard +
+		s.PktBufBudget + s.ShedLowPool + s.EvictedPressure
+}
+
 // coreCounters is the live, atomic backing store for CoreStats.
 type coreCounters struct {
 	processed     telemetry.Counter
@@ -244,6 +256,7 @@ type coreCounters struct {
 	sessionsMatch telemetry.Counter
 	tombstonePkts telemetry.Counter
 	bufferedPkts  telemetry.Counter
+	tracked       telemetry.Counter
 
 	notTrackable      telemetry.Counter
 	tableFull         telemetry.Counter
@@ -284,6 +297,7 @@ func (c *coreCounters) snapshot() CoreStats {
 		SessionsMatch: c.sessionsMatch.Value(),
 		TombstonePkts: c.tombstonePkts.Value(),
 		BufferedPkts:  c.bufferedPkts.Value(),
+		Tracked:       c.tracked.Value(),
 
 		NotTrackable:      c.notTrackable.Value(),
 		TableFull:         c.tableFull.Value(),

@@ -455,7 +455,7 @@ func TestPlaneReconcileErrorSurfaced(t *testing.T) {
 	if cs.Processed != 3 || cs.FilterDropped != 1 {
 		t.Fatalf("core stats %+v, want 3 processed with 1 filter drop", cs)
 	}
-	if st.RxFrames != st.Delivered+st.HWDropped+st.Loss()+st.Malformed {
+	if st.RxFrames != 3 || st.Disposed() != st.RxFrames {
 		t.Fatalf("conservation violated: %+v", st)
 	}
 }

@@ -640,3 +640,10 @@ func (n *NIC) Stats() Stats {
 // buffer exhaustion, and unstorable oversized frames) — the "packet
 // loss" the paper's zero-loss experiments require to be zero.
 func (s Stats) Loss() uint64 { return s.RingDrops + s.NoMbuf + s.Oversize }
+
+// Disposed sums the frames the port gave exactly one outcome: enqueued
+// onto a receive queue or dropped under one device reason. It equals
+// RxFrames whenever no DeliverBurst call is mid-flight.
+func (s Stats) Disposed() uint64 {
+	return s.Delivered + s.Malformed + s.HWDropped + s.HWOffloadDrop + s.Sunk + s.Loss()
+}

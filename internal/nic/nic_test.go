@@ -399,8 +399,8 @@ func TestNICMalformedFrames(t *testing.T) {
 	if st.Delivered != uint64(len(frames)-short) || !maps.Equal(got, want) {
 		t.Errorf("Delivered = %d, dequeued %d distinct frames; want the %d valid frames", st.Delivered, len(got), len(want))
 	}
-	if st.RxFrames != st.Delivered+st.Malformed {
-		t.Errorf("RxFrames %d != Delivered %d + Malformed %d", st.RxFrames, st.Delivered, st.Malformed)
+	if st.RxFrames != uint64(len(frames)) || st.Disposed() != st.RxFrames {
+		t.Errorf("RxFrames %d, disposed %d; want %d each (%+v)", st.RxFrames, st.Disposed(), len(frames), st)
 	}
 	if pool.InUse() != 0 {
 		t.Errorf("pool InUse = %d after draining, want 0", pool.InUse())
@@ -449,9 +449,8 @@ func TestNICBurstOverflowExactlyOnce(t *testing.T) {
 		t.Fatalf("RxFrames = %d", st.RxFrames)
 	}
 	// Conservation: every offered frame is delivered or dropped once.
-	if st.Delivered+st.RingDrops+st.NoMbuf != 20 {
-		t.Fatalf("delivered %d + ringDrops %d + noMbuf %d != 20",
-			st.Delivered, st.RingDrops, st.NoMbuf)
+	if st.Disposed() != 20 {
+		t.Fatalf("disposed %d != 20 (%+v)", st.Disposed(), st)
 	}
 	// The ring holds 4; nothing drained it, so exactly 4 frames fit and
 	// 16 overflowed across the bursts.

@@ -51,13 +51,13 @@ func TestSwapDifferentialVsStaticOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := rt.RunOffline(sliceA)
-	assertFrameConservation(t, nil, stats)
+	assertFrameConservation(t, rt, stats)
 
 	if _, err := rt.AddSubscription("s2", "udp", Packets(func(*Packet) { c2.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
 	stats = rt.RunOffline(sliceB)
-	assertFrameConservation(t, nil, stats)
+	assertFrameConservation(t, rt, stats)
 
 	// Counter snapshot before removing s1: the per-subscription counter
 	// must agree with the callback count.
@@ -75,7 +75,7 @@ func TestSwapDifferentialVsStaticOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats = rt.RunOffline(sliceC)
-	assertFrameConservation(t, nil, stats)
+	assertFrameConservation(t, rt, stats)
 
 	if got := c1.Load(); got != s1Info.Delivered {
 		t.Fatalf("s1 delivered %d packets after its removal (had %d at removal)", got-s1Info.Delivered, s1Info.Delivered)
@@ -92,7 +92,7 @@ func TestSwapDifferentialVsStaticOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ort.RunOffline(src)
+		assertFrameConservation(t, ort, ort.RunOffline(src))
 		return n.Load()
 	}
 	want1 := oracle("tcp.port = 443", sliceAB)
@@ -234,7 +234,7 @@ func TestAdminSubscriptionAPI(t *testing.T) {
 	// Deliver some traffic, then read the counters back over the API.
 	tr := campusTrace(9, 40)
 	half := len(tr.Frames) / 2
-	rt.RunOffline(tr.Slice(0, half).Replay())
+	assertFrameConservation(t, rt, rt.RunOffline(tr.Slice(0, half).Replay()))
 	resp, err = http.Get(base + "/subscriptions/api")
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestAdminSubscriptionAPI(t *testing.T) {
 	// Until the core acks the removal epoch the subscription is still
 	// listed as draining; more traffic forces a pickup, after which it
 	// retires.
-	rt.RunOffline(tr.Slice(half, len(tr.Frames)).Replay())
+	assertFrameConservation(t, rt, rt.RunOffline(tr.Slice(half, len(tr.Frames)).Replay()))
 	resp, err = http.Get(base + "/subscriptions")
 	if err != nil {
 		t.Fatal(err)

@@ -131,19 +131,90 @@ func rebalanceConfig(cores int) Config {
 	return cfg
 }
 
-// assertRingConservation asserts conservation at the NIC boundary:
-// every frame enqueued onto a ring was consumed by some core. (The
-// per-core disposition breakdown of assertFrameConservation only applies
-// to packet-subscription runs; connection-subscription runs park
-// tracked frames outside those counters.)
-func assertRingConservation(t *testing.T, stats Stats) {
-	t.Helper()
-	var processed uint64
-	for _, cs := range stats.Cores {
-		processed += cs.Processed
+// TestRebalanceMigratedBufferedFramesConserved moves buckets under a
+// packet subscription whose verdict waits for the TLS handshake, so
+// connections migrate with frames still buffered: those frames resolve
+// on the importing core, and Runtime.Check must still close the
+// accounting (summed over the cores) with every buffer back in the pool.
+func TestRebalanceMigratedBufferedFramesConserved(t *testing.T) {
+	const targetMoves = 60
+	cfg := rebalanceConfig(2)
+	cfg.Filter = "tls"
+	rt, err := New(cfg, Packets(func(*Packet) {}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if processed != stats.NIC.Delivered {
-		t.Errorf("cores processed %d frames, NIC delivered %d", processed, stats.NIC.Delivered)
+	tr := campusTrace(23, 500)
+	var moves int64
+	var stop atomic.Bool
+	src := newLoopedSource(tr, func(int) bool { return !stop.Load() })
+	src.dev = rt.NIC()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer stop.Store(true)
+		dev, plane := rt.NIC(), rt.ControlPlane()
+		step := int64(len(tr.Frames) / 50)
+		for bucket := 0; moves < targetMoves; {
+			if src.served.Load() < (moves+1)*step {
+				runtime.Gosched()
+				continue
+			}
+			dst := (int(dev.RetaAssigned(bucket)) + 1) % cfg.Cores
+			if _, err := plane.MoveBucket(bucket, dst); err != nil {
+				t.Errorf("MoveBucket(%d → %d): %v", bucket, dst, err)
+				return
+			}
+			moves++
+			bucket = (bucket + 7) % dev.RetaSize()
+		}
+	}()
+	stats := rt.Run(src)
+	<-done
+	if in, _ := checkMigrationCensus(t, rt); in == 0 {
+		t.Fatal("no connection migrated")
+	}
+	assertFrameConservation(t, rt, stats)
+}
+
+// TestElephantBucketWithoutLatencyTracking pins the rebalancer's
+// elephant guard under the default observability settings: with
+// LatencyTracking off the cores still witness their flows, so a bucket
+// hosting one of two flows (each carries far more than a fifth of its
+// core's packets) reads heavy, and no bucket without a flow does.
+func TestElephantBucketWithoutLatencyTracking(t *testing.T) {
+	cfg := rebalanceConfig(2)
+	cfg.Rebalance.Enable = true
+	rt, err := New(cfg, Connections(func(*ConnRecord) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := campusTrace(5, 2)
+	assertFrameConservation(t, rt, rt.Run(tr.Replay()))
+
+	occupied := map[int]bool{}
+	for _, f := range tr.Frames {
+		var p layers.Parsed
+		if p.DecodeLayers(f) != nil {
+			continue
+		}
+		if ft, ok := layers.FiveTupleFrom(&p); ok {
+			if b, ok := nic.BucketOf(ft, rt.NIC().RetaSize()); ok {
+				occupied[b] = true
+			}
+		}
+	}
+	heavy := 0
+	for b := range rt.NIC().RetaSize() {
+		if rt.elephantBucket(b) {
+			heavy++
+			if !occupied[b] {
+				t.Errorf("bucket %d reads heavy but no flow of the trace hashes to it", b)
+			}
+		}
+	}
+	if heavy == 0 {
+		t.Fatalf("no bucket reads heavy; the trace's %d flow buckets are %v", len(occupied), occupied)
 	}
 }
 
@@ -264,7 +335,7 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 		if out.stats.Loss() != 0 {
 			t.Fatalf("migrate=%v: NIC loss %d — rings undersized, differential not byte-comparable", migrate, out.stats.Loss())
 		}
-		assertRingConservation(t, out.stats)
+		assertFrameConservation(t, rt, out.stats)
 		in, outM := checkMigrationCensus(t, rt)
 		if !migrate && (in != 0 || outM != 0) {
 			t.Fatalf("baseline run migrated connections (%d in / %d out)", in, outM)
@@ -348,7 +419,7 @@ func TestRebalanceAdaptiveEndToEnd(t *testing.T) {
 	if stats.Loss() != 0 {
 		t.Fatalf("NIC loss %d with oversized rings", stats.Loss())
 	}
-	assertRingConservation(t, stats)
+	assertFrameConservation(t, rt, stats)
 	checkMigrationCensus(t, rt)
 	if rt.Rebalancer().Rounds() == 0 {
 		t.Fatal("rebalancer never completed an observation round")

@@ -223,8 +223,10 @@ type Config struct {
 	// LatencyTracking enables the observability layer (DESIGN.md §14):
 	// RX timestamps on every frame, rx→delivery and sampled per-stage
 	// latency histograms, per-core duty-cycle accounting, the RSS-skew
-	// gauge inputs, and the elephant-flow witness. Costs under 3% of
-	// throughput (pinned by BenchmarkLatencyTracking); off by default.
+	// gauge inputs, and the elephant-flow gauge and status section (the
+	// witness behind them is always kept: the rebalancer reads it).
+	// Costs under 3% of throughput (pinned by BenchmarkLatencyTracking);
+	// off by default.
 	LatencyTracking bool
 	// Rebalance configures the adaptive RSS rebalancer (DESIGN.md §16):
 	// a control goroutine that watches per-bucket load and migrates RETA
@@ -358,8 +360,11 @@ type BurstSource interface {
 
 // Stats summarizes a run.
 type Stats struct {
-	NIC   nic.Stats
-	Cores []core.CoreStats
+	// Frames counts every frame the runtime has taken from its sources:
+	// the device's NIC.RxFrames plus the frames RunOffline read.
+	Frames uint64
+	NIC    nic.Stats
+	Cores  []core.CoreStats
 	// Stages aggregates stage counters across cores.
 	Stages *core.StageStats
 	// ConnsLive and MemoryBytes snapshot the connection tables at the
@@ -401,9 +406,11 @@ type Runtime struct {
 	aggTaps map[string]int
 	nicAggs []*aggregate.CoreState
 
-	// offlineOversize counts frames RunOffline could not buffer because
-	// they exceed a packet buffer — the offline share of oversize_frame,
-	// which online the device counts.
+	// offlineRx counts the frames RunOffline took from its sources, and
+	// offlineOversize those it could not buffer because they exceed a
+	// packet buffer — the offline shares of rx and oversize_frame, which
+	// online the device counts.
+	offlineRx       atomic.Uint64
 	offlineOversize atomic.Uint64
 	// RunOffline's ingest state, built once in New so a run allocates
 	// nothing for it: the source burst (frames, ticks), the buffer
@@ -755,20 +762,15 @@ func (r *Runtime) Rebalancer() *rebalance.Rebalancer { return r.rebal }
 // elephantBucket is the rebalancer's guard: it reports whether bucket
 // hosts a witnessed heavy-hitter (a flow carrying ≥20% of some core's
 // processed packets). Heavy buckets are never migrated onto a queue
-// already at or above mean load. Without LatencyTracking there are no
-// witnesses and no bucket is considered heavy.
+// already at or above mean load.
 func (r *Runtime) elephantBucket(bucket int) bool {
 	size := r.dev.RetaSize()
 	for _, c := range r.cores {
-		w := c.Witness()
-		if w == nil {
-			continue
-		}
 		processed := c.Stats().Processed
 		if processed == 0 {
 			continue
 		}
-		for _, f := range w.Top() {
+		for _, f := range c.Witness().Top() {
 			if float64(f.Packets) < 0.2*float64(processed) {
 				break // sorted descending; the rest are smaller
 			}
@@ -895,6 +897,7 @@ func (r *Runtime) stats(start time.Time, lastTick uint64) Stats {
 		Elapsed:  time.Since(start),
 		LastTick: lastTick,
 	}
+	st.Frames = st.NIC.RxFrames + r.offlineRx.Load()
 	for _, c := range r.cores {
 		st.Cores = append(st.Cores, c.Stats())
 		st.Stages.Merge(c.StageStats())
@@ -934,6 +937,7 @@ func (r *Runtime) RunOffline(src Source) Stats {
 		if n == 0 {
 			break
 		}
+		r.offlineRx.Add(uint64(n))
 		// Offline mode bypasses the NIC, so RX stamping happens here:
 		// one clock read per burst, like the device's per-DeliverBurst
 		// read.
@@ -963,6 +967,56 @@ func (r *Runtime) RunOffline(src Source) Stats {
 	clear(r.frames) // keep no reference to the source's frames
 	c.Flush()
 	return r.stats(start, lastTick)
+}
+
+// Check verifies the frame-conservation identities (DESIGN.md §9) on a
+// finished run's stats s, returning an error that names each identity
+// that does not close:
+//
+//   - the device: NIC.RxFrames == NIC.Disposed();
+//   - each core: Processed == Disposed() — summed over the cores instead
+//     once connections have migrated between them, because a migrated
+//     connection's buffered frames resolve on the core that imported it;
+//   - the runtime: Frames == delivered + tracked + Σ frame-level drop
+//     reasons (telemetry.FrameDropReasons, read through DropBreakdown);
+//   - the pool: every packet buffer is back.
+//
+// Call it once Run or RunOffline has returned; mid-run, frames in
+// flight make the identities read short.
+func (r *Runtime) Check(s Stats) error {
+	var errs []error
+	if d := s.NIC.Disposed(); d != s.NIC.RxFrames {
+		errs = append(errs, fmt.Errorf("device: rx %d != enqueued + dropped %d (%+v)", s.NIC.RxFrames, d, s.NIC))
+	}
+	var migrated, processed, disposed, outcomes uint64
+	for _, c := range r.cores {
+		in, _ := c.Table().Migrations()
+		migrated += in
+	}
+	for i, cs := range s.Cores {
+		d := cs.Disposed()
+		processed += cs.Processed
+		disposed += d
+		outcomes += cs.DeliveredPackets + cs.Tracked
+		if migrated == 0 && d != cs.Processed {
+			errs = append(errs, fmt.Errorf("core %d: processed %d != disposed %d (%+v)", i, cs.Processed, d, cs))
+		}
+	}
+	if migrated > 0 && disposed != processed {
+		errs = append(errs, fmt.Errorf("cores: processed %d != disposed %d across %d migrated connections", processed, disposed, migrated))
+	}
+	drops := r.DropBreakdown()
+	var dropped uint64
+	for _, reason := range telemetry.FrameDropReasons() {
+		dropped += drops[reason]
+	}
+	if outcomes+dropped != s.Frames {
+		errs = append(errs, fmt.Errorf("runtime: rx %d != delivered + tracked %d + frame drops %d (%v)", s.Frames, outcomes, dropped, drops))
+	}
+	if n := r.pool.InUse(); n != 0 {
+		errs = append(errs, fmt.Errorf("pool: %d packet buffers still in use", n))
+	}
+	return errors.Join(errs...)
 }
 
 // RSSSkew reports max/mean of the per-core packet share — 1.0 means

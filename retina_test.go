@@ -101,9 +101,9 @@ func TestPoolBalancedAfterRun(t *testing.T) {
 // TestRunTwice pins Run's re-entrance: the first Run closes the device's
 // rings, and the second must reopen them before its cores start, or a
 // core finding its ring closed and empty exits while the producer keeps
-// enqueueing frames nobody processes. After each call every frame the
-// device delivered was processed by a core and every mbuf is back in
-// the pool.
+// enqueueing frames nobody processes. After each call the run's frame
+// accounting closes: every frame the device delivered was processed by
+// a core and every mbuf is back in the pool.
 func TestRunTwice(t *testing.T) {
 	tr := campusTrace(23, 300)
 	half := len(tr.Frames) / 2
@@ -118,18 +118,8 @@ func TestRunTwice(t *testing.T) {
 	}
 	for i, src := range []Source{tr.Slice(0, half).Replay(), tr.Slice(half, len(tr.Frames)).Replay()} {
 		st := rt.Run(src)
-		var processed uint64
-		for _, cs := range st.Cores {
-			processed += cs.Processed
-		}
 		if st.NIC.Delivered == 0 {
 			t.Fatalf("run %d: device delivered nothing; test is vacuous", i+1)
-		}
-		if processed != st.NIC.Delivered {
-			t.Fatalf("run %d: cores processed %d of %d delivered frames", i+1, processed, st.NIC.Delivered)
-		}
-		if got := rt.Pool().InUse(); got != 0 {
-			t.Fatalf("run %d: %d mbufs still out of the pool", i+1, got)
 		}
 		assertFrameConservation(t, rt, st)
 	}
@@ -150,7 +140,7 @@ func TestEndToEndConnRecordsAcrossCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 800, Gbps: 40})
-	rt.Run(src)
+	assertFrameConservation(t, rt, rt.Run(src))
 
 	if count.Load() < 400 {
 		t.Fatalf("records = %d, too few", count.Load())
@@ -192,13 +182,10 @@ func TestEndToEndPacketsWithHardwareFilter(t *testing.T) {
 	}
 	// Every packet that reached software matched the filter: software
 	// filter drops only what hardware could not express (here: none).
-	var swDrops uint64
-	for _, cs := range stats.Cores {
-		swDrops += cs.FilterDropped
+	if n := rt.DropBreakdown()[telemetry.DropSWFilter]; n != 0 {
+		t.Fatalf("software dropped %d packets despite exact hardware rule", n)
 	}
-	if swDrops != 0 {
-		t.Fatalf("software dropped %d packets despite exact hardware rule", swDrops)
-	}
+	assertFrameConservation(t, rt, stats)
 }
 
 func TestSinkFractionReducesDelivery(t *testing.T) {
@@ -286,18 +273,15 @@ func TestOfflineUnbufferableFramesAccounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.RunOffline(struct{ Source }{(&traffic.Trace{Frames: tc.frames, Ticks: make([]uint64, len(tc.frames))}).Replay()})
+			stats := rt.RunOffline(struct{ Source }{(&traffic.Trace{Frames: tc.frames, Ticks: make([]uint64, len(tc.frames))}).Replay()})
 			drops := rt.DropBreakdown()
 			if delivered != 1 || drops[tc.reason] != 1 {
 				t.Fatalf("delivered %d, %s %d; want 1 each (breakdown %v)", delivered, tc.reason, drops[tc.reason], drops)
 			}
-			var dropped uint64
-			for _, reason := range telemetry.FrameDropReasons() {
-				dropped += drops[reason]
+			if stats.Frames != uint64(len(tc.frames)) {
+				t.Fatalf("stats count %d frames, %d were offered", stats.Frames, len(tc.frames))
 			}
-			if got := delivered + dropped; got != uint64(len(tc.frames)) {
-				t.Fatalf("delivered %d + drops %d != %d frames offered (breakdown %v)", delivered, dropped, len(tc.frames), drops)
-			}
+			assertFrameConservation(t, rt, stats)
 		})
 	}
 }
