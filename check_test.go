@@ -32,13 +32,14 @@ func TestCheckNamesBrokenIdentity(t *testing.T) {
 		corrupt func(*Stats)
 		broken  []string
 	}{
-		// Drop totals come from the runtime's live counters, so a
-		// corrupted drop field breaks only the identity that reads it
-		// from Stats; Tracked and Frames come from Stats alone.
-		{"core_drop", func(s *Stats) { s.Cores[0].FilterDropped++ }, []string{"core 0:"}},
+		// Check reads every count from Stats, so a drop counted on a
+		// core or the device breaks that layer's identity and the
+		// runtime's, whose drop sum includes it.
+		{"core_drop", func(s *Stats) { s.Cores[0].FilterDropped++ }, []string{"core 0:", "runtime:"}},
 		{"core_tracked", func(s *Stats) { s.Cores[0].Tracked-- }, []string{"core 0:", "runtime:"}},
-		{"nic_drop", func(s *Stats) { s.NIC.RingDrops++ }, []string{"device:"}},
+		{"nic_drop", func(s *Stats) { s.NIC.RingDrops++ }, []string{"device:", "runtime:"}},
 		{"rx", func(s *Stats) { s.Frames++ }, []string{"runtime:"}},
+		{"pool", func(s *Stats) { s.PoolInUse++ }, []string{"pool:"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := stats

@@ -30,7 +30,11 @@ import (
 	"retina/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(pcapMain()) }
+
+// pcapMain runs the tool and returns its exit status, so the deferred
+// flushes and closes run before the process exits.
+func pcapMain() int {
 	cfg := retina.DefaultConfig()
 	cfg.Cores = 1
 	cfg.RegisterFlags(flag.CommandLine)
@@ -58,12 +62,12 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(out)
-		return
+		return 0
 	}
 
 	if *path == "" {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	count := 0
@@ -111,11 +115,11 @@ func main() {
 	// device, which offline mode bypasses — with -offload, -rebalance,
 	// or -cores > 1 the trace goes through the full online datapath
 	// instead.
-	run := rt.RunOffline
+	process := rt.RunOffline
 	if cfg.FlowOffload.Enable || cfg.Rebalance.Enable || cfg.Cores > 1 {
-		run = rt.Run
+		process = rt.Run
 	}
-	stats := run(r)
+	stats := process(r)
 	if err := r.Err(); err != nil {
 		log.Fatalf("pcap read error: %v", err)
 	}
@@ -145,8 +149,9 @@ func main() {
 	}
 	if err := rt.Check(stats); err != nil {
 		fmt.Fprintf(os.Stderr, "frame accounting does not close: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // newRuntime builds the runtime from the -subs specs when subsFile is

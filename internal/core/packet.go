@@ -607,9 +607,8 @@ func (c *Core) publishObs() {
 // one disposition, the most useful outcome any packet-level
 // subscription gave it — delivery beats buffering beats any drop — so
 // CoreStats.Disposed counts it once no matter how many subscriptions
-// touched it. A frame no packet-level subscription disposed of
-// (dispNone) counts as tracked: its only outcome is the connection
-// state it updated.
+// touched it. A frame that matched no packet-level subscription counts
+// as tracked: its only outcome is the connection state it updated.
 const (
 	dispNone = iota
 	dispTombstone
@@ -720,7 +719,7 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 	// identity Runtime.Check asserts. Per-subscription callback counts
 	// live on the SubSpecs.
 	disp := dispNone
-	if c.ps.hasPacket {
+	if c.ps.pktSlots != 0 {
 		deliveredAny := false
 		rem := mr.Mask
 		for rem != 0 {
@@ -807,7 +806,9 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 			c.ctr.tombstonePkts.Inc()
 		}
 	}
-	if disp == dispNone {
+	// A frame a packet-level subscription matched but left without a
+	// disposition is counted nowhere, so Runtime.Check reports it.
+	if disp == dispNone && mr.Mask&c.ps.pktSlots == 0 {
 		d.tracked++
 	}
 

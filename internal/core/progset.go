@@ -89,9 +89,10 @@ type ProgramSet struct {
 	// aggregation: the burst loop updates its sketches directly from the
 	// filter result, below conntrack (the Sonata push-down).
 	aggPkt uint64
-	// hasPacket/hasStream report whether any slot subscribes at that
-	// level (gates for the per-packet dispatch loops).
-	hasPacket bool
+	// pktSlots has bit i set when slot i is a packet-level subscription;
+	// hasStream reports whether any slot subscribes at stream level
+	// (gates for the per-packet dispatch loops).
+	pktSlots  uint64
 	hasStream bool
 }
 
@@ -125,7 +126,7 @@ func NewProgramSet(epoch uint64, slots []*SubSpec, extraParsers map[string]proto
 		}
 		switch sp.Sub.Level {
 		case LevelPacket:
-			ps.hasPacket = true
+			ps.pktSlots |= 1 << uint(i)
 			if len(sp.Sub.SessionProtos) == 0 {
 				ps.fastSlots |= 1 << uint(i)
 			}

@@ -190,8 +190,8 @@ type CoreStats struct {
 	TombstonePkts uint64 // packets landing on rejected connections
 	BufferedPkts  uint64 // packets buffered awaiting a filter verdict
 	// Tracked counts frames whose only outcome was being folded into a
-	// tracked connection: no packet-level subscription delivered,
-	// buffered or dropped them. Zero on packet-subscription runs.
+	// tracked connection: they matched no packet-level subscription.
+	// Zero on packet-subscription runs.
 	Tracked uint64
 
 	// Per-reason drop accounting (the §5.3 taxonomy); Disposed sums

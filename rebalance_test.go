@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"retina/internal/ctl"
 	"retina/internal/layers"
 	"retina/internal/nic"
 	"retina/internal/traffic"
@@ -144,33 +145,14 @@ func TestRebalanceMigratedBufferedFramesConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := campusTrace(23, 500)
-	var moves int64
 	var stop atomic.Bool
-	src := newLoopedSource(tr, func(int) bool { return !stop.Load() })
+	src := newLoopedSource(campusTrace(23, 500), func(int) bool { return !stop.Load() })
 	src.dev = rt.NIC()
-	done := make(chan struct{})
 	go func() {
-		defer close(done)
 		defer stop.Store(true)
-		dev, plane := rt.NIC(), rt.ControlPlane()
-		step := int64(len(tr.Frames) / 50)
-		for bucket := 0; moves < targetMoves; {
-			if src.served.Load() < (moves+1)*step {
-				runtime.Gosched()
-				continue
-			}
-			dst := (int(dev.RetaAssigned(bucket)) + 1) % cfg.Cores
-			if _, err := plane.MoveBucket(bucket, dst); err != nil {
-				t.Errorf("MoveBucket(%d → %d): %v", bucket, dst, err)
-				return
-			}
-			moves++
-			bucket = (bucket + 7) % dev.RetaSize()
-		}
+		forceMoves(t, rt, src, targetMoves, nil)
 	}()
 	stats := rt.Run(src)
-	<-done
 	if in, _ := checkMigrationCensus(t, rt); in == 0 {
 		t.Fatal("no connection migrated")
 	}
@@ -216,6 +198,42 @@ func TestElephantBucketWithoutLatencyTracking(t *testing.T) {
 	if heavy == 0 {
 		t.Fatalf("no bucket reads heavy; the trace's %d flow buckets are %v", len(occupied), occupied)
 	}
+}
+
+// forceMoves is the forced-migration driver: while src replays into rt
+// it moves one bucket to the next core over each time src has served
+// another fiftieth of its trace, walking the buckets in a coprime
+// stride so the whole table gets exercised, until target moves are made
+// or one fails. around, when set, wraps move i. It returns the moves
+// made and the connections they migrated.
+func forceMoves(t *testing.T, rt *Runtime, src *loopedSource, target int64, around func(i int64, move func())) (moves, conns int64) {
+	dev, plane := rt.NIC(), rt.ControlPlane()
+	step := max(int64(len(src.tr.Frames)/50), 1)
+	next := step
+	for bucket := 0; moves < target; bucket = (bucket + 7) % dev.RetaSize() {
+		for src.served.Load() < next {
+			runtime.Gosched()
+		}
+		next = src.served.Load() + step
+		dst := (int(dev.RetaAssigned(bucket)) + 1) % rt.cfg.Cores
+		var err error
+		move := func() {
+			var res ctl.MoveResult
+			res, err = plane.MoveBucket(bucket, dst)
+			conns += int64(res.Conns)
+		}
+		if around != nil {
+			around(moves, move)
+		} else {
+			move()
+		}
+		if err != nil {
+			t.Errorf("MoveBucket(%d → %d): %v", bucket, dst, err)
+			return moves, conns
+		}
+		moves++
+	}
+	return moves, conns
 }
 
 // checkMigrationCensus asserts the cross-table migration invariants:
@@ -272,65 +290,34 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var moves, migrated atomic.Int64
+		var moves, migrated int64
+		var stop atomic.Bool
 		var src *loopedSource
-		done := make(chan struct{})
 		if !migrate {
 			src = newLoopedSource(tr, func(p int) bool { return p < passes })
-			close(done)
 		} else {
-			src = newLoopedSource(tr, func(int) bool { return moves.Load() < targetMoves })
+			src = newLoopedSource(tr, func(int) bool { return !stop.Load() })
 			go func() {
-				defer close(done)
-				dev := rt.NIC()
-				plane := rt.ControlPlane()
-				// Wait for the cores to start consuming.
-				for plane.Epoch() == 0 && src.served.Load() == 0 {
-					runtime.Gosched()
-				}
-				// A move every `step` delivered frames, buckets walked in a
-				// coprime stride so the whole table gets exercised; half the
-				// moves run concurrently with a subscription epoch swap.
-				step := int64(len(tr.Frames) / 50)
-				if step < 1 {
-					step = 1
-				}
-				next := step
-				bucket, swapOn := 0, false
-				for moves.Load() < targetMoves {
-					if src.served.Load() < next {
-						if src.more == nil {
-							return
-						}
-						runtime.Gosched()
-						continue
+				defer stop.Store(true)
+				// Every other move runs concurrently with a subscription
+				// epoch swap.
+				moves, migrated = forceMoves(t, rt, src, targetMoves, func(i int64, move func()) {
+					if i%2 == 0 {
+						move()
+						return
 					}
-					next = src.served.Load() + step
-					if swapOn {
-						if _, err := rt.AddSubscription("racer", "udp", Packets(func(*Packet) {})); err != nil {
-							t.Errorf("racing add: %v", err)
-						}
+					if _, err := rt.AddSubscription("racer", "udp", Packets(func(*Packet) {})); err != nil {
+						t.Errorf("racing add: %v", err)
 					}
-					dst := (int(dev.RetaAssigned(bucket)) + 1) % cfg.Cores
-					if res, err := plane.MoveBucket(bucket, dst); err != nil {
-						t.Errorf("MoveBucket(%d → %d): %v", bucket, dst, err)
-					} else {
-						moves.Add(1)
-						migrated.Add(int64(res.Conns))
+					move()
+					if err := rt.RemoveSubscription("racer"); err != nil {
+						t.Errorf("racing remove: %v", err)
 					}
-					if swapOn {
-						if err := rt.RemoveSubscription("racer"); err != nil {
-							t.Errorf("racing remove: %v", err)
-						}
-					}
-					swapOn = !swapOn
-					bucket = (bucket + 7) % dev.RetaSize()
-				}
+				})
 			}()
 		}
 		src.dev = rt.NIC()
 		out.stats = rt.Run(src)
-		<-done
 		out.passes = src.pass
 		if out.stats.Loss() != 0 {
 			t.Fatalf("migrate=%v: NIC loss %d — rings undersized, differential not byte-comparable", migrate, out.stats.Loss())
@@ -341,10 +328,10 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 			t.Fatalf("baseline run migrated connections (%d in / %d out)", in, outM)
 		}
 		pm, pc := rt.ControlPlane().RebalanceStats()
-		if migrate && (pm != uint64(moves.Load()) || pc != uint64(migrated.Load())) {
-			t.Errorf("plane counters (%d moves, %d conns) != driver (%d, %d)", pm, pc, moves.Load(), migrated.Load())
+		if migrate && (pm != uint64(moves) || pc != uint64(migrated)) {
+			t.Errorf("plane counters (%d moves, %d conns) != driver (%d, %d)", pm, pc, moves, migrated)
 		}
-		return out, moves.Load(), migrated.Load()
+		return out, moves, migrated
 	}
 
 	migratedRun, moves, conns := run(0, true)

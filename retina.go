@@ -365,6 +365,14 @@ type Stats struct {
 	Frames uint64
 	NIC    nic.Stats
 	Cores  []core.CoreStats
+	// PoolFails counts failed packet-buffer allocations and
+	// OfflineOversize the frames RunOffline refused as larger than a
+	// buffer: the drop counts neither NIC nor Cores carries.
+	PoolFails, OfflineOversize uint64
+	// PoolInUse counts the packet buffers not back in the pool, and
+	// Migrated the connections the cores imported from one another.
+	PoolInUse int
+	Migrated  uint64
 	// Stages aggregates stage counters across cores.
 	Stages *core.StageStats
 	// ConnsLive and MemoryBytes snapshot the connection tables at the
@@ -898,7 +906,12 @@ func (r *Runtime) stats(start time.Time, lastTick uint64) Stats {
 		LastTick: lastTick,
 	}
 	st.Frames = st.NIC.RxFrames + r.offlineRx.Load()
+	_, st.PoolFails = r.pool.Stats()
+	st.OfflineOversize = r.offlineOversize.Load()
+	st.PoolInUse = r.pool.InUse()
 	for _, c := range r.cores {
+		in, _ := c.Table().Migrations()
+		st.Migrated += in
 		st.Cores = append(st.Cores, c.Stats())
 		st.Stages.Merge(c.StageStats())
 		st.ConnsLive += c.Table().Len()
@@ -971,41 +984,38 @@ func (r *Runtime) RunOffline(src Source) Stats {
 
 // Check verifies the frame-conservation identities (DESIGN.md §9) on a
 // finished run's stats s, returning an error that names each identity
-// that does not close:
+// that does not close. It reads every count from s, the drop reasons
+// through the same ledger DropBreakdown reads live:
 //
 //   - the device: NIC.RxFrames == NIC.Disposed();
 //   - each core: Processed == Disposed() — summed over the cores instead
 //     once connections have migrated between them, because a migrated
 //     connection's buffered frames resolve on the core that imported it;
 //   - the runtime: Frames == delivered + tracked + Σ frame-level drop
-//     reasons (telemetry.FrameDropReasons, read through DropBreakdown);
+//     reasons (telemetry.FrameDropReasons);
 //   - the pool: every packet buffer is back.
 //
-// Call it once Run or RunOffline has returned; mid-run, frames in
+// Pass it the Stats Run or RunOffline returned; mid-run, frames in
 // flight make the identities read short.
 func (r *Runtime) Check(s Stats) error {
 	var errs []error
 	if d := s.NIC.Disposed(); d != s.NIC.RxFrames {
 		errs = append(errs, fmt.Errorf("device: rx %d != enqueued + dropped %d (%+v)", s.NIC.RxFrames, d, s.NIC))
 	}
-	var migrated, processed, disposed, outcomes uint64
-	for _, c := range r.cores {
-		in, _ := c.Table().Migrations()
-		migrated += in
-	}
+	var processed, disposed, outcomes uint64
 	for i, cs := range s.Cores {
 		d := cs.Disposed()
 		processed += cs.Processed
 		disposed += d
 		outcomes += cs.DeliveredPackets + cs.Tracked
-		if migrated == 0 && d != cs.Processed {
+		if s.Migrated == 0 && d != cs.Processed {
 			errs = append(errs, fmt.Errorf("core %d: processed %d != disposed %d (%+v)", i, cs.Processed, d, cs))
 		}
 	}
-	if migrated > 0 && disposed != processed {
-		errs = append(errs, fmt.Errorf("cores: processed %d != disposed %d across %d migrated connections", processed, disposed, migrated))
+	if s.Migrated > 0 && disposed != processed {
+		errs = append(errs, fmt.Errorf("cores: processed %d != disposed %d across %d migrated connections", processed, disposed, s.Migrated))
 	}
-	drops := r.DropBreakdown()
+	drops := dropBreakdown(s)
 	var dropped uint64
 	for _, reason := range telemetry.FrameDropReasons() {
 		dropped += drops[reason]
@@ -1013,8 +1023,8 @@ func (r *Runtime) Check(s Stats) error {
 	if outcomes+dropped != s.Frames {
 		errs = append(errs, fmt.Errorf("runtime: rx %d != delivered + tracked %d + frame drops %d (%v)", s.Frames, outcomes, dropped, drops))
 	}
-	if n := r.pool.InUse(); n != 0 {
-		errs = append(errs, fmt.Errorf("pool: %d packet buffers still in use", n))
+	if s.PoolInUse != 0 {
+		errs = append(errs, fmt.Errorf("pool: %d packet buffers still in use", s.PoolInUse))
 	}
 	return errors.Join(errs...)
 }

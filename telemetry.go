@@ -96,13 +96,14 @@ func (r *Runtime) registerProtos() {
 // the hot paths pay nothing for exposition.
 func (r *Runtime) registerMetrics() {
 	reg := r.reg
-	register(reg, deviceMetrics, r)
+	register(reg, deviceMetrics, counters(r))
+	register(reg, poolMetrics, r)
 	r.registerCores(coreMetrics)
 	if r.sub != nil {
 		// Legacy per-level delivery series, kept for dashboards written
 		// against the single-subscription runtime.
-		register(reg, []metric[*Runtime]{counter("retina_subscription_delivered_total", "callback deliveries per subscription", callbacks)},
-			r, telemetry.L("subscription", r.sub.Level.String()))
+		register(reg, []metric[counters]{counter("retina_subscription_delivered_total", "callback deliveries per subscription", callbacks)},
+			counters(r), telemetry.L("subscription", r.sub.Level.String()))
 	}
 	register(reg, controlMetrics, r)
 	if r.offload != nil {
@@ -150,15 +151,46 @@ func (r *Runtime) registerSubscription(spec *core.SubSpec) {
 // DropBreakdown sums every per-reason drop counter across the NIC and
 // all cores. Keys are the telemetry.Drop* reason strings; zero-valued
 // reasons are omitted.
-func (r *Runtime) DropBreakdown() map[string]uint64 {
+func (r *Runtime) DropBreakdown() map[string]uint64 { return dropBreakdown(r) }
+
+// dropBreakdown reads every row of the drop ledger from x.
+func dropBreakdown(x counters) map[string]uint64 {
 	out := map[string]uint64{}
 	for _, d := range dropLedger {
-		if n := d.count(r); n > 0 {
+		if n := d.count(x); n > 0 {
 			out[d.labels[0].Value] = n
 		}
 	}
 	return out
 }
+
+// counters is what the device table and the drop ledger read: the
+// device's counters, a CoreStats field summed over the cores, and the
+// two drop counts only the runtime keeps. The live Runtime serves the
+// exposition and DropBreakdown; a finished run's Stats serves Check, so
+// both count every drop reason through the same ledger.
+type counters interface {
+	nicStats() nic.Stats
+	coreSum(f func(core.CoreStats) uint64) uint64
+	poolFailures() uint64
+	offlineOversized() uint64
+}
+
+func (r *Runtime) nicStats() nic.Stats                          { return r.dev.Stats() }
+func (r *Runtime) coreSum(f func(core.CoreStats) uint64) uint64 { return r.sumCores(stat(f)) }
+func (r *Runtime) poolFailures() uint64                         { _, fails := r.pool.Stats(); return fails }
+func (r *Runtime) offlineOversized() uint64                     { return r.offlineOversize.Load() }
+
+func (s Stats) nicStats() nic.Stats { return s.NIC }
+func (s Stats) coreSum(f func(core.CoreStats) uint64) uint64 {
+	var total uint64
+	for _, cs := range s.Cores {
+		total += f(cs)
+	}
+	return total
+}
+func (s Stats) poolFailures() uint64     { return s.PoolFails }
+func (s Stats) offlineOversized() uint64 { return s.OfflineOversize }
 
 // sumCores folds a per-core reader across all cores.
 func (r *Runtime) sumCores(f func(*core.Core) uint64) uint64 {
@@ -175,13 +207,13 @@ func stat(f func(core.CoreStats) uint64) func(*core.Core) uint64 {
 }
 
 // allCores sums one CoreStats field across all cores.
-func allCores(f func(core.CoreStats) uint64) func(*Runtime) uint64 {
-	return func(r *Runtime) uint64 { return r.sumCores(stat(f)) }
+func allCores(f func(core.CoreStats) uint64) func(counters) uint64 {
+	return func(x counters) uint64 { return x.coreSum(f) }
 }
 
 // devStat reads one device counter.
-func devStat(f func(nic.Stats) uint64) func(*Runtime) uint64 {
-	return func(r *Runtime) uint64 { return f(r.dev.Stats()) }
+func devStat(f func(nic.Stats) uint64) func(counters) uint64 {
+	return func(x counters) uint64 { return f(x.nicStats()) }
 }
 
 // Readers LiveStats shares with the tables.
@@ -192,34 +224,37 @@ var (
 	waitNanos = func(c *core.Core) uint64 { return uint64(c.Duty().WaitNs()) }
 )
 
-// deviceMetrics is the simulated port, its drop-reason taxonomy (one
+// deviceMetrics is the simulated port and its drop-reason taxonomy (one
 // series per reason, all under a single family so dashboards can sum
-// and break down losses uniformly) and the buffer pool.
-var deviceMetrics = slices.Concat([]metric[*Runtime]{
+// and break down losses uniformly); poolMetrics, the buffer pool,
+// follows it.
+var deviceMetrics = slices.Concat([]metric[counters]{
 	counter("retina_rx_frames_total", "frames offered to the simulated port", devStat(func(s nic.Stats) uint64 { return s.RxFrames })),
 	counter("retina_delivered_frames_total", "frames enqueued onto receive rings", devStat(func(s nic.Stats) uint64 { return s.Delivered })),
-}, dropLedger, []metric[*Runtime]{
+}, dropLedger)
+
+var poolMetrics = []metric[*Runtime]{
 	gauge("retina_mbuf_pool_free", "free packet buffers", func(r *Runtime) float64 { return float64(r.pool.Available()) }),
 	gauge("retina_mbuf_pool_size", "total packet buffers", func(r *Runtime) float64 { return float64(r.pool.Size()) }),
 	counter("retina_mbuf_allocs_total", "packet buffer allocations", func(r *Runtime) uint64 { allocs, _ := r.pool.Stats(); return allocs }),
 	counter("retina_mbuf_alloc_fails_total", "failed packet buffer allocations (pool exhausted)",
 		func(r *Runtime) uint64 { _, fails := r.pool.Stats(); return fails }),
-})
+}
 
 // dropLedger maps every drop reason (each row's one label) to the
 // counter it is read from, in retina_drops_total series order.
 // DropBreakdown reads through it too.
-var dropLedger = []metric[*Runtime]{
+var dropLedger = []metric[counters]{
 	drop(telemetry.DropMalformed, devStat(func(s nic.Stats) uint64 { return s.Malformed })),
 	drop(telemetry.DropHWFilter, devStat(func(s nic.Stats) uint64 { return s.HWDropped })),
 	drop(telemetry.DropHWOffload, devStat(func(s nic.Stats) uint64 { return s.HWOffloadDrop })),
 	// Offline mode refuses oversize frames before they reach the device.
-	drop(telemetry.DropOversize, func(r *Runtime) uint64 { return r.dev.Stats().Oversize + r.offlineOversize.Load() }),
+	drop(telemetry.DropOversize, func(x counters) uint64 { return x.nicStats().Oversize + x.offlineOversized() }),
 	drop(telemetry.DropRSSSink, devStat(func(s nic.Stats) uint64 { return s.Sunk })),
 	drop(telemetry.DropRingOverflow, devStat(func(s nic.Stats) uint64 { return s.RingDrops })),
 	// Offline mode allocates from the pool directly; count every failed
 	// allocation exactly once.
-	drop(telemetry.DropPoolExhausted, func(r *Runtime) uint64 { _, fails := r.pool.Stats(); return max(fails, r.dev.Stats().NoMbuf) }),
+	drop(telemetry.DropPoolExhausted, func(x counters) uint64 { return max(x.poolFailures(), x.nicStats().NoMbuf) }),
 	drop(telemetry.DropSWFilter, allCores(func(s core.CoreStats) uint64 { return s.FilterDropped })),
 	drop(telemetry.DropNotTrackable, allCores(func(s core.CoreStats) uint64 { return s.NotTrackable })),
 	drop(telemetry.DropTableFull, allCores(func(s core.CoreStats) uint64 { return s.TableFull })),
@@ -234,7 +269,7 @@ var dropLedger = []metric[*Runtime]{
 	drop(telemetry.DropEvictedPressure, allCores(func(s core.CoreStats) uint64 { return s.EvictedPressure })),
 }
 
-func drop(reason string, count func(*Runtime) uint64) metric[*Runtime] {
+func drop(reason string, count func(counters) uint64) metric[counters] {
 	return counter("retina_drops_total", "frames dropped, by reason", count, telemetry.L("reason", reason))
 }
 

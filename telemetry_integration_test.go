@@ -63,6 +63,11 @@ func TestPacketConservation(t *testing.T) {
 			stats := rt.Run(openWorkload(t, path))
 
 			assertFrameConservation(t, rt, stats)
+			for i, cs := range stats.Cores {
+				if cs.Tracked != 0 {
+					t.Errorf("core %d: a packet subscription tracked %d frames", i, cs.Tracked)
+				}
+			}
 		})
 	}
 }
