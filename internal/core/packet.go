@@ -906,6 +906,11 @@ func (c *Core) Flush() {
 	}
 	c.stages.publish()
 	c.publishObs()
+	// Keep no view of a freed buffer: the last burst's decodes and
+	// delivered packet would pin the pool chunk holding their bytes
+	// after the pool gives it back (mbuf.Pool.Trim).
+	clear(c.burstParsed)
+	c.pktOut = Packet{}
 }
 
 // Run consumes bursts from a receive ring until it closes, then flushes.

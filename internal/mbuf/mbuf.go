@@ -6,8 +6,9 @@
 // is made once and recycled by reference count. Where DPDK reserves the
 // whole mempool in hugepages at startup, the pool's size is only a bound:
 // buffers are made in chunks, the first at construction and the rest on
-// first need, and never returned, so a run pays (in Go's zeroing of
-// every allocation) only for the buffers it holds at its peak.
+// first need, so a run pays (in Go's zeroing of every allocation) only
+// for the buffers it holds at its peak, and Trim gives every chunk but
+// the first back once the run has returned every buffer.
 //
 // Mbufs carry receive metadata only (port, queue, arrival tick, RSS
 // hash, RX timestamp). The multi-layer filter's progress does not ride
@@ -220,8 +221,8 @@ func (m *Mbuf) Free() {
 // The bound is not paid for up front: buffers are made chunkBufs at a
 // time, the first chunk in NewPool and each later one the first time
 // the free list cannot serve a request, and a buffer once made is
-// recycled for the pool's lifetime, never returned to the GC. A run
-// pays for the buffers it holds at its peak, not for the bound.
+// recycled until Trim gives its chunk back. A run pays for the buffers
+// it holds at its peak, not for the bound.
 type Pool struct {
 	mu   sync.Mutex
 	free []*Mbuf
@@ -274,6 +275,29 @@ func (p *Pool) grow() bool {
 	}
 	p.made += k
 	return true
+}
+
+// Trim gives every chunk but the first back to the garbage collector
+// once every buffer is home, so the memory a pool keeps between runs
+// does not depend on how deep a run's backlog happened to reach. A
+// pool with buffers still out, or with one chunk made, is left as it
+// is, and so is a caller's stale pointer to a freed buffer: the pool
+// never hands that buffer out again.
+func (p *Pool) Trim() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.made <= chunkBufs || len(p.free) != p.made {
+		return
+	}
+	free := make([]*Mbuf, 0, chunkBufs)
+	for _, m := range p.free {
+		if m.slot < chunkBufs {
+			free = append(free, m)
+		}
+	}
+	clear(p.free)
+	clear(p.chunks[1:])
+	p.free, p.made = free, chunkBufs
 }
 
 // storage returns slot's own bytes in its chunk.

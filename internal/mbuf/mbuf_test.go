@@ -693,3 +693,50 @@ func TestFreeBulkWhileCacheGrows(t *testing.T) {
 		t.Fatalf("InUse %d Available %d of %d", p.InUse(), p.Available(), p.Size())
 	}
 }
+
+// Trim gives back every chunk but the first once every buffer is home,
+// leaves a pool with buffers out untouched, and a trimmed pool grows
+// again into fresh storage.
+func TestTrimKeepsFirstChunk(t *testing.T) {
+	const n = 3*chunkBufs + 7
+	p := NewPool(n, 256)
+	out := make([]*Mbuf, 2*chunkBufs+1)
+	if k := p.AllocBulk(out); k != len(out) {
+		t.Fatalf("allocated %d of %d", k, len(out))
+	}
+	p.Trim() // buffers out: nothing may change
+	if p.made != 3*chunkBufs || p.chunks[2] == nil {
+		t.Fatalf("Trim with %d buffers out left made %d", p.InUse(), p.made)
+	}
+	FreeBulk(out)
+	p.Trim()
+	if p.made != chunkBufs || len(p.free) != chunkBufs || p.InUse() != 0 || p.Available() != n {
+		t.Fatalf("after Trim: made %d free %d InUse %d Available %d", p.made, len(p.free), p.InUse(), p.Available())
+	}
+	for i, c := range p.chunks[1:] {
+		if c != nil {
+			t.Fatalf("chunk %d kept after Trim", i+1)
+		}
+	}
+	for _, m := range p.free {
+		if m.slot >= chunkBufs {
+			t.Fatalf("slot %d of a trimmed chunk still free", m.slot)
+		}
+	}
+	// Regrow past the first chunk: every buffer again has its own bytes.
+	clear(out)
+	if k := p.AllocBulk(out); k != len(out) {
+		t.Fatalf("regrown pool allocated %d of %d", k, len(out))
+	}
+	storage := make(map[*byte]bool, len(out))
+	for _, m := range out {
+		if storage[&m.buf[0]] {
+			t.Fatalf("slot %d shares storage after regrowth", m.slot)
+		}
+		storage[&m.buf[0]] = true
+	}
+	FreeBulk(out)
+	if p.InUse() != 0 {
+		t.Fatalf("InUse = %d", p.InUse())
+	}
+}

@@ -157,10 +157,10 @@ type Config struct {
 	// RingSize bounds each receive ring; overflows are packet loss.
 	RingSize int
 	// PoolSize bounds the packet buffer pool. Buffers are made in chunks,
-	// the first by New and the rest on first need, and never returned,
-	// so a run's memory follows the most buffers it holds at once, not
-	// this bound; allocation fails (packet loss, rx_nombuf) only once the
-	// bound is reached.
+	// the first by New and the rest on first need, so a run's memory
+	// follows the most buffers it holds at once, not this bound; each
+	// run ends by giving every chunk but the first back. Allocation fails
+	// (packet loss, rx_nombuf) only once the bound is reached.
 	PoolSize int
 	// BurstSize is the datapath batch size: the NIC stages up to this
 	// many frames per ring enqueue and each core dequeues, decodes, and
@@ -857,6 +857,7 @@ func (r *Runtime) Run(src Source) Stats {
 	r.dev.Close()
 	r.sealNICAggs()
 	wg.Wait()
+	r.pool.Trim()
 	return r.stats(start, lastTick)
 }
 
@@ -979,6 +980,7 @@ func (r *Runtime) RunOffline(src Source) Stats {
 	}
 	clear(r.frames) // keep no reference to the source's frames
 	c.Flush()
+	r.pool.Trim()
 	return r.stats(start, lastTick)
 }
 
