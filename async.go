@@ -28,11 +28,19 @@ type AsyncStats struct {
 //     contract: the alias is still dead once delivery returns, so Data
 //     remains the one field deep-copied here.
 //   - ConnRecord contains only value fields (FiveTuple is fixed-size
-//     arrays); the record is built on delivery and never touched again.
+//     arrays); the record is filled on delivery and never touched again.
 //   - SessionEvent.Session is a pointer, but parsers construct a fresh
 //     Session per drain and never write to one after DrainSessions
 //     returns it (TLS guards every post-finish Parse with p.done; HTTP,
 //     SMTP, DNS, QUIC and SSH allocate a new data struct per session).
+//   - Both records, the event and the handshake stay valid forever, but
+//     each shares an allocation with neighbours. A core hands out
+//     ConnRecords and SessionEvents from batches, one slot per delivery,
+//     never reused; a TLS handshake, its Session, and the bytes behind
+//     its SNI and CipherSuites live inside the connection's parser,
+//     written before delivery and never after. A retained record
+//     therefore keeps its whole batch, and a retained handshake its
+//     parser, alive — memory, not a race.
 //   - StreamChunk.Data is copied out of framework buffers exactly once,
 //     in emitStream, and ownership passes to the callback.
 //

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"retina"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -268,15 +269,17 @@ func BenchmarkBurstSize(b *testing.B) {
 // recorded before the timer starts: the host pipeline alone, borrowing
 // every frame. One op is one pass over the
 // trace on a runtime built once, so allocs/op counts what a run
-// allocates beyond setup.
+// allocates beyond setup. The tls case also reports allocs/handshake:
+// every allocation of the run over the handshakes it delivered.
 func BenchmarkRunOffline(b *testing.B) {
 	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}), 0)
+	var handshakes int
 	for _, bc := range []struct {
 		name, filter string
 		sub          *retina.Subscription
 	}{
 		{"packets", "", retina.Packets(func(*retina.Packet) {})},
-		{"tls", "tls", retina.Sessions(func(*retina.SessionEvent) {})},
+		{"tls", "tls", retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) { handshakes++ })},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := retina.DefaultConfig()
@@ -288,12 +291,19 @@ func BenchmarkRunOffline(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.SetBytes(int64(tr.Bytes))
+			handshakes = 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rt.RunOffline(tr.Replay())
 			}
 			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Frames)), "ns/frame")
+			if handshakes > 0 {
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(handshakes), "allocs/handshake")
+			}
 		})
 	}
 }

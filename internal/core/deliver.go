@@ -12,6 +12,46 @@ import (
 // Delivery: user callbacks for packets, sessions and stream chunks, and
 // the terminal verdicts published to the flow-offload manager.
 
+// Record batch sizes, in records: the first batch is small, each next
+// one doubles, up to recordBatchMax.
+const (
+	recordBatchMin = 2
+	recordBatchMax = 64
+)
+
+// recordBatch hands out the records delivered to callbacks that may keep
+// them (SessionEvent, ConnRecord) from batches carved on the core, so a
+// delivery costs a fraction of an allocation. Each slot is handed out
+// once and never reused: a callback may retain its record for as long
+// as it likes, which keeps the record's whole batch alive. Batches grow
+// geometrically from a small first one, as connState chunks do, so a
+// run that delivers few records carves few unused ones. Core goroutine
+// only.
+type recordBatch[T any] struct {
+	free []T // the current batch's slots not yet handed out
+	size int // size of the last batch carved
+}
+
+// next returns a zeroed record no one else holds.
+func (b *recordBatch[T]) next() *T {
+	if len(b.free) == 0 {
+		n := recordBatchMin
+		if b.size > 0 {
+			n = min(2*b.size, recordBatchMax)
+		}
+		b.size = n
+		b.free = make([]T, n)
+	}
+	r := &b.free[0]
+	b.free = b.free[1:]
+	return r
+}
+
+// drop forgets the current batch and starts the next run small again:
+// a finished core pins no batch of its own; only records a callback
+// kept hold theirs.
+func (b *recordBatch[T]) drop() { *b = recordBatch[T]{} }
+
 // emitStream delivers or buffers one reconstructed chunk for every
 // byte-stream subscription in scope. Pre-verdict bytes are copied per
 // pending subscription (bounded); post-match bytes are copied once per
@@ -121,7 +161,8 @@ func (c *Core) runOnPacket(spec *SubSpec, m *mbuf.Mbuf) {
 }
 
 func (c *Core) deliverSessionTo(spec *SubSpec, conn *conntrack.Conn, s *proto.Session) {
-	ev := &SessionEvent{Session: s, Tuple: conn.Tuple, Tick: c.now, CoreID: c.ID}
+	ev := c.sessEvents.next()
+	*ev = SessionEvent{Session: s, Tuple: conn.Tuple, Tick: c.now, CoreID: c.ID}
 	c.stages.Time(StageCallback, func() { spec.Sub.OnSession(ev) })
 	c.ctr.deliveredSessions.Inc()
 	spec.Delivered.Inc()

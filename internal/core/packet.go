@@ -167,6 +167,11 @@ type Core struct {
 	sessOK    []bool
 	frameBufs []*pktBufEntry
 
+	// sessEvents and connRecs hand out the delivered session events and
+	// connection records (deliver.go); Flush drops both.
+	sessEvents recordBatch[SessionEvent]
+	connRecs   recordBatch[ConnRecord]
+
 	// offloadReqs accumulates terminal-verdict offload requests within a
 	// burst; flushOffload publishes them to cfg.Offload at burst
 	// boundaries (core goroutine only).
@@ -889,7 +894,7 @@ func (c *Core) Flush() {
 	if c.lat != nil {
 		c.nowNs = metrics.NowNanos()
 	}
-	var conns []*conntrack.Conn
+	conns := make([]*conntrack.Conn, 0, c.table.Len())
 	c.table.Each(func(conn *conntrack.Conn) { conns = append(conns, conn) })
 	for _, conn := range conns {
 		cs := c.state(conn)
@@ -911,6 +916,9 @@ func (c *Core) Flush() {
 	// after the pool gives it back (mbuf.Pool.Trim).
 	clear(c.burstParsed)
 	c.pktOut = Packet{}
+	// Nor the last record batches: only records a callback kept stay.
+	c.sessEvents.drop()
+	c.connRecs.drop()
 }
 
 // Run consumes bursts from a receive ring until it closes, then flushes.

@@ -673,7 +673,8 @@ func (c *Core) finishConn(conn *conntrack.Conn, cs *connState, reason conntrack.
 			continue
 		}
 		if s.spec.Sub.Level == LevelConnection {
-			rec := &ConnRecord{
+			rec := c.connRecs.next()
+			*rec = ConnRecord{
 				Tuple:       conn.Tuple,
 				Service:     conn.Service,
 				FirstTick:   conn.FirstTick,

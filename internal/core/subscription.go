@@ -66,6 +66,9 @@ type Packet struct {
 
 // ConnRecord is the connection-record subscription datum, delivered when
 // a matched connection terminates, expires, or is flushed at shutdown.
+// A record is never written after delivery and may be kept for as long
+// as a callback likes; like SessionEvents, records come from per-core
+// batches, so a kept record keeps the rest of its batch alive.
 type ConnRecord struct {
 	Tuple   layers.FiveTuple
 	Service string
@@ -98,6 +101,12 @@ func (r *ConnRecord) SingleSYN() bool {
 }
 
 // SessionEvent is the application-session subscription datum.
+//
+// The event, its Session and the session's Data are never written after
+// delivery, so a callback may keep any of them for as long as it likes.
+// The core hands events out of per-core batches, one slot per delivery;
+// a kept event keeps the rest of its batch alive, and a kept TLS
+// handshake its connection's parser.
 type SessionEvent struct {
 	Session *proto.Session
 	Tuple   layers.FiveTuple

@@ -2,8 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"retina/internal/conntrack"
 )
@@ -196,6 +199,138 @@ func TestTLSStopsAfterHandshake(t *testing.T) {
 	}
 	if p.SessionMatchState() != conntrack.StateDelete {
 		t.Fatal("TLS match state should delete the connection")
+	}
+}
+
+// clientHelloSNI encodes spec's ClientHello with a server_name
+// extension carrying name, even an empty one (BuildClientHello omits
+// the extension for an empty SNI).
+func clientHelloSNI(spec HelloSpec, name string) []byte {
+	spec.SNI = ""
+	rec := BuildClientHello(spec)
+	var ext []byte
+	ext = binary.BigEndian.AppendUint16(ext, tlsExtServerName)
+	ext = binary.BigEndian.AppendUint16(ext, uint16(5+len(name)))
+	ext = binary.BigEndian.AppendUint16(ext, uint16(3+len(name)))
+	ext = append(ext, 0)
+	ext = binary.BigEndian.AppendUint16(ext, uint16(len(name)))
+	ext = append(ext, name...)
+	// The record ends in an empty extensions block: replace it.
+	body := append(rec[tlsRecordHeaderLen+4:len(rec)-2:len(rec)-2], 0, 0)
+	binary.BigEndian.PutUint16(body[len(body)-2:], uint16(len(ext)))
+	return tlsRecord(tlsHSClientHello, append(body, ext...))
+}
+
+// handshakeOf parses the given ClientHellos and a ServerHello and
+// returns the parser and its one handshake.
+func handshakeOf(t *testing.T, hellos ...[]byte) (*TLSParser, *TLSHandshake) {
+	t.Helper()
+	p := NewTLSParser()
+	for _, ch := range hellos {
+		if got := p.Parse(ch, true); got != ParseContinue {
+			t.Fatalf("Parse(ClientHello) = %v", got)
+		}
+	}
+	if got := p.Parse(BuildServerHello(tlsSpec()), false); got != ParseDone {
+		t.Fatalf("Parse(ServerHello) = %v", got)
+	}
+	sessions := p.DrainSessions()
+	if len(sessions) != 1 {
+		t.Fatalf("sessions = %d, want 1", len(sessions))
+	}
+	return p, sessions[0].Data.(*TLSHandshake)
+}
+
+// TestTLSParserSizeClass: the inline SNI and cipher storage must not
+// push the parser, a parsed handshake's one allocation, past the
+// 320-byte size class.
+func TestTLSParserSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(TLSParser{}); n > 320 {
+		t.Fatalf("TLSParser is %d bytes, want at most 320", n)
+	}
+}
+
+func TestTLSInlineSNIEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		inline bool
+	}{
+		{"empty", 0, false},
+		{"inline_length", tlsInlineSNI, true},
+		{"one_past_inline", tlsInlineSNI + 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name := strings.Repeat("a", tc.n)
+			if tc.n > 0 {
+				name = name[:tc.n-4] + ".com"
+			}
+			ch, sh := clientHelloSNI(tlsSpec(), name), BuildServerHello(tlsSpec())
+			p, hs := handshakeOf(t, ch)
+			if hs.SNI != name {
+				t.Fatalf("SNI = %q, want %q", hs.SNI, name)
+			}
+			if got := tc.n > 0 && unsafe.StringData(hs.SNI) == &p.sni[0]; got != tc.inline {
+				t.Fatalf("SNI in inline storage = %v, want %v", got, tc.inline)
+			}
+			// Only the parser is allocated when the name fits inline.
+			want := 1.0
+			if tc.n > tlsInlineSNI {
+				want = 2
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				p := NewTLSParser()
+				p.Parse(ch, true)
+				p.Parse(sh, false)
+			})
+			if allocs != want {
+				t.Fatalf("handshake allocates %v, want %v", allocs, want)
+			}
+		})
+	}
+}
+
+func TestTLSCipherSuitesSpill(t *testing.T) {
+	for _, n := range []int{tlsInlineCiphers, tlsInlineCiphers + 1, 3 * tlsInlineCiphers} {
+		spec := tlsSpec()
+		spec.CipherSuites = nil
+		for i := range n {
+			spec.CipherSuites = append(spec.CipherSuites, uint16(0x1300+i))
+		}
+		p, hs := handshakeOf(t, BuildClientHello(spec))
+		if !slices.Equal(hs.CipherSuites, spec.CipherSuites) {
+			t.Fatalf("%d suites: parsed %v", n, hs.CipherSuites)
+		}
+		if inline := &hs.CipherSuites[0] == &p.ciphers[0]; inline != (n <= tlsInlineCiphers) {
+			t.Fatalf("%d suites: inline storage = %v", n, inline)
+		}
+	}
+}
+
+// A second ClientHello before the ServerHello (as after a
+// HelloRetryRequest) replaces the first one's fields: its SNI wins. The
+// inline bytes hold the first name and are never written again, so a
+// string taken from them keeps its value.
+func TestTLSSecondClientHelloSNI(t *testing.T) {
+	first := tlsSpec()
+	first.SNI = "first.example.com"
+	for _, name := range []string{"second.example.org", "first.example.net"} {
+		second := tlsSpec()
+		second.SNI, second.CipherSuites = name, []uint16{0x1303}
+		p := NewTLSParser()
+		p.Parse(BuildClientHello(first), true)
+		kept := p.hs.SNI
+		p.Parse(BuildClientHello(second), true)
+		if got := p.Parse(BuildServerHello(first), false); got != ParseDone {
+			t.Fatalf("Parse(ServerHello) = %v", got)
+		}
+		hs := p.DrainSessions()[0].Data.(*TLSHandshake)
+		if hs.SNI != second.SNI || !slices.Equal(hs.CipherSuites, second.CipherSuites) {
+			t.Fatalf("SNI = %q, suites = %v; want the second ClientHello's", hs.SNI, hs.CipherSuites)
+		}
+		if kept != first.SNI {
+			t.Fatalf("first ClientHello's SNI changed to %q", kept)
+		}
 	}
 }
 

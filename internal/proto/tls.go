@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"unsafe"
 
 	"retina/internal/conntrack"
 )
@@ -24,10 +25,23 @@ const (
 	// larger than this are treated as protocol errors rather than
 	// allowed to consume unbounded memory on hostile streams.
 	tlsMaxBuffer = 64 << 10
+
+	// tlsInlineSNI and tlsInlineCiphers size the parser's inline storage
+	// for the server name and the offered cipher suites. They are chosen
+	// so the parser stays in the 320-byte size class; longer values spill
+	// to the heap (TestTLSParserSizeClass).
+	tlsInlineSNI     = 48
+	tlsInlineCiphers = 24
 )
 
 // TLSHandshake is a parsed TLS handshake transcript: the subscription
 // data type behind Figure 1. Fields cover both hello messages.
+//
+// A delivered handshake is never written again and may be retained
+// indefinitely, fields included. It lives inside its connection's
+// parser, and SNI and CipherSuites usually point into the parser's own
+// storage, so a retained handshake keeps that one parser allocation
+// alive.
 type TLSHandshake struct {
 	ClientVersion uint16 // legacy_version from ClientHello
 	ServerVersion uint16 // negotiated version (supported_versions aware)
@@ -36,7 +50,6 @@ type TLSHandshake struct {
 	Cipher        uint16   // selected by the server
 	ClientRandom  [32]byte
 	ServerRandom  [32]byte
-	ALPNOffered   []string
 	CertSeen      bool
 }
 
@@ -100,23 +113,31 @@ func CipherSuiteName(id uint16) string {
 // parsing once the handshake transcript is complete — by design, Retina
 // never processes the encrypted portion of the connection (§5.2).
 //
-// The handshake and its session record live inside the parser, so a
-// parsed handshake costs the parser allocation and the fields' own
-// copies, nothing per record.
+// The handshake, its session record, the server name's bytes and the
+// offered cipher suites live inside the parser, so a parsed handshake
+// costs one heap object, the parser itself. Only a server name longer
+// than tlsInlineSNI or after the first one stored (a second
+// ClientHello's), or more than tlsInlineCiphers suites, take a heap
+// allocation of their own.
 type TLSParser struct {
 	// bufs holds, per direction, only the incomplete record tail a Parse
 	// call could not finish; complete records parse straight out of the
 	// caller's bytes whenever nothing is buffered.
-	bufs   [2][]byte
-	hs     TLSHandshake
-	sess   Session
-	outBuf [1]*Session
-	seenCH bool
-	seenSH bool
-	done   bool
-	failed bool
-	out    []*Session
-	nextID uint64
+	bufs [2][]byte
+	hs   TLSHandshake
+	sess Session
+	out  [1]*Session
+	// pending marks out as not yet drained.
+	pending bool
+	seenCH  bool
+	seenSH  bool
+	done    bool
+	failed  bool
+	// sniUsed marks sni as written. Its bytes are written once and
+	// never again: a string viewing them must not change.
+	sniUsed bool
+	sni     [tlsInlineSNI]byte
+	ciphers [tlsInlineCiphers]uint16
 }
 
 // NewTLSParser creates a parser for one connection.
@@ -287,10 +308,14 @@ func (p *TLSParser) parseClientHello(b []byte) error {
 	if off+csLen > len(b) || csLen%2 != 0 {
 		return errShort("cipher suites body")
 	}
-	p.hs.CipherSuites = p.hs.CipherSuites[:0]
-	for i := 0; i < csLen; i += 2 {
-		p.hs.CipherSuites = append(p.hs.CipherSuites, binary.BigEndian.Uint16(b[off+i:off+i+2]))
+	cs := p.hs.CipherSuites[:0]
+	if cs == nil {
+		cs = p.ciphers[:0]
 	}
+	for i := 0; i < csLen; i += 2 {
+		cs = append(cs, binary.BigEndian.Uint16(b[off+i:off+i+2]))
+	}
+	p.hs.CipherSuites = cs
 	off += csLen
 	// Compression methods.
 	if off >= len(b) {
@@ -353,7 +378,7 @@ func (p *TLSParser) parseExtensions(b []byte, client bool) error {
 				// server_name_list: len(2) type(1) name_len(2) name.
 				nameLen := int(binary.BigEndian.Uint16(body[3:5]))
 				if 5+nameLen <= len(body) && body[2] == 0 {
-					p.hs.SNI = string(body[5 : 5+nameLen])
+					p.setSNI(body[5 : 5+nameLen])
 				}
 			}
 		case tlsExtSupportedVersions:
@@ -367,22 +392,40 @@ func (p *TLSParser) parseExtensions(b []byte, client bool) error {
 	return nil
 }
 
+// setSNI stores the server name: in the inline bytes the first time a
+// name fits there, as a heap copy otherwise.
+func (p *TLSParser) setSNI(name []byte) {
+	switch {
+	case len(name) == 0:
+		p.hs.SNI = ""
+	case !p.sniUsed && len(name) <= len(p.sni):
+		p.sniUsed = true
+		n := copy(p.sni[:], name)
+		p.hs.SNI = unsafe.String(&p.sni[0], n)
+	default:
+		p.hs.SNI = string(name)
+	}
+}
+
 func (p *TLSParser) finish() {
 	if p.done {
 		return
 	}
 	p.done = true
-	p.nextID++
-	p.sess = Session{ID: p.nextID, Proto: "tls", Data: &p.hs}
-	p.out = append(p.outBuf[:0], &p.sess)
+	// A connection carries one handshake, so its session is always the first.
+	p.sess = Session{ID: 1, Proto: "tls", Data: &p.hs}
+	p.out[0] = &p.sess
+	p.pending = true
 	p.bufs[0], p.bufs[1] = nil, nil // release handshake buffers
 }
 
 // DrainSessions implements Parser.
 func (p *TLSParser) DrainSessions() []*Session {
-	s := p.out
-	p.out = nil
-	return s
+	if !p.pending {
+		return nil
+	}
+	p.pending = false
+	return p.out[:]
 }
 
 // SessionMatchState implements Parser: after the handshake is delivered,

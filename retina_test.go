@@ -3,7 +3,9 @@ package retina
 import (
 	"flag"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -661,5 +663,117 @@ func TestRunOfflineAllocsIndependentOfFrames(t *testing.T) {
 	}
 	if small, large := allocs(tr.Slice(0, n)), allocs(tr.Slice(0, 4*n)); small != large {
 		t.Fatalf("RunOffline allocates %v over %d frames but %v over %d", small, n, large, 4*n)
+	}
+}
+
+// Delivered handshakes and session events stay valid after the run. The
+// core hands events out of per-core batches and the parser keeps the
+// SNI and cipher suites in its own storage, yet a callback may keep
+// every record it is given. Each kept record is checked against a deep
+// copy taken in the callback, after Run and again after a second run on
+// the same runtime.
+func TestSessionRecordsSurviveTheRun(t *testing.T) {
+	type kept struct {
+		h    *TLSHandshake
+		ev   *SessionEvent
+		hs   TLSHandshake // deep copy of *h
+		evv  SessionEvent
+		sess proto.Session
+	}
+	var mu sync.Mutex
+	var all []kept
+	cfg := DefaultConfig()
+	cfg.Filter = "tls"
+	cfg.Cores = 2
+	cfg.RingSize = 1 << 16
+	rt, err := New(cfg, TLSHandshakes(func(h *TLSHandshake, ev *SessionEvent) {
+		hs := *h
+		hs.SNI = strings.Clone(h.SNI)
+		hs.CipherSuites = slices.Clone(h.CipherSuites)
+		mu.Lock()
+		all = append(all, kept{h, ev, hs, *ev, *ev.Session})
+		mu.Unlock()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		runtime.GC() // a record nothing keeps alive would be reused now
+		for i, k := range all {
+			if !reflect.DeepEqual(*k.h, k.hs) {
+				t.Fatalf("%s: handshake %d changed:\nkept %+v\nwant %+v", when, i, *k.h, k.hs)
+			}
+			if *k.ev != k.evv || *k.ev.Session != k.sess || k.ev.TLS() != k.h {
+				t.Fatalf("%s: event %d changed:\nkept %+v\nwant %+v", when, i, *k.ev, k.evv)
+			}
+		}
+	}
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 17, Flows: 3000, Gbps: 20}), 0)
+	rt.Run(tr.Replay())
+	first := len(all)
+	// Several times the largest record batch (64 events) per core.
+	if first < 300 {
+		t.Fatalf("Run delivered %d handshakes, want at least 300", first)
+	}
+	check("after Run")
+	rt.RunOffline(tr.Replay())
+	if second := len(all) - first; second < first/2 {
+		t.Fatalf("second run delivered %d handshakes, the first %d", second, first)
+	}
+	check("after a second run")
+}
+
+// offlineAllocs returns what one warmed single-core RunOffline of tr
+// allocates, and how many records sub's callback was handed per run.
+func offlineAllocs(t *testing.T, tr *traffic.Trace, filter string, sub func(count func()) *Subscription) (allocs, records float64) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Filter = filter
+	cfg.Cores = 1
+	// The bounds are the production table's: pin the flat backend, which
+	// the conntrack_map build tag would otherwise swap for the map oracle.
+	cfg.conntrackBackend = conntrack.BackendFlat
+	var n int
+	rt, err := New(cfg, sub(func() { n++ }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	allocs = testing.AllocsPerRun(runs, func() { rt.RunOffline(tr.Replay()) })
+	// AllocsPerRun makes one warm-up run before the measured ones.
+	return allocs, float64(n) / (runs + 1)
+}
+
+// A delivered TLS handshake costs its parser, one heap object: the SNI
+// and cipher suites live inside the parser and the session event comes
+// from a per-core batch.
+func TestSessionAllocsPerHandshake(t *testing.T) {
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}), 0)
+	allocs, hs := offlineAllocs(t, tr, "tls", func(count func()) *Subscription {
+		return TLSHandshakes(func(*TLSHandshake, *SessionEvent) { count() })
+	})
+	if hs < 100 {
+		t.Fatalf("only %v handshakes per run", hs)
+	}
+	t.Logf("%v allocations per run, %v handshakes: %.2f per handshake", allocs, hs, allocs/hs)
+	if limit := 1.25*hs + 32; allocs > limit {
+		t.Fatalf("RunOffline allocates %v for %v handshakes, want at most %v", allocs, hs, limit)
+	}
+}
+
+// Connection records come from the same per-core batches: delivering a
+// record costs a fraction of an allocation.
+func TestConnRecordAllocsPerConnection(t *testing.T) {
+	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}), 0)
+	allocs, recs := offlineAllocs(t, tr, "tcp", func(count func()) *Subscription {
+		return Connections(func(*ConnRecord) { count() })
+	})
+	if recs < 100 {
+		t.Fatalf("only %v records per run", recs)
+	}
+	t.Logf("%v allocations per run, %v records: %.2f per record", allocs, recs, allocs/recs)
+	if limit := 0.1*recs + 32; allocs > limit {
+		t.Fatalf("RunOffline allocates %v for %v records, want at most %v", allocs, recs, limit)
 	}
 }
