@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"retina"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -265,26 +266,40 @@ func BenchmarkBurstSize(b *testing.B) {
 
 // --- Offline ingest ---
 
-// BenchmarkRunOffline times Runtime.RunOffline over a campus trace
-// recorded before the timer starts: the host pipeline alone, borrowing
-// every frame. One op is one pass over the
-// trace on a runtime built once, so allocs/op counts what a run
-// allocates beyond setup. The tls case also reports allocs/handshake:
-// every allocation of the run over the handshakes it delivered.
+// BenchmarkRunOffline times Runtime.RunOffline over a trace recorded
+// before the timer starts: the host pipeline alone, borrowing every
+// frame. One op is one pass over the trace on a runtime built once, so
+// allocs/op counts what a run allocates beyond setup. packets and tls
+// replay one campus trace; video replays Netflix elephant flows, most
+// of whose frames run server to client, with the device flow rules of
+// FlowOffload on. The tls and video cases also report
+// allocs/handshake: every allocation of the run over the handshakes it
+// delivered.
 func BenchmarkRunOffline(b *testing.B) {
-	tr := traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}), 0)
+	campus := sync.OnceValue(func() *traffic.Trace {
+		return traffic.Collect(traffic.NewCampusMix(traffic.CampusConfig{Seed: 5, Flows: 1000, Gbps: 20}), 0)
+	})
+	video := func() *traffic.Trace {
+		return traffic.Collect(traffic.NewVideoWorkload(5, 8, traffic.ServiceNetflix, 40), 24576)
+	}
 	var handshakes int
+	onTLS := func(*retina.TLSHandshake, *retina.SessionEvent) { handshakes++ }
 	for _, bc := range []struct {
 		name, filter string
+		offload      bool
+		trace        func() *traffic.Trace
 		sub          *retina.Subscription
 	}{
-		{"packets", "", retina.Packets(func(*retina.Packet) {})},
-		{"tls", "tls", retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) { handshakes++ })},
+		{"packets", "", false, campus, retina.Packets(func(*retina.Packet) {})},
+		{"tls", "tls", false, campus, retina.TLSHandshakes(onTLS)},
+		{"video", "tls.sni matches 'nflxvideo'", true, video, retina.TLSHandshakes(onTLS)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			tr := bc.trace()
 			cfg := retina.DefaultConfig()
 			cfg.Filter = bc.filter
 			cfg.Cores = 1
+			cfg.FlowOffload.Enable = bc.offload
 			rt, err := retina.New(cfg, bc.sub)
 			if err != nil {
 				b.Fatal(err)

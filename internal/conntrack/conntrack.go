@@ -112,17 +112,20 @@ const (
 	BackendMap = "map"
 )
 
-// index is the connection store behind Table: canonical-key lookup,
-// id-keyed resolution for timer-wheel entries, and slot lifecycle. Both
+// index is the connection store behind Table: insertion, id-keyed
+// resolution for timer-wheel entries, and slot lifecycle. Both
 // implementations are single-owner (core goroutine); only stats() is
-// safe to call concurrently.
+// safe to call concurrently. Each implementation also has find (the
+// per-packet lookup) and each (iteration), which Table calls on the
+// concrete type instead (Table.find, Table.each): a tuple pointer or
+// closure passed through an interface method escapes to the heap.
 type index interface {
-	lookup(key layers.FiveTuple) *Conn
-	alloc(key layers.FiveTuple, id uint64) *Conn
+	// alloc inserts the canonical key, whose find hash is h, under a
+	// fresh id; the caller guarantees the key is absent.
+	alloc(key layers.FiveTuple, h uint64, id uint64) *Conn
 	remove(c *Conn) bool
 	byID(id uint64) *Conn
 	size() int
-	each(fn func(*Conn))
 	stats() IndexStats
 	check() error
 }
@@ -181,8 +184,8 @@ type Conn struct {
 	// allocation and used as the removal key.
 	ckey layers.FiveTuple
 	// origCanonical records whether the first packet's tuple was
-	// already in canonical order; Orig classifies later packets by
-	// comparing orientations instead of whole tuples.
+	// already in canonical order; GetOrCreate classifies later packets
+	// by comparing orientations instead of whole tuples.
 	origCanonical bool
 	// symmetric marks tuples whose two directions are identical
 	// (src and dst endpoint equal): direction is then inherently
@@ -208,21 +211,6 @@ type Conn struct {
 
 // ServiceName implements filter.ConnView.
 func (c *Conn) ServiceName() string { return c.Service }
-
-// Orig reports whether ft runs in the connection's original direction.
-// Orientations are compared, not tuples: ft equals either Tuple or its
-// reverse, and exactly one of the two is in canonical order — except for
-// self-symmetric tuples, where both directions compare equal and the old
-// `ft == c.Tuple` test classified every packet as originator (keeping
-// the data-both-ways establishment rule from ever firing). Symmetric
-// connections have no distinguishable direction; Orig reports true and
-// establishment uses a packet-count rule instead.
-func (c *Conn) Orig(ft layers.FiveTuple) bool {
-	if c.symmetric {
-		return true
-	}
-	return ft.IsCanonical() == c.origCanonical
-}
 
 // connBaseBytes approximates the in-memory footprint of one tracked
 // connection (struct, table entry, timer entries), used for the memory
@@ -385,7 +373,7 @@ func (t *Table) Now() uint64 { return t.now }
 // MemoryBytes estimates the memory held by tracked connections.
 func (t *Table) MemoryBytes() uint64 {
 	total := uint64(0)
-	t.idx.each(func(c *Conn) {
+	t.each(func(c *Conn) {
 		total += connBaseBytes + uint64(c.ExtraMem)
 	})
 	return total
@@ -418,31 +406,56 @@ func (t *Table) Rearmed() uint64 { return t.rearmed.Load() }
 // table was at MaxConns.
 func (t *Table) FullDrops() uint64 { return t.full.Load() }
 
-// Lookup finds the connection for a five-tuple in either direction.
-func (t *Table) Lookup(ft layers.FiveTuple) (*Conn, bool) {
-	key, _ := ft.Canonical()
-	c := t.idx.lookup(key)
-	return c, c != nil
+// find resolves ft in either direction on the concrete store, returning
+// the store's hash of the canonical key (for alloc on a miss) and
+// whether ft is in canonical order.
+func (t *Table) find(ft *layers.FiveTuple) (c *Conn, h uint64, canonical bool) {
+	if f, ok := t.idx.(*flatIndex); ok {
+		return f.find(ft)
+	}
+	return t.idx.(*mapIndex).find(ft)
+}
+
+// each visits every live connection on the concrete store, so fn does
+// not escape and callers' closures stay on the stack.
+func (t *Table) each(fn func(*Conn)) {
+	if f, ok := t.idx.(*flatIndex); ok {
+		f.each(fn)
+		return
+	}
+	t.idx.(*mapIndex).each(fn)
 }
 
 // GetOrCreate returns the connection for ft, creating it at tick if
-// absent. created reports whether a new entry was made; ok is false only
-// when the table is at MaxConns.
-func (t *Table) GetOrCreate(ft layers.FiveTuple, tick uint64) (c *Conn, created, ok bool) {
-	key, canonical := ft.Canonical()
-	if c := t.idx.lookup(key); c != nil {
-		return c, false, true
+// absent, and whether ft runs in the connection's original direction.
+// created reports whether a new entry was made; ok is false only when
+// the table is at MaxConns. ft is read in place and not retained.
+//
+// The direction compares orientations, not tuples: ft equals either
+// Tuple or its reverse, and exactly one of the two is in canonical
+// order — except for self-symmetric tuples (src and dst endpoint
+// equal), whose two directions are the same tuple, always canonical.
+// Every packet of such a connection therefore counts as originator,
+// and establishment uses a packet-count rule instead (TouchSeq).
+func (t *Table) GetOrCreate(ft *layers.FiveTuple, tick uint64) (c *Conn, orig, created, ok bool) {
+	c, h, canonical := t.find(ft)
+	if c != nil {
+		return c, canonical == c.origCanonical, false, true
 	}
 	if t.cfg.MaxConns > 0 && t.idx.size() >= t.cfg.MaxConns {
 		if !t.cfg.PressureEvict || !t.evictForPressure() {
 			t.full.Add(1)
-			return nil, false, false
+			return nil, false, false, false
 		}
 	}
 	id := t.cfg.IDBase + t.nextID*t.cfg.IDStride
 	t.nextID++
-	c = t.idx.alloc(key, id)
-	c.Tuple = ft // orientation of the first packet
+	key := *ft
+	if !canonical {
+		key = key.Reverse()
+	}
+	c = t.idx.alloc(key, h, id)
+	c.Tuple = *ft // orientation of the first packet
 	c.origCanonical = canonical
 	c.symmetric = key == key.Reverse()
 	c.FirstTick = tick
@@ -450,7 +463,7 @@ func (t *Table) GetOrCreate(ft layers.FiveTuple, tick uint64) (c *Conn, created,
 	t.count.Store(int64(t.idx.size()))
 	t.created.Add(1)
 	t.scheduleExpiry(c)
-	return c, true, true
+	return c, true, true, true
 }
 
 // pressureScanBudget bounds how many live unestablished candidates an
@@ -504,7 +517,7 @@ func (t *Table) evictForPressure() bool {
 		// only runs when the wheel path failed, and — unlike a bounded
 		// sample of backend iteration order — picks the same victim on
 		// every backend.
-		t.idx.each(func(c *Conn) {
+		t.each(func(c *Conn) {
 			if !c.Established && idlerThan(c, victim) {
 				victim = c
 			}
@@ -545,19 +558,19 @@ func (t *Table) scheduleExpiry(c *Conn) {
 }
 
 // Touch records a packet on the connection: direction-aware counters and
-// activity refresh. Refreshing does not reschedule the timer; the stale
-// timer entry revalidates against LastTick when it fires.
-func (t *Table) Touch(c *Conn, ft layers.FiveTuple, tick uint64, wireBytes, payloadBytes int, tcpFlags uint8) {
-	t.TouchSeq(c, ft, tick, wireBytes, payloadBytes, tcpFlags, 0, false)
+// activity refresh. orig is the direction GetOrCreate reported for the
+// packet. Refreshing does not reschedule the timer; the stale timer
+// entry revalidates against LastTick when it fires.
+func (t *Table) Touch(c *Conn, orig bool, tick uint64, wireBytes, payloadBytes int, tcpFlags uint8) {
+	t.TouchSeq(c, orig, tick, wireBytes, payloadBytes, tcpFlags, 0, false)
 }
 
 // TouchSeq is Touch with the TCP sequence number, enabling out-of-order
 // detection. hasSeq is false for non-TCP packets.
-func (t *Table) TouchSeq(c *Conn, ft layers.FiveTuple, tick uint64, wireBytes, payloadBytes int, tcpFlags uint8, seq uint32, hasSeq bool) {
+func (t *Table) TouchSeq(c *Conn, orig bool, tick uint64, wireBytes, payloadBytes int, tcpFlags uint8, seq uint32, hasSeq bool) {
 	if tick > c.LastTick {
 		c.LastTick = tick
 	}
-	orig := c.Orig(ft)
 	if hasSeq {
 		// SYN and FIN each consume one sequence number, so a segment
 		// carrying both advances the expected sequence by two beyond
@@ -638,6 +651,13 @@ func (t *Table) Remove(c *Conn, reason ExpireReason) {
 	t.expired[reason].Add(1)
 }
 
+// RemoveAll removes every connection with the given reason, in Each
+// order. Both stores let iteration remove the connection it is
+// visiting, so no snapshot of the table is taken.
+func (t *Table) RemoveAll(reason ExpireReason) {
+	t.each(func(c *Conn) { t.Remove(c, reason) })
+}
+
 // Advance moves the virtual clock, expiring due connections. onExpire
 // runs for each expired connection before it leaves the table, letting
 // the runtime deliver connection records and tear down subscriptions.
@@ -692,7 +712,7 @@ func (t *Table) CheckInvariants() error {
 		return fmt.Errorf("conntrack: atomic count %d != store size %d", got, live)
 	}
 	var err error
-	t.idx.each(func(c *Conn) {
+	t.each(func(c *Conn) {
 		if err != nil {
 			return
 		}
@@ -732,5 +752,5 @@ func (t *Table) CheckInvariants() error {
 // backend-defined: deterministic bucket order on the flat backend,
 // randomized on the map oracle — consumers must not depend on it.
 func (t *Table) Each(fn func(*Conn)) {
-	t.idx.each(fn)
+	t.each(fn)
 }

@@ -6,6 +6,12 @@ import (
 	"retina/internal/layers"
 )
 
+// ftp is ft as a pointer, for GetOrCreate.
+func ftp(src, dst string, sp, dp uint16) *layers.FiveTuple {
+	f := ft(src, dst, sp, dp)
+	return &f
+}
+
 func ft(src, dst string, sp, dp uint16) layers.FiveTuple {
 	var f layers.FiveTuple
 	s := layers.ParseAddr4(src)
@@ -20,11 +26,12 @@ func ft(src, dst string, sp, dp uint16) layers.FiveTuple {
 func TestGetOrCreateBidirectional(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c1, created, ok := tbl.GetOrCreate(fwd, 100)
+	c1, orig1, created, ok := tbl.GetOrCreate(&fwd, 100)
 	if !ok || !created {
 		t.Fatal("first GetOrCreate failed")
 	}
-	c2, created, ok := tbl.GetOrCreate(fwd.Reverse(), 200)
+	rev := fwd.Reverse()
+	c2, orig2, created, ok := tbl.GetOrCreate(&rev, 200)
 	if !ok || created {
 		t.Fatal("reverse direction created a second connection")
 	}
@@ -34,7 +41,7 @@ func TestGetOrCreateBidirectional(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
-	if !c1.Orig(fwd) || c1.Orig(fwd.Reverse()) {
+	if !orig1 || orig2 {
 		t.Fatal("orientation wrong")
 	}
 }
@@ -42,10 +49,10 @@ func TestGetOrCreateBidirectional(t *testing.T) {
 func TestTouchCounters(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 10, 100, 60, layers.TCPSyn)
-	tbl.Touch(c, fwd.Reverse(), 20, 80, 40, layers.TCPSyn|layers.TCPAck)
-	tbl.Touch(c, fwd, 30, 1500, 1448, layers.TCPAck)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 10, 100, 60, layers.TCPSyn)
+	tbl.Touch(c, false, 20, 80, 40, layers.TCPSyn|layers.TCPAck)
+	tbl.Touch(c, true, 30, 1500, 1448, layers.TCPAck)
 	if c.PktsOrig != 2 || c.PktsResp != 1 {
 		t.Fatalf("pkts %d/%d", c.PktsOrig, c.PktsResp)
 	}
@@ -67,8 +74,8 @@ func TestEstablishTimeoutExpiresSingleSYN(t *testing.T) {
 	cfg := DefaultConfig()
 	tbl := NewTable(cfg)
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 0, 60, 0, layers.TCPSyn)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
 
 	var expired []*Conn
 	var reasons []ExpireReason
@@ -94,9 +101,9 @@ func TestEstablishTimeoutExpiresSingleSYN(t *testing.T) {
 func TestEstablishedUsesInactivityTimeout(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 0, 60, 0, layers.TCPSyn)
-	tbl.Touch(c, fwd.Reverse(), 1000, 60, 0, layers.TCPSyn|layers.TCPAck)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
+	tbl.Touch(c, false, 1000, 60, 0, layers.TCPSyn|layers.TCPAck)
 
 	fired := 0
 	tbl.Advance(30*TickSecond, func(*Conn, ExpireReason) { fired++ })
@@ -113,14 +120,14 @@ func TestEstablishedUsesInactivityTimeout(t *testing.T) {
 func TestActivityRefreshesDeadline(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 0, 60, 0, layers.TCPSyn)
-	tbl.Touch(c, fwd.Reverse(), 0, 60, 0, layers.TCPSyn|layers.TCPAck)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
+	tbl.Touch(c, false, 0, 60, 0, layers.TCPSyn|layers.TCPAck)
 
 	fired := 0
 	// Keep the connection busy past several would-be deadlines.
 	for now := uint64(0); now <= 20*TickMinute; now += TickMinute {
-		tbl.Touch(c, fwd, now, 100, 50, layers.TCPAck)
+		tbl.Touch(c, true, now, 100, 50, layers.TCPAck)
 		tbl.Advance(now, func(*Conn, ExpireReason) { fired++ })
 	}
 	if fired != 0 {
@@ -136,8 +143,8 @@ func TestActivityRefreshesDeadline(t *testing.T) {
 func TestTimeoutsDisabled(t *testing.T) {
 	tbl := NewTable(Config{}) // no timeouts
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 0, 60, 0, layers.TCPSyn)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
 	fired := 0
 	tbl.Advance(100*TickMinute, func(*Conn, ExpireReason) { fired++ })
 	if fired != 0 || tbl.Len() != 1 {
@@ -149,8 +156,8 @@ func TestInactivityOnlyScheme(t *testing.T) {
 	// Figure 8's middle curve: no establishment timeout, 5m inactivity.
 	tbl := NewTable(Config{InactivityTimeout: 5 * TickMinute, WheelGranularity: 100 * TickMillisecond})
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 0, 60, 0, layers.TCPSyn) // never answered
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn) // never answered
 	fired := 0
 	tbl.Advance(6*TickSecond, func(*Conn, ExpireReason) { fired++ })
 	if fired != 0 {
@@ -165,15 +172,15 @@ func TestInactivityOnlyScheme(t *testing.T) {
 func TestMaxConns(t *testing.T) {
 	tbl := NewTable(Config{MaxConns: 2})
 	for i := 0; i < 2; i++ {
-		if _, _, ok := tbl.GetOrCreate(ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443), 0); !ok {
+		if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", uint16(i+1), 443), 0); !ok {
 			t.Fatalf("create %d failed", i)
 		}
 	}
-	if _, _, ok := tbl.GetOrCreate(ft("10.0.0.1", "10.0.0.2", 99, 443), 0); ok {
+	if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", 99, 443), 0); ok {
 		t.Fatal("table exceeded MaxConns")
 	}
 	// Existing connections still reachable at the bound.
-	if _, created, ok := tbl.GetOrCreate(ft("10.0.0.1", "10.0.0.2", 1, 443), 0); !ok || created {
+	if _, _, created, ok := tbl.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", 1, 443), 0); !ok || created {
 		t.Fatal("lookup at capacity failed")
 	}
 }
@@ -181,7 +188,7 @@ func TestMaxConns(t *testing.T) {
 func TestRemoveAndStats(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
 	tbl.Remove(c, ExpireTermination)
 	if tbl.Len() != 0 {
 		t.Fatal("remove failed")
@@ -198,10 +205,10 @@ func TestRemoveAndStats(t *testing.T) {
 func TestRemoveThenRecreateSameTuple(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1, 443)
-	c1, _, _ := tbl.GetOrCreate(fwd, 0)
+	c1, _, _, _ := tbl.GetOrCreate(&fwd, 0)
 	id1 := c1.ID // capture before removal: the slab recycles Conn storage
 	tbl.Remove(c1, ExpireEvicted)
-	c2, created, _ := tbl.GetOrCreate(fwd, 100)
+	c2, _, created, _ := tbl.GetOrCreate(&fwd, 100)
 	if !created || id1 == c2.ID || c2.FirstTick != 100 {
 		t.Fatal("recreation after removal failed")
 	}
@@ -218,7 +225,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if base != 0 {
 		t.Fatalf("empty table memory = %d", base)
 	}
-	c, _, _ := tbl.GetOrCreate(ft("10.0.0.1", "10.0.0.2", 1, 443), 0)
+	c, _, _, _ := tbl.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", 1, 443), 0)
 	m1 := tbl.MemoryBytes()
 	if m1 == 0 {
 		t.Fatal("tracked connection accounts zero memory")
@@ -233,12 +240,12 @@ func TestUDPEstablishOnBidirectional(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	f := ft("10.0.0.1", "10.0.0.2", 5353, 53)
 	f.Proto = layers.IPProtoUDP
-	c, _, _ := tbl.GetOrCreate(f, 0)
-	tbl.Touch(c, f, 0, 80, 40, 0)
+	c, _, _, _ := tbl.GetOrCreate(&f, 0)
+	tbl.Touch(c, true, 0, 80, 40, 0)
 	if c.Established {
 		t.Fatal("one-way UDP established")
 	}
-	tbl.Touch(c, f.Reverse(), 10, 120, 80, 0)
+	tbl.Touch(c, false, 10, 120, 80, 0)
 	if !c.Established {
 		t.Fatal("bidirectional UDP not established")
 	}
@@ -247,36 +254,36 @@ func TestUDPEstablishOnBidirectional(t *testing.T) {
 func TestTouchSeqDetectsOutOfOrder(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
 	// In-order: seq 1000 (+100), 1100 (+100).
-	tbl.TouchSeq(c, fwd, 1, 154, 100, layers.TCPAck, 1000, true)
-	tbl.TouchSeq(c, fwd, 2, 154, 100, layers.TCPAck, 1100, true)
+	tbl.TouchSeq(c, true, 1, 154, 100, layers.TCPAck, 1000, true)
+	tbl.TouchSeq(c, true, 2, 154, 100, layers.TCPAck, 1100, true)
 	if c.OOOOrig != 0 {
 		t.Fatalf("in-order flagged OOO: %d", c.OOOOrig)
 	}
 	// Gap: 1300 skips 1200.
-	tbl.TouchSeq(c, fwd, 3, 154, 100, layers.TCPAck, 1300, true)
+	tbl.TouchSeq(c, true, 3, 154, 100, layers.TCPAck, 1300, true)
 	// Fill: 1200 arrives late.
-	tbl.TouchSeq(c, fwd, 4, 154, 100, layers.TCPAck, 1200, true)
+	tbl.TouchSeq(c, true, 4, 154, 100, layers.TCPAck, 1200, true)
 	if c.OOOOrig != 2 {
 		t.Fatalf("OOOOrig = %d, want 2 (gap + late fill)", c.OOOOrig)
 	}
 	// Directions independent.
-	tbl.TouchSeq(c, fwd.Reverse(), 5, 154, 100, layers.TCPAck, 9000, true)
-	tbl.TouchSeq(c, fwd.Reverse(), 6, 154, 100, layers.TCPAck, 9100, true)
+	tbl.TouchSeq(c, false, 5, 154, 100, layers.TCPAck, 9000, true)
+	tbl.TouchSeq(c, false, 6, 154, 100, layers.TCPAck, 9100, true)
 	if c.OOOResp != 0 {
 		t.Fatalf("OOOResp = %d, want 0", c.OOOResp)
 	}
 	// Pure ACKs never count.
-	tbl.TouchSeq(c, fwd, 7, 54, 0, layers.TCPAck, 99999, true)
+	tbl.TouchSeq(c, true, 7, 54, 0, layers.TCPAck, 99999, true)
 	if c.OOOOrig != 2 {
 		t.Fatalf("pure ACK counted as OOO")
 	}
 	// SYN consumes a sequence number.
 	f2 := ft("10.0.0.3", "10.0.0.4", 1, 2)
-	c2, _, _ := tbl.GetOrCreate(f2, 0)
-	tbl.TouchSeq(c2, f2, 1, 60, 0, layers.TCPSyn, 500, true)
-	tbl.TouchSeq(c2, f2, 2, 154, 100, layers.TCPAck, 501, true)
+	c2, _, _, _ := tbl.GetOrCreate(&f2, 0)
+	tbl.TouchSeq(c2, true, 1, 60, 0, layers.TCPSyn, 500, true)
+	tbl.TouchSeq(c2, true, 2, 154, 100, layers.TCPAck, 501, true)
 	if c2.OOOOrig != 0 {
 		t.Fatalf("SYN seq accounting wrong: OOO = %d", c2.OOOOrig)
 	}
@@ -290,11 +297,11 @@ func TestManyConnectionsChurn(t *testing.T) {
 		f := ft("10.0.0.1", "10.0.0.2", uint16(i%60000+1), uint16(i/60000+1000))
 		f.SrcPort = uint16(i%65000 + 1)
 		f.DstPort = uint16(i/65000 + 443)
-		c, _, ok := tbl.GetOrCreate(f, tick)
+		c, _, _, ok := tbl.GetOrCreate(&f, tick)
 		if !ok {
 			t.Fatal("create failed")
 		}
-		tbl.Touch(c, f, tick, 60, 0, layers.TCPSyn)
+		tbl.Touch(c, true, tick, 60, 0, layers.TCPSyn)
 		tbl.Advance(tick, nil)
 	}
 	// All should expire within establish timeout of the last arrival.
@@ -314,8 +321,8 @@ func BenchmarkGetOrCreateTouch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.SrcPort = uint16(i)
-		c, _, _ := tbl.GetOrCreate(f, uint64(i))
-		tbl.Touch(c, f, uint64(i), 100, 60, layers.TCPAck)
+		c, orig, _, _ := tbl.GetOrCreate(&f, uint64(i))
+		tbl.Touch(c, orig, uint64(i), 100, 60, layers.TCPAck)
 		if i%1024 == 0 {
 			tbl.Advance(uint64(i), nil)
 		}
@@ -332,11 +339,11 @@ func TestPressureEvictionAdmitsNewConn(t *testing.T) {
 	tbl := NewTable(cfg)
 	// Four idle unestablished connections with staggered last-activity.
 	for i := 0; i < 4; i++ {
-		c, _, ok := tbl.GetOrCreate(ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443), uint64(i))
+		c, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", uint16(i+1), 443), uint64(i))
 		if !ok {
 			t.Fatalf("create %d failed", i)
 		}
-		tbl.Touch(c, ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443), uint64(i), 60, 0, layers.TCPSyn)
+		tbl.Touch(c, true, uint64(i), 60, 0, layers.TCPSyn)
 	}
 
 	// Field values are captured inside the handler: after GetOrCreate
@@ -351,7 +358,7 @@ func TestPressureEvictionAdmitsNewConn(t *testing.T) {
 
 	// A fifth connection at the bound must evict the longest-idle
 	// (LastTick 0) instead of being refused.
-	c, created, ok := tbl.GetOrCreate(ft("10.0.0.9", "10.0.0.2", 999, 443), 100)
+	c, _, created, ok := tbl.GetOrCreate(ftp("10.0.0.9", "10.0.0.2", 999, 443), 100)
 	if !ok || !created || c == nil {
 		t.Fatalf("new connection refused at the bound: ok=%v created=%v", ok, created)
 	}
@@ -380,16 +387,15 @@ func TestPressureEvictionSparesEstablished(t *testing.T) {
 	// Fill the table with established connections (bidirectional traffic).
 	for i := 0; i < 2; i++ {
 		tuple := ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443)
-		c, _, _ := tbl.GetOrCreate(tuple, 0)
-		tbl.Touch(c, tuple, 0, 60, 0, layers.TCPSyn)
-		rev := ft("10.0.0.2", "10.0.0.1", 443, uint16(i+1))
-		tbl.Touch(c, rev, 1, 60, 0, layers.TCPSyn|layers.TCPAck)
+		c, _, _, _ := tbl.GetOrCreate(&tuple, 0)
+		tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
+		tbl.Touch(c, false, 1, 60, 0, layers.TCPSyn|layers.TCPAck)
 		if !c.Established {
 			t.Fatalf("connection %d not established after bidirectional traffic", i)
 		}
 	}
 	// With only established connections, the bound falls back to refusal.
-	if _, _, ok := tbl.GetOrCreate(ft("10.0.0.9", "10.0.0.2", 999, 443), 50); ok {
+	if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.9", "10.0.0.2", 999, 443), 50); ok {
 		t.Fatal("established connection was evicted under pressure")
 	}
 	if tbl.FullDrops() != 1 {
@@ -403,8 +409,8 @@ func TestPressureEvictionSparesEstablished(t *testing.T) {
 func TestPressureEvictionDisabledByDefault(t *testing.T) {
 	// The zero-value config pins the original refusal behavior.
 	tbl := NewTable(Config{MaxConns: 1})
-	tbl.GetOrCreate(ft("10.0.0.1", "10.0.0.2", 1, 443), 0)
-	if _, _, ok := tbl.GetOrCreate(ft("10.0.0.9", "10.0.0.2", 2, 443), 10); ok {
+	tbl.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", 1, 443), 0)
+	if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.9", "10.0.0.2", 2, 443), 10); ok {
 		t.Fatal("eviction ran without PressureEvict")
 	}
 	if tbl.FullDrops() != 1 {
@@ -419,11 +425,11 @@ func TestPressureEvictionChurn(t *testing.T) {
 	tbl := NewTable(Config{MaxConns: 16, PressureEvict: true})
 	for i := 0; i < 500; i++ {
 		tuple := ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443)
-		c, _, ok := tbl.GetOrCreate(tuple, uint64(i))
+		c, _, _, ok := tbl.GetOrCreate(&tuple, uint64(i))
 		if !ok {
 			t.Fatalf("arrival %d refused", i)
 		}
-		tbl.Touch(c, tuple, uint64(i), 60, 0, layers.TCPSyn)
+		tbl.Touch(c, true, uint64(i), 60, 0, layers.TCPSyn)
 	}
 	if tbl.FullDrops() != 0 {
 		t.Fatalf("FullDrops = %d, want 0", tbl.FullDrops())

@@ -104,16 +104,46 @@ func newFlatIndex(maxConns int) *flatIndex {
 	return f
 }
 
+// The flat index reads a five-tuple in place as five little-endian
+// words: the source address, the destination address, and a meta word
+// holding SrcPort, DstPort, Proto, IsIPv6 and the zero padding in
+// memory order. The word view relies on this layout; the assertion
+// turns a field change into a build error instead of a silent change
+// of every hash and key compare.
+var _ [0]struct{} = [unsafe.Sizeof(layers.FiveTuple{}) - 40 |
+	unsafe.Offsetof(layers.FiveTuple{}.SrcIP) |
+	unsafe.Offsetof(layers.FiveTuple{}.DstIP) - 16 |
+	unsafe.Offsetof(layers.FiveTuple{}.SrcPort) - 32 |
+	unsafe.Offsetof(layers.FiveTuple{}.DstPort) - 34 |
+	unsafe.Offsetof(layers.FiveTuple{}.Proto) - 36 |
+	unsafe.Offsetof(layers.FiveTuple{}.IsIPv6) - 37]struct{}{}
+
+// tupleWords loads ft as its five words (see the layout assertion).
+func tupleWords(ft *layers.FiveTuple) (s0, s1, d0, d1, meta uint64) {
+	b := (*[40]byte)(unsafe.Pointer(ft))
+	le := binary.LittleEndian
+	return le.Uint64(b[0:8]), le.Uint64(b[8:16]), le.Uint64(b[16:24]), le.Uint64(b[24:32]), le.Uint64(b[32:40])
+}
+
+// swapPorts exchanges SrcPort and DstPort inside a meta word: bytes
+// 0-1 and 2-3 of the word trade places.
+func swapPorts(meta uint64) uint64 {
+	return meta&^0xFFFFFFFF | meta<<16&0xFFFF0000 | meta>>16&0xFFFF
+}
+
 // flatHash mixes the canonical five-tuple into 64 bits, word-at-a-time
 // (xor-multiply-shift per word, murmur3 finalizer constants). The low 8
 // bits feed the slot tag, bits 8+ select the home bucket.
 func flatHash(k *layers.FiveTuple) uint64 {
-	s0 := binary.LittleEndian.Uint64(k.SrcIP[0:8])
-	s1 := binary.LittleEndian.Uint64(k.SrcIP[8:16])
-	d0 := binary.LittleEndian.Uint64(k.DstIP[0:8])
-	d1 := binary.LittleEndian.Uint64(k.DstIP[8:16])
-	meta := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
-	if k.IsIPv6 {
+	s0, s1, d0, d1, _ := tupleWords(k)
+	return mixKey(s0, s1, d0, d1, k.SrcPort, k.DstPort, k.Proto, k.IsIPv6)
+}
+
+// mixKey is flatHash over a canonical tuple given as its address words
+// and fields, so a lookup can hash either orientation in place.
+func mixKey(s0, s1, d0, d1 uint64, sport, dport uint16, proto uint8, v6 bool) uint64 {
+	meta := uint64(sport)<<24 | uint64(dport)<<8 | uint64(proto)
+	if v6 {
 		meta |= 1 << 40
 	}
 	h := uint64(0x9E3779B97F4A7C15)
@@ -129,36 +159,50 @@ func (f *flatIndex) conn(ref uint32) *Conn {
 	return &f.slab[ref/slabChunkConns][ref%slabChunkConns]
 }
 
-func (f *flatIndex) lookup(key layers.FiveTuple) *Conn {
-	h := flatHash(&key)
+// find resolves ft in either direction. It decides ft's orientation
+// once, hashes the canonical word order in place and compares each
+// candidate's key as five words, so a packet from the responder side
+// costs no reversed copy of its tuple. h and canonical come back on a
+// miss too: alloc places the new connection with that hash.
+func (f *flatIndex) find(ft *layers.FiveTuple) (c *Conn, h uint64, canonical bool) {
+	canonical = ft.IsCanonical()
+	k0, k1, k2, k3, k4 := tupleWords(ft)
+	sport, dport := ft.SrcPort, ft.DstPort
+	if !canonical {
+		k0, k1, k2, k3, k4 = k2, k3, k0, k1, swapPorts(k4)
+		sport, dport = dport, sport
+	}
+	h = mixKey(k0, k1, k2, k3, sport, dport, ft.Proto, ft.IsIPv6)
 	tag := uint8(h) | tagLive
 	idx := (h >> 8) & f.mask
 	for p := 0; p < maxProbeBuckets; p++ {
 		b := &f.buckets[idx]
 		for s := 0; s < slotsPerBucket; s++ {
 			if b.tags[s] == tag {
-				if c := f.conn(b.refs[s]); c.ckey == key {
-					return c
+				c := f.conn(b.refs[s])
+				c0, c1, c2, c3, c4 := tupleWords(&c.ckey)
+				if c0 == k0 && c1 == k1 && c2 == k2 && c3 == k3 && c4 == k4 {
+					return c, h, canonical
 				}
 			}
 		}
 		if b.ovf == 0 {
-			return nil
+			break
 		}
 		idx = (idx + 1) & f.mask
 	}
-	return nil
+	return nil, h, canonical
 }
 
-// alloc inserts key and returns its Conn, zeroed except for ckey and ID,
-// taking a slot from the freelist or growing the slab by one chunk. The
-// caller guarantees key is absent and id is fresh.
-func (f *flatIndex) alloc(key layers.FiveTuple, id uint64) *Conn {
+// alloc inserts key, whose flatHash is h, and returns its Conn, zeroed
+// except for ckey and ID, taking a slot from the freelist or growing the
+// slab by one chunk. The caller guarantees key is absent and id is
+// fresh.
+func (f *flatIndex) alloc(key layers.FiveTuple, h uint64, id uint64) *Conn {
 	if (f.live+1)*4 > len(f.buckets)*slotsPerBucket*3 {
 		f.grow(len(f.buckets) * 2)
 	}
 	ref := f.takeRef()
-	h := flatHash(&key)
 	for {
 		if probe, ok := f.place(h, ref); ok {
 			if uint64(probe) > f.probeMaxA.Load() {
@@ -355,7 +399,7 @@ func (f *flatIndex) check() error {
 						c.ID, (home+d)&f.mask)
 				}
 			}
-			if f.lookup(c.ckey) != c {
+			if got, _, _ := f.find(&c.ckey); got != c {
 				return fmt.Errorf("flat: conn %d not found by its own key", c.ID)
 			}
 			if idRef, ok := f.ids.find(c.ID); !ok || idRef != ref {

@@ -171,15 +171,19 @@ func (p *lockstepPair) create(arg byte, opIdx int) {
 	t := p.t
 	mark := len(p.evF)
 	tuple := fuzzTuple(arg)
-	fc, crF, okF := p.flat.GetOrCreate(tuple, p.tick)
-	mc, crM, okM := p.oracle.GetOrCreate(tuple, p.tick)
-	if crF != crM || okF != okM {
-		t.Fatalf("op %d: GetOrCreate diverged: flat (%v,%v) oracle (%v,%v)", opIdx, crF, okF, crM, okM)
+	fc, origF, crF, okF := p.flat.GetOrCreate(&tuple, p.tick)
+	mc, origM, crM, okM := p.oracle.GetOrCreate(&tuple, p.tick)
+	if origF != origM || crF != crM || okF != okM {
+		t.Fatalf("op %d: GetOrCreate diverged: flat (%v,%v,%v) oracle (%v,%v,%v)",
+			opIdx, origF, crF, okF, origM, crM, okM)
 	}
 	p.prune(mark) // pressure eviction may have removed a pair
 	if okF {
 		if fc.ID != mc.ID {
 			t.Fatalf("op %d: GetOrCreate IDs diverged: %d vs %d", opIdx, fc.ID, mc.ID)
+		}
+		if want := origRule(fc, tuple); origF != want {
+			t.Fatalf("op %d: GetOrCreate direction %v, orientation rule says %v", opIdx, origF, want)
 		}
 		if crF {
 			p.live = append(p.live, struct {
@@ -191,18 +195,30 @@ func (p *lockstepPair) create(arg byte, opIdx int) {
 	}
 }
 
-func (p *lockstepPair) touch(arg byte) {
+// touch resolves a live connection from one of its two directions on
+// both backends, requires the same connection and direction from each,
+// and records the packet with that direction.
+func (p *lockstepPair) touch(arg byte, opIdx int) {
 	if len(p.live) == 0 {
 		return
 	}
+	t := p.t
 	pr := p.live[int(arg)%len(p.live)]
 	flags := arg & (layers.TCPSyn | layers.TCPAck | layers.TCPFin | layers.TCPRst)
 	dir := pr.tuple
 	if arg&0x40 != 0 {
 		dir = pr.tuple.Reverse()
 	}
-	p.flat.TouchSeq(pr.fc, dir, p.tick, 60+int(arg), int(arg), flags, uint32(arg)*17, arg&1 == 0)
-	p.oracle.TouchSeq(pr.mc, dir, p.tick, 60+int(arg), int(arg), flags, uint32(arg)*17, arg&1 == 0)
+	fc, origF, crF, _ := p.flat.GetOrCreate(&dir, p.tick)
+	mc, origM, crM, _ := p.oracle.GetOrCreate(&dir, p.tick)
+	if crF || crM || fc != pr.fc || mc != pr.mc {
+		t.Fatalf("op %d: live conn %d not found from %v (created %v/%v)", opIdx, pr.id, dir, crF, crM)
+	}
+	if want := origRule(fc, dir); origF != origM || origF != want {
+		t.Fatalf("op %d: direction flat %v oracle %v, orientation rule %v", opIdx, origF, origM, want)
+	}
+	p.flat.TouchSeq(pr.fc, origF, p.tick, 60+int(arg), int(arg), flags, uint32(arg)*17, arg&1 == 0)
+	p.oracle.TouchSeq(pr.mc, origM, p.tick, 60+int(arg), int(arg), flags, uint32(arg)*17, arg&1 == 0)
 	pr.fc.ExtraMem += int(arg % 5)
 	pr.mc.ExtraMem += int(arg % 5)
 }
@@ -249,7 +265,7 @@ func runLockstep(t *testing.T, data []byte, cfg Config) {
 		case 0:
 			p.create(arg, i)
 		case 1:
-			p.touch(arg)
+			p.touch(arg, i)
 		case 2:
 			p.advance(arg)
 		case 3:
@@ -300,9 +316,9 @@ func FuzzTableOps(f *testing.F) {
 func TestCheckInvariantsAfterLifecycle(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	tbl.Touch(c, fwd, 10, 100, 60, layers.TCPSyn)
-	tbl.Touch(c, fwd.Reverse(), 20, 80, 40, layers.TCPSyn|layers.TCPAck)
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	tbl.Touch(c, true, 10, 100, 60, layers.TCPSyn)
+	tbl.Touch(c, false, 20, 80, 40, layers.TCPSyn|layers.TCPAck)
 	c.ExtraMem += 4096
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -24,9 +24,14 @@ func newMapIndex() *mapIndex {
 	}
 }
 
-func (m *mapIndex) lookup(key layers.FiveTuple) *Conn { return m.conns[key] }
+// find resolves ft in either direction by its canonical copy. The map
+// needs no hash, so h is always 0.
+func (m *mapIndex) find(ft *layers.FiveTuple) (c *Conn, h uint64, canonical bool) {
+	key, canonical := ft.Canonical()
+	return m.conns[key], 0, canonical
+}
 
-func (m *mapIndex) alloc(key layers.FiveTuple, id uint64) *Conn {
+func (m *mapIndex) alloc(key layers.FiveTuple, _ uint64, id uint64) *Conn {
 	c := &Conn{ckey: key, ID: id}
 	m.conns[key] = c
 	m.ids[id] = c

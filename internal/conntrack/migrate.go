@@ -23,7 +23,7 @@ import "fmt"
 // Returns the number extracted. Core-goroutine only.
 func (t *Table) ExtractIf(pred func(*Conn) bool, out func(*Conn)) int {
 	var victims []*Conn
-	t.idx.each(func(c *Conn) {
+	t.each(func(c *Conn) {
 		if pred(c) {
 			victims = append(victims, c)
 		}
@@ -56,7 +56,8 @@ func (t *Table) ExtractIf(pred func(*Conn) bool, out func(*Conn)) int {
 // flow-consistent RSS makes that impossible, so it indicates a protocol
 // bug and the caller should surface it. Core-goroutine only.
 func (t *Table) Inject(ex *Conn, onExpire func(*Conn, ExpireReason)) (c *Conn, ok bool, err error) {
-	if dup := t.idx.lookup(ex.ckey); dup != nil {
+	dup, h, _ := t.find(&ex.ckey)
+	if dup != nil {
 		return nil, false, fmt.Errorf("conntrack: inject %v: tuple already tracked (id %d vs imported %d)",
 			ex.Tuple, dup.ID, ex.ID)
 	}
@@ -72,7 +73,7 @@ func (t *Table) Inject(ex *Conn, onExpire func(*Conn, ExpireReason)) (c *Conn, o
 		t.expired[reason].Add(1)
 		return nil, true, nil
 	}
-	c = t.idx.alloc(ex.ckey, ex.ID)
+	c = t.idx.alloc(ex.ckey, h, ex.ID)
 	*c = *ex
 	t.count.Store(int64(t.idx.size()))
 	t.scheduleExpiry(c)

@@ -6,7 +6,29 @@ import (
 	"retina/internal/layers"
 )
 
-// TestSymmetricTupleEstablishment is the regression test for the Orig
+// origRule is the direction rule the deleted Conn.Orig applied to a
+// packet's tuple: orientations are compared, not tuples, and a
+// self-symmetric connection counts every packet as originator.
+// GetOrCreate must report exactly this direction.
+func origRule(c *Conn, f layers.FiveTuple) bool {
+	if c.symmetric {
+		return true
+	}
+	return f.IsCanonical() == c.origCanonical
+}
+
+// dirOf returns the direction GetOrCreate reports for a packet carrying
+// f, failing unless f resolves to the existing connection c.
+func dirOf(tb testing.TB, tbl *Table, c *Conn, f layers.FiveTuple) bool {
+	tb.Helper()
+	got, orig, created, ok := tbl.GetOrCreate(&f, tbl.Now())
+	if !ok || created || got != c {
+		tb.Fatalf("%v does not resolve to conn %d (ok %v, created %v)", f, c.ID, ok, created)
+	}
+	return orig
+}
+
+// TestSymmetricTupleEstablishment is the regression test for the
 // direction misclassification: a self-symmetric tuple (src and dst
 // ip:port identical) compares equal to Conn.Tuple in BOTH directions,
 // so the old `ft == c.Tuple` test classified every packet as
@@ -20,25 +42,26 @@ func TestSymmetricTupleEstablishment(t *testing.T) {
 	if f != f.Reverse() {
 		t.Fatal("test tuple is not self-symmetric")
 	}
-	c, created, ok := tbl.GetOrCreate(f, 0)
-	if !ok || !created {
-		t.Fatal("create failed")
+	c, orig, created, ok := tbl.GetOrCreate(&f, 0)
+	if !ok || !created || !orig {
+		t.Fatalf("create failed: ok %v created %v orig %v", ok, created, orig)
 	}
 	if !c.symmetric {
 		t.Fatal("symmetric tuple not marked symmetric")
 	}
-	// Both directions are the same tuple; Orig must be stable, not
-	// flapping per comparison order.
-	if !c.Orig(f) || !c.Orig(f.Reverse()) {
-		t.Fatal("symmetric Orig not direction-free")
+	// Both directions are the same tuple; the direction must be
+	// stable, not flapping per comparison order.
+	fwd, rev := dirOf(t, tbl, c, f), dirOf(t, tbl, c, f.Reverse())
+	if !fwd || !rev {
+		t.Fatal("symmetric direction not direction-free")
 	}
-	tbl.Touch(c, f, 0, 80, 40, 0)
+	tbl.Touch(c, fwd, 0, 80, 40, 0)
 	if c.Established {
 		t.Fatal("established after a single packet")
 	}
-	tbl.Touch(c, f.Reverse(), 10, 80, 40, 0)
+	tbl.Touch(c, rev, 10, 80, 40, 0)
 	if !c.Established {
-		t.Fatal("symmetric UDP flow with traffic both ways never established (Orig misclassification)")
+		t.Fatal("symmetric UDP flow with traffic both ways never established (direction misclassification)")
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -51,15 +74,123 @@ func TestSymmetricTupleEstablishment(t *testing.T) {
 func TestAsymmetricOrigUsesOrientation(t *testing.T) {
 	tbl := NewTable(DefaultConfig())
 	fwd := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(fwd, 0)
-	if !c.Orig(fwd) || c.Orig(fwd.Reverse()) {
+	c, _, _, _ := tbl.GetOrCreate(&fwd, 0)
+	if !dirOf(t, tbl, c, fwd) || dirOf(t, tbl, c, fwd.Reverse()) {
 		t.Fatal("orientation wrong for canonical-side creation")
 	}
 	// A connection first seen from the non-canonical side.
 	rev := ft("10.0.0.4", "10.0.0.3", 443, 1234)
-	c2, _, _ := tbl.GetOrCreate(rev, 0)
-	if !c2.Orig(rev) || c2.Orig(rev.Reverse()) {
+	c2, _, _, _ := tbl.GetOrCreate(&rev, 0)
+	if !dirOf(t, tbl, c2, rev) || dirOf(t, tbl, c2, rev.Reverse()) {
 		t.Fatal("orientation wrong for non-canonical-side creation")
+	}
+}
+
+// directionTuples covers the shapes the in-place orientation must get
+// right, each for IPv4 and IPv6 and for TCP and UDP: distinct
+// addresses, addresses that differ only in a high or a low byte, the
+// same address with different ports (both orders), and self-symmetric
+// tuples (src endpoint == dst endpoint).
+func directionTuples() []layers.FiveTuple {
+	shapes := []layers.FiveTuple{
+		ft("10.0.0.1", "10.0.0.2", 1234, 443),
+		ft("192.168.7.9", "10.0.0.2", 443, 1234),
+		ft("10.0.0.1", "11.0.0.1", 80, 80),
+		ft("10.0.0.5", "10.0.0.5", 5000, 6000),
+		ft("10.0.0.5", "10.0.0.5", 6000, 5000),
+		ft("10.0.0.7", "10.0.0.7", 5000, 5000),
+	}
+	var out []layers.FiveTuple
+	for _, f := range shapes {
+		for _, proto := range []uint8{layers.IPProtoTCP, layers.IPProtoUDP} {
+			v4 := f
+			v4.Proto = proto
+			out = append(out, v4)
+			// The IPv6 variant spreads the IPv4 bytes across all 16 so
+			// the orientation and the word compare see every word.
+			v6 := v4
+			v6.IsIPv6 = true
+			for i := 4; i < 16; i++ {
+				v6.SrcIP[i] = f.SrcIP[i%4] ^ byte(i)
+				v6.DstIP[i] = f.DstIP[i%4] ^ byte(i)
+			}
+			out = append(out, v6)
+		}
+	}
+	return out
+}
+
+// TestDirectionProperty checks GetOrCreate's direction on both backends:
+// for every tuple shape, created from either side, both orientations
+// resolve to the same connection, and the reported direction equals
+// the orientation rule and means "same tuple as the first packet" (or
+// a self-symmetric connection).
+func TestDirectionProperty(t *testing.T) {
+	for _, backend := range []string{BackendFlat, BackendMap} {
+		t.Run(backend, func(t *testing.T) {
+			for _, f := range directionTuples() {
+				for _, first := range []layers.FiveTuple{f, f.Reverse()} {
+					tbl := NewTable(Config{Backend: backend})
+					c, orig, created, ok := tbl.GetOrCreate(&first, 0)
+					if !ok || !created || !orig {
+						t.Fatalf("%v: create ok %v created %v orig %v", first, ok, created, orig)
+					}
+					for _, g := range []layers.FiveTuple{first, first.Reverse()} {
+						got := dirOf(t, tbl, c, g)
+						if want := origRule(c, g); got != want {
+							t.Fatalf("%v created from %v: direction %v, orientation rule %v", g, first, got, want)
+						}
+						if want := g == c.Tuple || g == g.Reverse(); got != want {
+							t.Fatalf("%v created from %v: direction %v, tuple rule %v", g, first, got, want)
+						}
+					}
+					if err := tbl.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// populated returns a table on backend holding n connections, and
+// their tuples with every odd one reversed (the responder's side).
+func populated(tb testing.TB, backend string, n int) (*Table, []layers.FiveTuple) {
+	tb.Helper()
+	tbl := NewTable(Config{Backend: backend})
+	tuples := make([]layers.FiveTuple, n)
+	for i := range tuples {
+		tuples[i] = benchTuple(i)
+		if _, _, created, ok := tbl.GetOrCreate(&tuples[i], uint64(i)); !ok || !created {
+			tb.Fatalf("create %d failed", i)
+		}
+		if i&1 == 1 {
+			tuples[i] = tuples[i].Reverse()
+		}
+	}
+	return tbl, tuples
+}
+
+// TestHitPathAllocs pins that a GetOrCreate hit, from either side,
+// and MemoryBytes over a populated table allocate nothing on either
+// backend.
+func TestHitPathAllocs(t *testing.T) {
+	for _, backend := range []string{BackendFlat, BackendMap} {
+		t.Run(backend, func(t *testing.T) {
+			tbl, tuples := populated(t, backend, 512)
+			i := 0
+			if n := testing.AllocsPerRun(1000, func() {
+				if _, _, created, _ := tbl.GetOrCreate(&tuples[i%len(tuples)], 1000); created {
+					t.Fatal("hit path created a connection")
+				}
+				i++
+			}); n != 0 {
+				t.Fatalf("GetOrCreate hit: %v allocs/op, want 0", n)
+			}
+			if n := testing.AllocsPerRun(20, func() { _ = tbl.MemoryBytes() }); n != 0 {
+				t.Fatalf("MemoryBytes: %v allocs/op, want 0", n)
+			}
+		})
 	}
 }
 
@@ -86,8 +217,8 @@ func TestTouchSeqFlagSequenceLengths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := NewTable(DefaultConfig())
 			f := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-			c, _, _ := tbl.GetOrCreate(f, 0)
-			tbl.TouchSeq(c, f, 1, 60+tc.payload, tc.payload, tc.flags, 1000, true)
+			c, _, _, _ := tbl.GetOrCreate(&f, 0)
+			tbl.TouchSeq(c, true, 1, 60+tc.payload, tc.payload, tc.flags, 1000, true)
 			if tc.wantNext == 0 {
 				if c.expSeqInit[0] {
 					t.Fatalf("segment consuming no sequence space initialized expSeq to %d", c.expSeq[0])
@@ -98,13 +229,13 @@ func TestTouchSeqFlagSequenceLengths(t *testing.T) {
 				t.Fatalf("expSeq = %d (init %v), want %d", c.expSeq[0], c.expSeqInit[0], tc.wantNext)
 			}
 			// The next in-order segment must not be flagged out-of-order.
-			tbl.TouchSeq(c, f, 2, 160, 100, layers.TCPAck, tc.wantNext, true)
+			tbl.TouchSeq(c, true, 2, 160, 100, layers.TCPAck, tc.wantNext, true)
 			if c.OOOOrig != 0 {
 				t.Fatalf("in-order follow-up at seq %d counted as OOO", tc.wantNext)
 			}
 			// And an off-by-one IS out-of-order (guards against the
 			// accounting being merely ignored).
-			tbl.TouchSeq(c, f, 3, 160, 100, layers.TCPAck, c.expSeq[0]+1, true)
+			tbl.TouchSeq(c, true, 3, 160, 100, layers.TCPAck, c.expSeq[0]+1, true)
 			if c.OOOOrig != 1 {
 				t.Fatalf("off-by-one follow-up not counted as OOO (OOOOrig=%d)", c.OOOOrig)
 			}
@@ -130,7 +261,7 @@ func TestNowTracksAdvance(t *testing.T) {
 		t.Fatalf("Now = %d after backward Advance, want 1000", tbl.Now())
 	}
 	f := ft("10.0.0.1", "10.0.0.2", 1234, 443)
-	c, _, _ := tbl.GetOrCreate(f, 1000)
+	c, _, _, _ := tbl.GetOrCreate(&f, 1000)
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +291,9 @@ func TestPressureEvictionWheelPathAllEstablishedRefuses(t *testing.T) {
 	tbl := NewTable(cfg)
 	for i := 0; i < 3; i++ {
 		tuple := ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443)
-		c, _, _ := tbl.GetOrCreate(tuple, 0)
-		tbl.Touch(c, tuple, 0, 60, 0, layers.TCPSyn)
-		tbl.Touch(c, tuple.Reverse(), 1, 60, 0, layers.TCPSyn|layers.TCPAck)
+		c, _, _, _ := tbl.GetOrCreate(&tuple, 0)
+		tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
+		tbl.Touch(c, false, 1, 60, 0, layers.TCPSyn|layers.TCPAck)
 		if !c.Established {
 			t.Fatalf("connection %d not established", i)
 		}
@@ -170,7 +301,7 @@ func TestPressureEvictionWheelPathAllEstablishedRefuses(t *testing.T) {
 	tbl.SetEvictHandler(func(*Conn, ExpireReason) {
 		t.Fatal("established connection evicted under pressure")
 	})
-	if _, _, ok := tbl.GetOrCreate(ft("10.0.0.9", "10.0.0.2", 999, 443), 50); ok {
+	if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.9", "10.0.0.2", 999, 443), 50); ok {
 		t.Fatal("admission succeeded with every slot established")
 	}
 	if tbl.FullDrops() != 1 || tbl.PressureEvictions() != 0 {
@@ -189,11 +320,11 @@ func TestPressureEvictionEmptyWheelAllEstablishedRefuses(t *testing.T) {
 	tbl := NewTable(Config{MaxConns: 2, PressureEvict: true})
 	for i := 0; i < 2; i++ {
 		tuple := ft("10.0.0.1", "10.0.0.2", uint16(i+1), 443)
-		c, _, _ := tbl.GetOrCreate(tuple, 0)
-		tbl.Touch(c, tuple, 0, 60, 0, layers.TCPSyn)
-		tbl.Touch(c, tuple.Reverse(), 1, 60, 0, layers.TCPSyn|layers.TCPAck)
+		c, _, _, _ := tbl.GetOrCreate(&tuple, 0)
+		tbl.Touch(c, true, 0, 60, 0, layers.TCPSyn)
+		tbl.Touch(c, false, 1, 60, 0, layers.TCPSyn|layers.TCPAck)
 	}
-	if _, _, ok := tbl.GetOrCreate(ft("10.0.0.9", "10.0.0.2", 999, 443), 50); ok {
+	if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.9", "10.0.0.2", 999, 443), 50); ok {
 		t.Fatal("admission succeeded with every slot established and no wheel")
 	}
 	if tbl.FullDrops() != 1 || tbl.PressureEvictions() != 0 {
@@ -210,24 +341,24 @@ func TestPressureEvictionFallbackExactVictim(t *testing.T) {
 	tbl := NewTable(Config{MaxConns: 4, PressureEvict: true})
 	mk := func(port uint16, tick uint64) *Conn {
 		tuple := ft("10.0.0.1", "10.0.0.2", port, 443)
-		c, _, ok := tbl.GetOrCreate(tuple, tick)
+		c, _, _, ok := tbl.GetOrCreate(&tuple, tick)
 		if !ok {
 			t.Fatalf("create %d failed", port)
 		}
-		tbl.Touch(c, tuple, tick, 60, 0, layers.TCPSyn)
+		tbl.Touch(c, true, tick, 60, 0, layers.TCPSyn)
 		return c
 	}
 	mk(1, 5)
 	wantID := mk(2, 2).ID // LastTick 2, created before the next —
 	mk(3, 2)              // same LastTick, larger ID: must lose the tie
 	est := mk(4, 0)       // longest idle but established: protected
-	tbl.Touch(est, ft("10.0.0.2", "10.0.0.1", 443, 4), 1, 60, 0, layers.TCPSyn|layers.TCPAck)
+	tbl.Touch(est, false, 1, 60, 0, layers.TCPSyn|layers.TCPAck)
 	if !est.Established {
 		t.Fatal("setup: conn 4 not established")
 	}
 	var evictedID uint64
 	tbl.SetEvictHandler(func(c *Conn, _ ExpireReason) { evictedID = c.ID })
-	if _, _, ok := tbl.GetOrCreate(ft("10.0.0.9", "10.0.0.2", 999, 443), 50); !ok {
+	if _, _, _, ok := tbl.GetOrCreate(ftp("10.0.0.9", "10.0.0.2", 999, 443), 50); !ok {
 		t.Fatal("admission failed despite evictable candidates")
 	}
 	if evictedID != wantID {
@@ -254,7 +385,7 @@ func TestBackendSelection(t *testing.T) {
 	if st.Slots == 0 || st.Live != 0 || st.LoadFactor != 0 {
 		t.Fatalf("fresh flat stats: %+v", st)
 	}
-	flat.GetOrCreate(ft("10.0.0.1", "10.0.0.2", 1, 443), 0)
+	flat.GetOrCreate(ftp("10.0.0.1", "10.0.0.2", 1, 443), 0)
 	if st = flat.IndexStats(); st.Live != 1 || st.LoadFactor <= 0 || st.SlabBytes == 0 {
 		t.Fatalf("flat stats after create: %+v", st)
 	}
@@ -270,7 +401,7 @@ func TestFlatGrowthRehash(t *testing.T) {
 	ptrs := make([]*Conn, 0, n)
 	for i := 0; i < n; i++ {
 		tuple := ft("10.1.0.1", "10.1.0.2", uint16(i%65000+1), uint16(i/65000+443))
-		c, created, ok := tbl.GetOrCreate(tuple, uint64(i))
+		c, _, created, ok := tbl.GetOrCreate(&tuple, uint64(i))
 		if !ok || !created {
 			t.Fatalf("create %d failed", i)
 		}
@@ -290,8 +421,8 @@ func TestFlatGrowthRehash(t *testing.T) {
 	// rehashes must still be the live connections.
 	for i, c := range ptrs {
 		tuple := ft("10.1.0.1", "10.1.0.2", uint16(i%65000+1), uint16(i/65000+443))
-		got, ok := tbl.Lookup(tuple)
-		if !ok || got != c {
+		got, _, created, ok := tbl.GetOrCreate(&tuple, uint64(n))
+		if !ok || created || got != c {
 			t.Fatalf("conn %d moved or lost after rehash", i)
 		}
 	}
@@ -307,5 +438,27 @@ func TestFlatGrowthRehash(t *testing.T) {
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveAll empties a populated table on both backends, removing
+// each connection while iteration visits it: every connection counts
+// once under the reason, and the store stays consistent and reusable.
+func TestRemoveAll(t *testing.T) {
+	for _, backend := range []string{BackendFlat, BackendMap} {
+		t.Run(backend, func(t *testing.T) {
+			const n = 3000 // more than one slab chunk
+			tbl, tuples := populated(t, backend, n)
+			tbl.RemoveAll(ExpireEvicted)
+			if _, expired := tbl.Stats(); tbl.Len() != 0 || expired[ExpireEvicted] != n {
+				t.Fatalf("Len %d, evicted %d after RemoveAll, want 0 and %d", tbl.Len(), expired[ExpireEvicted], n)
+			}
+			if err := tbl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, created, ok := tbl.GetOrCreate(&tuples[1], n); !ok || !created {
+				t.Fatal("a removed tuple did not create a new connection")
+			}
+		})
 	}
 }

@@ -124,8 +124,9 @@ func TestRecycledStateIgnoresStaleShedEntry(t *testing.T) {
 	}
 
 	send(bFrames[:3]...)
-	connB, ok := c.Table().Lookup(mustTuple(t, bFrames[0]))
-	if !ok {
+	bTuple := mustTuple(t, bFrames[0])
+	connB, _, created, _ := c.Table().GetOrCreate(&bTuple, tick)
+	if created {
 		t.Fatal("B not tracked")
 	}
 	csB := connB.UserData.(*connState)
@@ -190,4 +191,47 @@ func mustTuple(t *testing.T, frame []byte) layers.FiveTuple {
 		t.Fatal("frame has no five-tuple")
 	}
 	return ft
+}
+
+// TestFlushAllocs pins that Flush's own bookkeeping allocates nothing.
+// Each round opens 64 connections with one SYN each, reusing the
+// states, slab slots and pool buffers the previous round gave back,
+// then flushes them all; once the first round has grown every store to
+// that population, a round makes no heap allocation.
+func TestFlushAllocs(t *testing.T) {
+	const conns = 64
+	pool := mbuf.NewPool(2*conns, 0)
+	sub := &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}}
+	// The slab is the flat backend's; the map oracle allocates per Conn.
+	// Timeouts are off, so no timer-wheel slot grows under the rounds.
+	ct := conntrack.Config{Backend: conntrack.BackendFlat}
+	c, err := NewCore(0, Config{Set: testSet(t, "tls", sub), Conntrack: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, conns)
+	for i := range frames {
+		frames[i] = newFlow(t, uint16(40000+i), 443).pkt(true, layers.TCPSyn, nil)
+	}
+	batch := make([]*mbuf.Mbuf, conns)
+	tick := uint64(0)
+	round := func() {
+		tick += conntrack.TickSecond
+		for i, fr := range frames {
+			m, err := pool.AllocData(fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.RxTick = tick
+			batch[i] = m
+		}
+		c.ProcessBurst(batch)
+		if n := c.Table().Len(); n != conns {
+			t.Fatalf("round tracked %d connections, want %d", n, conns)
+		}
+		c.Flush()
+	}
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Fatalf("ProcessBurst + Flush of %d connections: %v allocs/round, want 0", conns, n)
+	}
 }

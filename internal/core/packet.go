@@ -650,7 +650,7 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 	}
 
 	var conn *conntrack.Conn
-	var created, okc bool
+	var orig, created, okc bool
 	payload := p.Payload()
 	flags := uint8(0)
 	if p.L4 == layers.LayerTypeTCP {
@@ -662,9 +662,9 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 		seq = p.TCP.Seq
 	}
 	c.stages.Time(StageConnTrack, func() {
-		conn, created, okc = c.table.GetOrCreate(ft, c.now)
+		conn, orig, created, okc = c.table.GetOrCreate(&ft, c.now)
 		if okc {
-			c.table.TouchSeq(conn, ft, c.now, m.Len(), len(payload), flags, seq, isTCP)
+			c.table.TouchSeq(conn, orig, c.now, m.Len(), len(payload), flags, seq, isTCP)
 		}
 	})
 	if !okc {
@@ -707,7 +707,7 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 
 	if cs.tombstone {
 		c.ctr.tombstonePkts.Inc()
-		c.maybeTerminate(conn, cs, ft, flags)
+		c.maybeTerminate(conn, cs, orig, flags)
 		return
 	}
 
@@ -715,7 +715,7 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 	// subscriptions keep the reassembler for the connection's lifetime.
 	if conn.State == conntrack.StateProbe || conn.State == conntrack.StateParse ||
 		cs.anyStreamLive() {
-		c.feed(conn, cs, p, m, ft, payload, flags)
+		c.feed(conn, cs, p, m, orig, payload, flags)
 	}
 
 	// Packet-level delivery/buffering. Each frame takes exactly one
@@ -817,13 +817,12 @@ func (c *Core) processStateful(p *layers.Parsed, m *mbuf.Mbuf, mr filter.MultiRe
 		d.tracked++
 	}
 
-	c.maybeTerminate(conn, cs, ft, flags)
+	c.maybeTerminate(conn, cs, orig, flags)
 }
 
 // feed pushes one packet's stream payload through reassembly into
-// probing/parsing.
-func (c *Core) feed(conn *conntrack.Conn, cs *connState, p *layers.Parsed, m *mbuf.Mbuf, ft layers.FiveTuple, payload []byte, flags uint8) {
-	orig := conn.Orig(ft)
+// probing/parsing. orig is the packet's direction from GetOrCreate.
+func (c *Core) feed(conn *conntrack.Conn, cs *connState, p *layers.Parsed, m *mbuf.Mbuf, orig bool, payload []byte, flags uint8) {
 	if conn.Tuple.Proto == layers.IPProtoUDP {
 		if len(payload) == 0 {
 			return
@@ -894,14 +893,14 @@ func (c *Core) Flush() {
 	if c.lat != nil {
 		c.nowNs = metrics.NowNanos()
 	}
-	conns := make([]*conntrack.Conn, 0, c.table.Len())
-	c.table.Each(func(conn *conntrack.Conn) { conns = append(conns, conn) })
-	for _, conn := range conns {
+	// Finishing a connection leaves the table alone, so every one is
+	// finished in place and the table emptied after, with no snapshot.
+	c.table.Each(func(conn *conntrack.Conn) {
 		cs := c.state(conn)
 		c.finishConn(conn, cs, conntrack.ExpireEvicted)
-		c.table.Remove(conn, conntrack.ExpireEvicted)
 		c.queueOffloadRemove(conn, cs)
-	}
+	})
+	c.table.RemoveAll(conntrack.ExpireEvicted)
 	c.flushOffload()
 	c.recycleStates()
 	// Seal all aggregation windows: input has ended for this core, so

@@ -638,10 +638,11 @@ func (c *Core) releaseStreamState(conn *conntrack.Conn, cs *connState) {
 	cs.syncMem(conn)
 }
 
-// maybeTerminate removes gracefully finished connections.
-func (c *Core) maybeTerminate(conn *conntrack.Conn, cs *connState, ft layers.FiveTuple, flags uint8) {
+// maybeTerminate removes gracefully finished connections. orig is the
+// packet's direction from GetOrCreate.
+func (c *Core) maybeTerminate(conn *conntrack.Conn, cs *connState, orig bool, flags uint8) {
 	if flags&layers.TCPFin != 0 {
-		if conn.Orig(ft) {
+		if orig {
 			cs.finOrig = true
 		} else {
 			cs.finResp = true
